@@ -1,9 +1,9 @@
-// Batched execution vs row-at-a-time Volcano iteration (the PR2 headline):
+// Batched execution:
 //
-//  * scan -> filter -> limit pipeline, drained through per-row virtual
-//    Next() vs block-at-a-time NextBatch() (with the filter's predicate
-//    evaluated per row or per block) -- same operators, same rows, only the
-//    dispatch granularity differs. Two filter shapes: a range predicate on
+//  * scan -> filter -> limit pipeline drained through NextBatch, with the
+//    filter's predicate evaluated per row or per block, at several block
+//    sizes -- same operators, same rows, only the predicate dispatch and
+//    the block size differ. Two filter shapes: a range predicate on
 //    the leading sort-key column (long runs over the sorted stream -- the
 //    canonical ordered-stream filter, and the best case for span-wise
 //    compaction) and a predicate on an uncorrelated payload column (50%
@@ -16,10 +16,10 @@
 //    pays the most.
 //
 // The pipeline is built on the heap behind an opaque Operator* -- exactly
-// how PhysicalPlan hands an operator tree to PlanExecutor -- so the
-// row-at-a-time baseline pays the per-row virtual dispatch a real plan
-// pays; building the operators as stack locals in this translation unit
-// would let the compiler devirtualize the baseline and measure nothing.
+// how PhysicalPlan hands an operator tree to PlanExecutor -- so it pays the
+// per-block virtual dispatch a real plan pays; building the operators as
+// stack locals in this translation unit would let the compiler
+// devirtualize it.
 //
 // Methodology as everywhere in bench/: single thread, warm inputs, paper-
 // shaped data.
@@ -109,27 +109,6 @@ Pipeline BuildPipeline(PipelineFixture& f, FilterShape shape,
   return p;
 }
 
-void RunRowAtATime(benchmark::State& state, FilterShape shape) {
-  PipelineFixture& f = GetPipelineFixture();
-  for (auto _ : state) {
-    Pipeline pipeline = BuildPipeline(f, shape, /*block_predicate=*/false);
-    Operator* root = pipeline.root;
-    benchmark::DoNotOptimize(root);  // opaque: no TU-local devirtualization
-    root->Open();
-    RowRef ref;
-    uint64_t n = 0;
-    uint64_t sum = 0;
-    while (root->Next(&ref)) {
-      sum += ref.cols[2];
-      ++n;
-    }
-    root->Close();
-    benchmark::DoNotOptimize(n);
-    benchmark::DoNotOptimize(sum);
-  }
-  state.SetItemsProcessed(state.iterations() * kRows);
-}
-
 void RunBatched(benchmark::State& state, FilterShape shape,
                 bool block_predicate, uint32_t batch_rows) {
   PipelineFixture& f = GetPipelineFixture();
@@ -155,9 +134,6 @@ void RunBatched(benchmark::State& state, FilterShape shape,
   state.SetItemsProcessed(state.iterations() * kRows);
 }
 
-void ScanFilterLimit_KeyFilter_RowAtATime(benchmark::State& state) {
-  RunRowAtATime(state, FilterShape::kKey);
-}
 void ScanFilterLimit_KeyFilter_BatchedRowPredicate(benchmark::State& state) {
   RunBatched(state, FilterShape::kKey, /*block_predicate=*/false,
              static_cast<uint32_t>(state.range(0)));
@@ -165,9 +141,6 @@ void ScanFilterLimit_KeyFilter_BatchedRowPredicate(benchmark::State& state) {
 void ScanFilterLimit_KeyFilter_Batched(benchmark::State& state) {
   RunBatched(state, FilterShape::kKey, /*block_predicate=*/true,
              static_cast<uint32_t>(state.range(0)));
-}
-void ScanFilterLimit_PayloadFilter_RowAtATime(benchmark::State& state) {
-  RunRowAtATime(state, FilterShape::kPayload);
 }
 void ScanFilterLimit_PayloadFilter_Batched(benchmark::State& state) {
   RunBatched(state, FilterShape::kPayload, /*block_predicate=*/true,
@@ -273,8 +246,6 @@ void Merge_DevirtualizedBlocks(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * kRows);
 }
 
-BENCHMARK(ScanFilterLimit_KeyFilter_RowAtATime)
-    ->Unit(benchmark::kMillisecond);
 BENCHMARK(ScanFilterLimit_KeyFilter_BatchedRowPredicate)
     ->Arg(1024)
     ->Unit(benchmark::kMillisecond);
@@ -282,8 +253,6 @@ BENCHMARK(ScanFilterLimit_KeyFilter_Batched)
     ->Arg(256)
     ->Arg(1024)
     ->Arg(4096)
-    ->Unit(benchmark::kMillisecond);
-BENCHMARK(ScanFilterLimit_PayloadFilter_RowAtATime)
     ->Unit(benchmark::kMillisecond);
 BENCHMARK(ScanFilterLimit_PayloadFilter_Batched)
     ->Arg(1024)

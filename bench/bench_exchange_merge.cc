@@ -55,11 +55,7 @@ void RunExchange(benchmark::State& state, bool use_ovc, bool threaded) {
     options.use_ovc = use_ovc;
     options.threaded = threaded;
     MergeExchange exchange(inputs, &counters, options);
-    exchange.Open();
-    RowRef ref;
-    uint64_t n = 0;
-    while (exchange.Next(&ref)) ++n;
-    exchange.Close();
+    const uint64_t n = DrainAndCount(&exchange);
     benchmark::DoNotOptimize(n);
   }
   state.SetItemsProcessed(state.iterations() * kTotalRows);

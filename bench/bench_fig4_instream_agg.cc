@@ -62,11 +62,7 @@ void BM_InStreamAgg(benchmark::State& state, bool use_ovc) {
     options.use_ovc_boundaries = use_ovc;
     InStreamAggregate agg(&scan, kKeyColumns, {{AggFn::kCount, 0}}, &counters,
                           options);
-    agg.Open();
-    RowRef ref;
-    uint64_t groups = 0;
-    while (agg.Next(&ref)) ++groups;
-    agg.Close();
+    const uint64_t groups = DrainAndCount(&agg);
     benchmark::DoNotOptimize(groups);
   }
   state.SetItemsProcessed(state.iterations() * kInputRows);

@@ -73,11 +73,7 @@ void SortBasedPlan(benchmark::State& state) {
     DedupOperator dedup1(&sort1);
     DedupOperator dedup2(&sort2);
     MergeJoin intersect(&dedup1, &dedup2, JoinType::kLeftSemi, &counters);
-    intersect.Open();
-    RowRef ref;
-    result_rows = 0;
-    while (intersect.Next(&ref)) ++result_rows;
-    intersect.Close();
+    result_rows = DrainAndCount(&intersect);
   }
   state.SetItemsProcessed(state.iterations() * 2 * rows);
   state.counters["result_rows"] = static_cast<double>(result_rows);
@@ -106,11 +102,7 @@ void InSortAggPlan(benchmark::State& state) {
     InSortAggregate dedup1(&scan1, kKeyColumns, {}, &counters, &temp, config);
     InSortAggregate dedup2(&scan2, kKeyColumns, {}, &counters, &temp, config);
     MergeJoin intersect(&dedup1, &dedup2, JoinType::kLeftSemi, &counters);
-    intersect.Open();
-    RowRef ref;
-    result_rows = 0;
-    while (intersect.Next(&ref)) ++result_rows;
-    intersect.Close();
+    result_rows = DrainAndCount(&intersect);
   }
   state.SetItemsProcessed(state.iterations() * 2 * rows);
   state.counters["result_rows"] = static_cast<double>(result_rows);
@@ -137,11 +129,7 @@ void HashBasedPlan(benchmark::State& state) {
     GraceHashJoin intersect(&dedup1, &dedup2, kKeyColumns,
                             JoinTypeHash::kLeftSemi, memory_rows, &counters,
                             &temp);
-    intersect.Open();
-    RowRef ref;
-    result_rows = 0;
-    while (intersect.Next(&ref)) ++result_rows;
-    intersect.Close();
+    result_rows = DrainAndCount(&intersect);
   }
   state.SetItemsProcessed(state.iterations() * 2 * rows);
   state.counters["result_rows"] = static_cast<double>(result_rows);

@@ -49,11 +49,7 @@ void OvcMergeJoin(benchmark::State& state) {
     RunScan left(&fixture.schema, &fixture.left_run);
     RunScan right(&fixture.schema, &fixture.right_run);
     MergeJoin join(&left, &right, JoinType::kLeftSemi, &counters);
-    join.Open();
-    RowRef ref;
-    uint64_t n = 0;
-    while (join.Next(&ref)) ++n;
-    join.Close();
+    const uint64_t n = DrainAndCount(&join);
     benchmark::DoNotOptimize(n);
   }
   state.SetItemsProcessed(state.iterations() * 2 * kRows);

@@ -69,12 +69,13 @@ Fixture& GetFixture() {
 
 void DrainOperator(Operator* op) {
   op->Open();
-  RowRef ref;
+  RowBlock block(op->schema().total_columns());
   Ovc sum = 0;
   uint64_t n = 0;
-  while (op->Next(&ref)) {
-    sum ^= ref.ovc;
-    ++n;
+  uint32_t produced;
+  while ((produced = op->NextBatch(&block)) > 0) {
+    for (uint32_t i = 0; i < produced; ++i) sum ^= block.code(i);
+    n += produced;
   }
   op->Close();
   benchmark::DoNotOptimize(sum);

@@ -51,12 +51,13 @@ void FilterTheorem(benchmark::State& state) {
       return Keep(row, selectivity);
     });
     filter.Open();
-    RowRef ref;
+    RowBlock block(fixture.schema.total_columns());
     Ovc sum = 0;
     uint64_t rows = 0;
-    while (filter.Next(&ref)) {
-      sum ^= ref.ovc;
-      ++rows;
+    uint32_t produced;
+    while ((produced = filter.NextBatch(&block)) > 0) {
+      for (uint32_t i = 0; i < produced; ++i) sum ^= block.code(i);
+      rows += produced;
     }
     filter.Close();
     benchmark::DoNotOptimize(sum);

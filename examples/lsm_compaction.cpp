@@ -24,9 +24,10 @@ void Query(const char* label, LsmForest* forest, QueryCounters* counters) {
   InStreamAggregate agg(scan.get(), /*group_prefix=*/2, {{AggFn::kCount, 0}},
                         counters);
   agg.Open();
+  BlockCursor output(&agg);
   RowRef ref;
   uint64_t groups = 0, rows = 0;
-  while (agg.Next(&ref)) {
+  while (output.Next(&ref)) {
     ++groups;
     rows += ref.cols[2];
   }

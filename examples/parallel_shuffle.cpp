@@ -67,10 +67,11 @@ int main() {
 
   merge.Open();
   OvcStreamChecker checker(&merge.schema());
+  BlockCursor output(&merge);
   RowRef ref;
   uint64_t groups = 0, rows = 0;
   bool valid = true;
-  while (merge.Next(&ref)) {
+  while (output.Next(&ref)) {
     valid = checker.Observe(ref.cols, ref.ovc) && valid;
     ++groups;
     rows += ref.cols[3];

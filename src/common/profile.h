@@ -17,12 +17,14 @@
 //    nanoseconds once per process, because a steady_clock read per NextBatch
 //    would already cost several percent of the hot batched pipeline. Even
 //    rdtsc is not free in context (it stalls on in-flight loads), so the
-//    wrapper times a deterministic sample of Next/NextBatch calls -- all of
-//    the first kTimeWarmupCalls, then every kTimeSampleEvery-th -- and the
-//    per-node time is the sampled time scaled to the full call count.
-//    Queries short enough to matter for correctness tests stay inside the
-//    warmup and are timed exactly; long queries get a sampled estimate and
-//    the hot batched path stays within the <=2% instrumentation budget
+//    wrapper times all of the first kTimeWarmupCalls NextBatch calls, then a
+//    deterministic sample of every kTimeSampleEvery-th. The per-node time
+//    is the exact warmup time plus the sample scaled to the calls after
+//    warmup, so a one-off cost in an early call (a lazily opened sort) is
+//    counted once, not multiplied by the sampling rate. Queries short
+//    enough to matter for correctness tests stay inside the warmup and are
+//    timed exactly; long queries get a sampled estimate and the hot batched
+//    path stays within the <=2% instrumentation budget
 //    (bench/bench_profile_overhead.cc prices exactly this).
 //  * Render() produces the EXPLAIN ANALYZE text -- each plan line carries
 //    {rows=est/actual cost=est time=..ms cmp=col/code spill=..} and the
@@ -75,9 +77,9 @@ inline uint64_t ProfileTicks() {
 /// against steady_clock once per process (lazily, on first use).
 uint64_t TicksToNs(uint64_t ticks);
 
-/// Timing-sample policy for the Next/NextBatch path: the first
-/// kTimeWarmupCalls calls per wrapper are always timed (short queries --
-/// and tests -- get exact times), after that every kTimeSampleEvery-th.
+/// Timing-sample policy for NextBatch: the first kTimeWarmupCalls calls
+/// per wrapper are always timed (short queries -- and tests -- get exact
+/// times), after that every kTimeSampleEvery-th.
 /// Powers of two; the wrapper masks with kTimeSampleEvery - 1.
 inline constexpr uint64_t kTimeWarmupCalls = 32;
 inline constexpr uint64_t kTimeSampleEvery = 16;
@@ -87,19 +89,21 @@ inline constexpr uint64_t kTimeSampleEvery = 16;
 /// plain uint64_t fields suffice; cross-thread aggregation happens in
 /// QueryProfile::FinishRun after every producer thread has joined.
 struct OperatorStats {
-  /// Rows this operator emitted (Next successes + NextBatch rows).
+  /// Rows this operator emitted.
   uint64_t rows_out = 0;
-  /// Non-empty batches emitted through NextBatch.
+  /// Non-empty batches emitted.
   uint64_t batches_out = 0;
-  /// Inclusive wall ticks inside Open / Close (always timed) and inside
-  /// the *timed sample* of Next/NextBatch calls (the operator plus
-  /// everything below it on the same thread).
+  /// Inclusive wall ticks (the operator plus everything below it on the
+  /// same thread) inside Open / Close, inside the warmup NextBatch calls
+  /// (all timed), and inside the sampled NextBatch calls after warmup.
   uint64_t open_ticks = 0;
+  uint64_t warmup_ticks = 0;
   uint64_t next_ticks = 0;
   uint64_t close_ticks = 0;
-  /// Total Next+NextBatch calls, and how many of them were timed into
-  /// next_ticks (warmup + every kTimeSampleEvery-th; see above).
+  /// Total NextBatch calls; how many fell in the warmup window; and how
+  /// many after it were timed into next_ticks (see above).
   uint64_t next_calls = 0;
+  uint64_t warmup_calls = 0;
   uint64_t next_timed = 0;
   /// Work counters attributed to this operator (handed to its constructor
   /// in place of the session/worker counters when profiling is on).
@@ -109,23 +113,28 @@ struct OperatorStats {
     rows_out += other.rows_out;
     batches_out += other.batches_out;
     open_ticks += other.open_ticks;
+    warmup_ticks += other.warmup_ticks;
     next_ticks += other.next_ticks;
     close_ticks += other.close_ticks;
     next_calls += other.next_calls;
+    warmup_calls += other.warmup_calls;
     next_timed += other.next_timed;
     counters.Merge(other.counters);
   }
 
   void Reset() { *this = OperatorStats(); }
 
-  /// next_ticks scaled from the timed sample to all calls. Exact (and
-  /// equal to next_ticks) while every call was timed, i.e. inside the
-  /// warmup window.
+  /// Estimated ticks over all NextBatch calls: the warmup ticks as
+  /// measured, plus the post-warmup sample scaled to the post-warmup call
+  /// count. Exact while every call fell inside the warmup window.
   uint64_t scaled_next_ticks() const {
-    if (next_timed == 0 || next_timed == next_calls) return next_ticks;
-    const double scale = static_cast<double>(next_calls) /
-                         static_cast<double>(next_timed);
-    return static_cast<uint64_t>(static_cast<double>(next_ticks) * scale);
+    if (next_timed == 0) return warmup_ticks;
+    const double post_warmup_calls =
+        static_cast<double>(next_calls - warmup_calls);
+    return warmup_ticks +
+           static_cast<uint64_t>(static_cast<double>(next_ticks) *
+                                 post_warmup_calls /
+                                 static_cast<double>(next_timed));
   }
 
   uint64_t total_ticks() const {

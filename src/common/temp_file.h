@@ -55,11 +55,12 @@ class TempFileManager {
   /// The scratch directory this manager owns.
   const std::string& dir() const { return dir_; }
 
-  /// Deferred-error slot: spill paths deep inside operators (where Next()
-  /// cannot return a Status) record their first non-retryable I/O error
-  /// here and degrade to producing no further output; the plan executor
-  /// checks the slot after the run and surfaces the error to the session
-  /// (a clean SqlError instead of an abort). Keeps only the first error.
+  /// Deferred-error slot: spill paths deep inside operators (where
+  /// NextBatch() cannot return a Status) record their first non-retryable
+  /// I/O error here and degrade to producing no further output; the plan
+  /// executor checks the slot after the run and surfaces the error to the
+  /// session (a clean SqlError instead of an abort). Keeps only the first
+  /// error.
   /// Thread-safe: parallel worker pipelines share one manager.
   void RecordError(const Status& status) OVC_EXCLUDES(error_mu_);
   /// The first recorded error since the last ClearError (Ok when none).

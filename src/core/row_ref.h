@@ -13,8 +13,11 @@ namespace ovc {
 /// code relative to the stream's previous row (the stream's first row is
 /// coded relative to "minus infinity", i.e. offset 0).
 ///
-/// The pointed-to columns remain valid until the producing operator's next
-/// Next()/Close() call, mirroring the classic Volcano contract.
+/// Operators produce blocks, not RowRefs (exec/operator.h: NextBatch is the
+/// one pull); a RowRef points into a block or into a merge kernel's
+/// storage. One handed out by a BlockCursor stays valid until the cursor
+/// refills its block; one from a merger or sort until that kernel's next
+/// pull.
 struct RowRef {
   const uint64_t* cols = nullptr;
   Ovc ovc = 0;

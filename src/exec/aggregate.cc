@@ -32,6 +32,7 @@ InStreamAggregate::InStreamAggregate(Operator* child, uint32_t group_prefix,
                                      std::vector<AggregateSpec> aggregates,
                                      QueryCounters* counters, Options options)
     : child_(child),
+      input_(child),
       group_prefix_(group_prefix),
       aggregates_(std::move(aggregates)),
       output_schema_(
@@ -42,8 +43,7 @@ InStreamAggregate::InStreamAggregate(Operator* child, uint32_t group_prefix,
       group_comparator_(&group_schema_, counters),
       options_(options),
       group_row_(child->schema().total_columns(), 0),
-      agg_state_(aggregates_.size(), 0),
-      out_row_(output_schema_.total_columns(), 0) {
+      agg_state_(aggregates_.size(), 0) {
   OVC_CHECK(group_prefix >= 1);
   OVC_CHECK(group_prefix <= child->schema().key_arity());
   OVC_CHECK(child->sorted());
@@ -58,8 +58,8 @@ InStreamAggregate::InStreamAggregate(Operator* child, uint32_t group_prefix,
 
 void InStreamAggregate::Open() {
   child_->Open();
+  input_.Reset();
   group_open_ = false;
-  input_done_ = false;
   groups_ = 0;
 }
 
@@ -118,46 +118,42 @@ void InStreamAggregate::Accumulate(const uint64_t* row) {
   }
 }
 
-void InStreamAggregate::EmitGroup(RowRef* out) {
-  std::memcpy(out_row_.data(), group_row_.data(),
-              group_prefix_ * sizeof(uint64_t));
-  std::memcpy(out_row_.data() + group_prefix_, agg_state_.data(),
-              aggregates_.size() * sizeof(uint64_t));
-  out->cols = out_row_.data();
+void InStreamAggregate::EmitGroup(RowBlock* out) {
   // The group's output code is the first input row's code, clamped to the
   // grouping arity ("output rows retain the offset-value codes of the first
   // row in each group"). Available whenever the input carries codes, even
   // when boundary detection runs in baseline mode.
-  out->ovc = child_->has_ovc() ? in_codec_.ClampToPrefix(
-                                     group_code_, group_prefix_, out_codec_)
-                               : 0;
+  const Ovc code =
+      child_->has_ovc()
+          ? in_codec_.ClampToPrefix(group_code_, group_prefix_, out_codec_)
+          : 0;
+  uint64_t* dst = out->AppendRow(code);
+  std::memcpy(dst, group_row_.data(), group_prefix_ * sizeof(uint64_t));
+  std::memcpy(dst + group_prefix_, agg_state_.data(),
+              aggregates_.size() * sizeof(uint64_t));
   ++groups_;
 }
 
-bool InStreamAggregate::Next(RowRef* out) {
-  if (input_done_) return false;
+uint32_t InStreamAggregate::NextBatch(RowBlock* out) {
+  out->Clear();
   RowRef ref;
-  while (child_->Next(&ref)) {
+  while (!out->full()) {
+    if (!input_.Next(&ref)) {
+      if (group_open_) {
+        EmitGroup(out);
+        group_open_ = false;
+      }
+      break;
+    }
     if (!group_open_) {
       InitGroup(ref);
-      Accumulate(ref.cols);
-      continue;
-    }
-    if (IsGroupBoundary(ref)) {
+    } else if (IsGroupBoundary(ref)) {
       EmitGroup(out);
       InitGroup(ref);
-      Accumulate(ref.cols);
-      return true;
     }
     Accumulate(ref.cols);
   }
-  input_done_ = true;
-  if (group_open_) {
-    EmitGroup(out);
-    group_open_ = false;
-    return true;
-  }
-  return false;
+  return out->size();
 }
 
 }  // namespace ovc

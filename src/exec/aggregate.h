@@ -61,7 +61,7 @@ class InStreamAggregate : public Operator {
                                  size_t num_aggregates);
 
   void Open() override;
-  bool Next(RowRef* out) override;
+  uint32_t NextBatch(RowBlock* out) override;
   void Close() override { child_->Close(); }
   const Schema& schema() const override { return output_schema_; }
   bool sorted() const override { return true; }
@@ -73,10 +73,12 @@ class InStreamAggregate : public Operator {
  private:
   void InitGroup(const RowRef& ref);
   void Accumulate(const uint64_t* row);
-  void EmitGroup(RowRef* out);
+  /// Appends the open group's output row to `out`.
+  void EmitGroup(RowBlock* out);
   bool IsGroupBoundary(const RowRef& ref);
 
   Operator* child_;
+  BlockCursor input_;
   uint32_t group_prefix_;
   std::vector<AggregateSpec> aggregates_;
   Schema output_schema_;
@@ -88,11 +90,9 @@ class InStreamAggregate : public Operator {
 
   std::vector<uint64_t> group_row_;   // current group's first input row
   std::vector<uint64_t> agg_state_;   // running aggregate accumulators
-  std::vector<uint64_t> out_row_;     // written only when a group is emitted
   Ovc group_code_ = 0;  // first-in-group input code
   uint64_t group_rows_ = 0;
   bool group_open_ = false;
-  bool input_done_ = false;
   uint64_t groups_ = 0;
 };
 

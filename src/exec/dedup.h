@@ -20,23 +20,26 @@ class DedupOperator : public Operator {
   /// key-duplicates are dropped; payload columns of dropped rows are
   /// discarded (SQL DISTINCT semantics over the key).
   explicit DedupOperator(Operator* child)
-      : child_(child), codec_(&child->schema()) {
+      : child_(child), input_(child), codec_(&child->schema()) {
     OVC_CHECK(child->sorted() && child->has_ovc());
   }
 
-  void Open() override { child_->Open(); }
+  void Open() override {
+    child_->Open();
+    input_.Reset();
+  }
 
-  bool Next(RowRef* out) override {
+  uint32_t NextBatch(RowBlock* out) override {
+    out->Clear();
     RowRef ref;
-    while (child_->Next(&ref)) {
+    while (!out->full() && input_.Next(&ref)) {
       if (codec_.IsDuplicate(ref.ovc)) {
         ++duplicates_dropped_;
         continue;  // offset == arity: a duplicate, detected code-only
       }
-      *out = ref;
-      return true;
+      out->Append(ref.cols, ref.ovc);
     }
-    return false;
+    return out->size();
   }
 
   void Close() override { child_->Close(); }
@@ -49,6 +52,7 @@ class DedupOperator : public Operator {
 
  private:
   Operator* child_;
+  BlockCursor input_;
   OvcCodec codec_;
   uint64_t duplicates_dropped_ = 0;
 };

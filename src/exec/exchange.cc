@@ -7,23 +7,24 @@
 
 namespace ovc {
 
-namespace {
-
-/// Operator view of one split partition.
-class SplitPartitionStreamImpl : public Operator {
+/// Operator view of one split partition. SplitExchange names it a friend,
+/// so it reaches the exchange's per-partition hooks.
+class SplitPartitionStream final : public Operator {
  public:
-  SplitPartitionStreamImpl(SplitExchange* exchange, uint32_t index,
-                           const Schema* schema, bool sorted, bool has_ovc)
+  SplitPartitionStream(SplitExchange* exchange, uint32_t index,
+                       const Schema* schema, bool sorted, bool has_ovc)
       : exchange_(exchange),
         index_(index),
         schema_(schema),
         sorted_(sorted),
         has_ovc_(has_ovc) {}
 
-  void Open() override;
-  bool Next(RowRef* out) override;
-  uint32_t NextBatch(RowBlock* out) override;
-  void Close() override;
+  void Open() override { exchange_->StreamOpen(index_); }
+  uint32_t NextBatch(RowBlock* out) override {
+    OVC_DCHECK(out->width() == schema_->total_columns());
+    return exchange_->NextRows(index_, out);
+  }
+  void Close() override { exchange_->StreamClose(index_); }
   const Schema& schema() const override { return *schema_; }
   bool sorted() const override { return sorted_; }
   bool has_ovc() const override { return has_ovc_; }
@@ -35,47 +36,6 @@ class SplitPartitionStreamImpl : public Operator {
   bool sorted_;
   bool has_ovc_;
 };
-
-}  // namespace
-
-// SplitPartitionStreamImpl needs SplitExchange internals; the friend
-// declaration names SplitPartitionStream, so route through member helpers.
-class SplitPartitionStream {
- public:
-  static void Open(SplitExchange* ex, uint32_t index) {
-    ex->StreamOpen(index);
-  }
-  static void Close(SplitExchange* ex, uint32_t index) {
-    ex->StreamClose(index);
-  }
-  static bool Next(SplitExchange* ex, uint32_t index, RowRef* out) {
-    return ex->NextRow(index, out);
-  }
-  static uint32_t NextBatch(SplitExchange* ex, uint32_t index, RowBlock* out) {
-    return ex->NextRows(index, out);
-  }
-};
-
-namespace {
-
-void SplitPartitionStreamImpl::Open() {
-  SplitPartitionStream::Open(exchange_, index_);
-}
-
-bool SplitPartitionStreamImpl::Next(RowRef* out) {
-  return SplitPartitionStream::Next(exchange_, index_, out);
-}
-
-uint32_t SplitPartitionStreamImpl::NextBatch(RowBlock* out) {
-  OVC_DCHECK(out->width() == schema_->total_columns());
-  return SplitPartitionStream::NextBatch(exchange_, index_, out);
-}
-
-void SplitPartitionStreamImpl::Close() {
-  SplitPartitionStream::Close(exchange_, index_);
-}
-
-}  // namespace
 
 SplitExchange::SplitExchange(Operator* child, uint32_t partitions,
                              Policy policy, QueryCounters* counters,
@@ -101,7 +61,7 @@ SplitExchange::SplitExchange(Operator* child, uint32_t partitions,
         std::make_unique<PartitionState>(child->schema().total_columns());
     state->acc.Reset();
     states_.push_back(std::move(state));
-    streams_.push_back(std::make_unique<SplitPartitionStreamImpl>(
+    streams_.push_back(std::make_unique<SplitPartitionStream>(
         this, p, &child->schema(), child->sorted(), child_has_ovc_));
   }
   stream_closed_.assign(partitions, false);
@@ -198,18 +158,6 @@ void SplitExchange::PumpUntilLocked(uint32_t want, size_t min_rows) {
   }
 }
 
-bool SplitExchange::NextRow(uint32_t index, RowRef* out) {
-  MutexLock lock(mu_);
-  PumpUntilLocked(index, 1);
-  auto& state = *states_[index];
-  const uint64_t* row = nullptr;
-  Ovc code = 0;
-  if (!state.Pop(&row, &code)) return false;
-  out->cols = row;
-  out->ovc = code;
-  return true;
-}
-
 uint32_t SplitExchange::NextRows(uint32_t index, RowBlock* out) {
   MutexLock lock(mu_);
   out->Clear();
@@ -254,7 +202,7 @@ void BoundedBatchQueue::Cancel() {
 
 /// MergeSource fed by a producer thread's batch queue.
 ///
-/// RowRef lifetime (see exec/operator.h): popping the next batch frees the
+/// Row lifetime (see exec/operator.h): popping the next batch frees the
 /// previous one, so a row pointer handed out here dies on the very next
 /// Next() call that crosses a batch boundary. Consumers that keep a row
 /// (the merge's loser tree keeps one candidate per input between pulls;
@@ -357,7 +305,8 @@ void MergeExchange::Open() {
   } else {
     for (Operator* in : inputs_) {
       in->Open();
-      sources_.push_back(std::make_unique<OperatorMergeSource>(in));
+      sources_.push_back(
+          std::make_unique<BlockCursor>(in, options_.batch_rows));
       raw_sources.push_back(sources_.back().get());
     }
     inline_inputs_open_ = true;
@@ -370,23 +319,12 @@ void MergeExchange::Open() {
   }
 }
 
-bool MergeExchange::Next(RowRef* out) {
-  if (merger_ != nullptr) return merger_->Next(out);
-  if (plain_merger_ != nullptr) return plain_merger_->Next(out);
-  return false;
-}
-
 uint32_t MergeExchange::NextBatch(RowBlock* out) {
   OVC_DCHECK(out->width() == schema().total_columns());
   if (merger_ != nullptr) return merger_->NextBlock(out);
+  if (plain_merger_ != nullptr) return FillBlock(plain_merger_.get(), out);
   out->Clear();
-  if (plain_merger_ != nullptr) {
-    RowRef ref;
-    while (!out->full() && plain_merger_->Next(&ref)) {
-      out->Append(ref.cols, ref.ovc);
-    }
-  }
-  return out->size();
+  return 0;
 }
 
 void MergeExchange::StopThreads() {

@@ -81,9 +81,9 @@ class SplitExchange {
  private:
   friend class SplitPartitionStream;
 
-  /// Per-partition buffered rows. Chunked so that row pointers handed to a
-  /// consumer stay valid while other partitions keep buffering (a plain
-  /// growable buffer would reallocate under the merger's feet).
+  /// Per-partition buffered rows, in fixed-size chunks so a long-lived
+  /// partition frees what its consumer has read without ever moving the
+  /// rows still buffered.
   struct PartitionState {
     static constexpr size_t kChunkRows = 256;
 
@@ -136,8 +136,6 @@ class SplitExchange {
   /// least `min_rows` rows or the child is exhausted. Caller holds mu_.
   void PumpUntilLocked(uint32_t want, size_t min_rows) OVC_REQUIRES(mu_);
   uint32_t RouteOf(const uint64_t* row) OVC_REQUIRES(mu_);
-  /// One-row pull used by SplitPartitionStream.
-  bool NextRow(uint32_t index, RowRef* out) OVC_EXCLUDES(mu_);
   /// Block pull: fills `out` with up to its capacity rows of partition
   /// `index` (copied out of the partition buffers).
   uint32_t NextRows(uint32_t index, RowBlock* out) OVC_EXCLUDES(mu_);
@@ -209,7 +207,8 @@ class MergeExchange : public Operator {
     /// Producer threads per input; false pulls inputs inline (deterministic
     /// single-threaded mode for benchmarks).
     bool threaded;
-    /// Rows per batch in threaded mode.
+    /// Rows per batch pulled from each input (queue batches in threaded
+    /// mode, cursor blocks inline).
     uint32_t batch_rows;
     /// Batches buffered per input queue.
     size_t queue_batches;
@@ -230,7 +229,6 @@ class MergeExchange : public Operator {
   ~MergeExchange() override;
 
   void Open() override;
-  bool Next(RowRef* out) override;
   uint32_t NextBatch(RowBlock* out) override;
   void Close() override;
   const Schema& schema() const override { return inputs_[0]->schema(); }

@@ -34,7 +34,7 @@ class FilterOperator : public Operator {
  public:
   /// `child` must outlive the filter. `block_predicate`, when supplied,
   /// must agree with `predicate` row for row; NextBatch() then evaluates it
-  /// once per block while Next() keeps using the row predicate.
+  /// once per block instead of calling the row predicate per row.
   FilterOperator(Operator* child, RowPredicate predicate,
                  BlockPredicate block_predicate = nullptr)
       : child_(child),
@@ -47,30 +47,12 @@ class FilterOperator : public Operator {
     acc_.Reset();
   }
 
-  bool Next(RowRef* out) override {
-    RowRef ref;
-    while (child_->Next(&ref)) {
-      if (predicate_(ref.cols)) {
-        out->cols = ref.cols;
-        if (derive_codes_) {
-          out->ovc = acc_.Combine(ref.ovc);
-          acc_.Reset();
-        } else {
-          out->ovc = 0;
-        }
-        return true;
-      }
-      if (derive_codes_) acc_.Absorb(ref.ovc);
-    }
-    return false;
-  }
-
   uint32_t NextBatch(RowBlock* out) override {
     // The child serves into a staging block (possibly zero-copy, borrowing
     // its storage); survivors are copied into `out` -- one copy per kept
     // row, none per dropped row. Dropped rows' codes are absorbed into the
-    // accumulator exactly as in Next(), which keeps the filter theorem's
-    // code derivation valid across block boundaries.
+    // accumulator, which keeps the filter theorem's code derivation valid
+    // across block boundaries.
     // The staging capacity must equal the caller's (a larger block could
     // hand back more survivors than `out` holds); re-cap the existing
     // allocation instead of reallocating when the caller's capacity moves

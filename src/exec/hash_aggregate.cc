@@ -11,28 +11,6 @@
 
 namespace ovc {
 
-namespace {
-
-/// MergeSource over a finished ExternalSort (the collapser's inner
-/// stream). The sort's RowRef stays valid until the next pull, matching
-/// the MergeSource contract.
-class SortMergeSource final : public MergeSource {
- public:
-  explicit SortMergeSource(ExternalSort* sort) : sort_(sort) {}
-  bool Next(const uint64_t** row, Ovc* code) override {
-    RowRef ref;
-    if (!sort_->Next(&ref)) return false;
-    *row = ref.cols;
-    *code = ref.ovc;
-    return true;
-  }
-
- private:
-  ExternalSort* sort_;
-};
-
-}  // namespace
-
 Schema HashAggregate::MakeOutputSchema(const Schema& in, uint32_t group_prefix,
                                        size_t num_aggregates) {
   std::vector<SortDirection> dirs;
@@ -223,7 +201,8 @@ void HashAggregate::FinishSortMergeFallback() {
         break;
     }
   }
-  fb_sort_source_ = std::make_unique<SortMergeSource>(fb_sort_.get());
+  fb_sort_source_ =
+      std::make_unique<RowRefSource<ExternalSort>>(fb_sort_.get());
   fb_collapse_ = std::make_unique<CollapsingSource>(
       fb_state_schema_.get(), std::move(fns), fb_sort_source_.get());
 }
@@ -250,8 +229,9 @@ void HashAggregate::Open() {
   std::vector<std::unique_ptr<RunFileWriter>> writers;
   std::vector<std::string> paths;
   child_->Open();
+  BlockCursor input(child_);
   RowRef ref;
-  while (child_->Next(&ref)) {
+  while (input.Next(&ref)) {
     if (fell_back_) {
       AddInputRowToFallback(ref.cols);
       continue;
@@ -350,26 +330,24 @@ bool HashAggregate::ProcessNextPartition() {
   return false;
 }
 
-bool HashAggregate::Next(RowRef* out) {
-  if (failed_) return false;
+uint32_t HashAggregate::NextBatch(RowBlock* out) {
+  out->Clear();
+  if (failed_) return 0;
   if (fell_back_) {
+    // Collapsed state rows ARE output rows (group keys + merged
+    // accumulators).
     const uint64_t* row = nullptr;
     Ovc code = 0;
-    if (!fb_collapse_->Next(&row, &code)) return false;
-    // Collapsed state rows ARE output rows (group keys + merged
-    // accumulators) and stay valid until the next pull.
-    out->cols = row;
-    out->ovc = 0;  // this operator's contract: unordered, no codes
-    return true;
-  }
-  while (true) {
-    if (queue_pos_ < output_queue_.size()) {
-      out->cols = output_queue_.row(queue_pos_++);
-      out->ovc = 0;
-      return true;
+    while (!out->full() && fb_collapse_->Next(&row, &code)) {
+      out->Append(row, 0);  // this operator's contract: unordered, no codes
     }
-    if (!ProcessNextPartition()) return false;
+    return out->size();
   }
+  while (queue_pos_ >= output_queue_.size()) {
+    if (!ProcessNextPartition()) return 0;
+  }
+  // The queue stays put until the next partition refills it.
+  return output_queue_.ServeBlock(&queue_pos_, out);
 }
 
 void HashAggregate::Close() {

@@ -51,7 +51,7 @@ class HashAggregate : public Operator {
                 SortConfig sort_config = SortConfig{});
 
   void Open() override;
-  bool Next(RowRef* out) override;
+  uint32_t NextBatch(RowBlock* out) override;
   void Close() override;
   const Schema& schema() const override { return output_schema_; }
   bool sorted() const override { return false; }

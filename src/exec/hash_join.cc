@@ -45,7 +45,7 @@ class SortedSortView final : public Operator {
   SortedSortView(const Schema* schema, ExternalSort* sort)
       : schema_(schema), sort_(sort) {}
   void Open() override {}
-  bool Next(RowRef* out) override { return sort_->Next(out); }
+  uint32_t NextBatch(RowBlock* out) override { return sort_->NextBlock(out); }
   void Close() override {}
   const Schema& schema() const override { return *schema_; }
   bool sorted() const override { return true; }
@@ -85,15 +85,14 @@ OrderPreservingHashJoin::OrderPreservingHashJoin(
     uint64_t memory_rows, QueryCounters* counters)
     : probe_(probe),
       build_(build),
+      probe_input_(probe),
       bind_columns_(bind_columns),
       type_(type),
       memory_rows_(memory_rows),
       output_schema_(MakeOutputSchema()),
       probe_codec_(&probe->schema()),
       counters_(counters),
-      build_rows_(build->schema().total_columns()),
-      probe_row_copy_(probe->schema().total_columns(), 0),
-      out_row_(output_schema_.total_columns(), 0) {
+      build_rows_(build->schema().total_columns()) {
   OVC_CHECK(probe->sorted() && probe->has_ovc());
   OVC_CHECK(bind_columns >= 1);
   OVC_CHECK(bind_columns <= probe->schema().key_arity());
@@ -102,8 +101,9 @@ OrderPreservingHashJoin::OrderPreservingHashJoin(
 
 void OrderPreservingHashJoin::BuildTable() {
   build_->Open();
+  BlockCursor input(build_);
   RowRef ref;
-  while (build_->Next(&ref)) {
+  while (input.Next(&ref)) {
     // Section 4.9's precondition: the build side must fit in memory.
     OVC_CHECK(build_rows_.size() < memory_rows_);
     table_.emplace(HashKeyPrefix(ref.cols, bind_columns_, counters_),
@@ -118,16 +118,17 @@ void OrderPreservingHashJoin::Open() {
   table_.clear();
   BuildTable();
   probe_->Open();
+  probe_input_.Reset();
   acc_.Reset();
   emitting_ = false;
 }
 
 void OrderPreservingHashJoin::EmitCombined(const uint64_t* probe_row,
                                            const uint64_t* build_row, Ovc code,
-                                           RowRef* out) {
+                                           RowBlock* out) {
   const Schema& ps = probe_->schema();
   const Schema& bs = build_->schema();
-  uint64_t* dst = out_row_.data();
+  uint64_t* dst = out->AppendRow(code);
   std::memcpy(dst, probe_row, ps.total_columns() * sizeof(uint64_t));
   uint64_t* p = dst + ps.total_columns();
   if (build_row != nullptr) {
@@ -137,25 +138,26 @@ void OrderPreservingHashJoin::EmitCombined(const uint64_t* probe_row,
   }
   p += bs.total_columns();
   *p = build_row != nullptr ? 3 : 1;
-  out->cols = dst;
-  out->ovc = code;
 }
 
-bool OrderPreservingHashJoin::Next(RowRef* out) {
-  while (true) {
+uint32_t OrderPreservingHashJoin::NextBatch(RowBlock* out) {
+  out->Clear();
+  // The current probe row stays put in its cursor's block until the probe
+  // input advances, so a match list larger than `out` resumes from it.
+  while (!out->full()) {
     if (emitting_) {
       if (match_idx_ < matches_.size()) {
         const Ovc code = match_idx_ == 0 ? probe_code_
                                          : probe_codec_.DuplicateCode();
-        EmitCombined(probe_row_copy_.data(),
-                     build_rows_.row(matches_[match_idx_]), code, out);
+        EmitCombined(pref_.cols, build_rows_.row(matches_[match_idx_]), code,
+                     out);
         ++match_idx_;
-        return true;
+        continue;
       }
       emitting_ = false;
     }
 
-    if (!probe_->Next(&pref_)) return false;
+    if (!probe_input_.Next(&pref_)) break;
 
     // Probe the table: gather matching build rows.
     matches_.clear();
@@ -177,12 +179,9 @@ bool OrderPreservingHashJoin::Next(RowRef* out) {
           acc_.Absorb(pref_.ovc);
           continue;
         }
-        std::memcpy(out_row_.data(), pref_.cols,
-                    probe_->schema().total_columns() * sizeof(uint64_t));
-        out->cols = out_row_.data();
-        out->ovc = acc_.Combine(pref_.ovc);
+        out->Append(pref_.cols, acc_.Combine(pref_.ovc));
         acc_.Reset();
-        return true;
+        continue;
       }
       case JoinTypeHash::kInner: {
         if (!match) {
@@ -198,16 +197,15 @@ bool OrderPreservingHashJoin::Next(RowRef* out) {
     // Inner with matches, or left outer.
     probe_code_ = acc_.Combine(pref_.ovc);
     acc_.Reset();
-    std::memcpy(probe_row_copy_.data(), pref_.cols,
-                probe_->schema().total_columns() * sizeof(uint64_t));
     if (!match) {
       // Left outer, no match: single null-padded row.
-      EmitCombined(probe_row_copy_.data(), nullptr, probe_code_, out);
-      return true;
+      EmitCombined(pref_.cols, nullptr, probe_code_, out);
+      continue;
     }
     match_idx_ = 0;
     emitting_ = true;
   }
+  return out->size();
 }
 
 void OrderPreservingHashJoin::Close() { probe_->Close(); }
@@ -240,8 +238,7 @@ GraceHashJoin::GraceHashJoin(Operator* probe, Operator* build,
       counters_(counters),
       temp_(temp),
       resident_build_(build->schema().total_columns()),
-      output_queue_(output_schema_.total_columns()),
-      out_row_(output_schema_.total_columns(), 0) {
+      output_queue_(output_schema_.total_columns()) {
   OVC_CHECK(type == JoinTypeHash::kInner || type == JoinTypeHash::kLeftSemi);
   OVC_CHECK(partitions >= 2);
 }
@@ -310,8 +307,9 @@ void GraceHashJoin::FinishSortMergeFallback() {
   }
   fb_probe_sort_ = std::make_unique<ExternalSort>(
       fb_probe_schema_.get(), counters_, temp_, sort_config_);
+  BlockCursor probe_input(probe_);
   RowRef ref;
-  while (probe_->Next(&ref)) {
+  while (probe_input.Next(&ref)) {
     fb_probe_sort_->Add(ref.cols);
   }
   probe_->Close();
@@ -330,6 +328,7 @@ void GraceHashJoin::FinishSortMergeFallback() {
                                        : JoinType::kInner,
       counters_);
   fb_join_->Open();
+  fb_input_ = std::make_unique<BlockCursor>(fb_join_.get());
 }
 
 void GraceHashJoin::Degrade(const Status& status) {
@@ -345,6 +344,7 @@ void GraceHashJoin::Open() {
   table_.clear();
   fell_back_ = false;
   failed_ = false;
+  fb_input_.reset();
   fb_join_.reset();
   fb_probe_view_.reset();
   fb_build_view_.reset();
@@ -355,11 +355,12 @@ void GraceHashJoin::Open() {
   // degrade per the fallback policy (sort+merge continuation, or classic
   // grace partitioning to temporary storage).
   build_->Open();
+  BlockCursor build_input(build_);
   RowRef ref;
   bool build_fits = true;
   std::vector<std::unique_ptr<RunFileWriter>> build_writers;
   std::vector<std::string> build_paths;
-  while (build_->Next(&ref)) {
+  while (build_input.Next(&ref)) {
     if (build_fits &&
         (resident_build_.size() >= memory_rows_ ||
          OVC_FAILPOINT("grace_hash_join.force_overflow"))) {
@@ -419,7 +420,8 @@ void GraceHashJoin::Open() {
   probe_->Open();
   if (in_memory_) {
     // Stream the probe side against the resident table; queue results.
-    while (probe_->Next(&ref)) {
+    BlockCursor probe_input(probe_);
+    while (probe_input.Next(&ref)) {
       JoinResident(resident_build_, ref.cols);
     }
     probe_->Close();
@@ -446,7 +448,8 @@ void GraceHashJoin::Open() {
     }
   }
   OvcCodec probe_codec(&probe_->schema());
-  while (probe_->Next(&ref)) {
+  BlockCursor probe_input(probe_);
+  while (probe_input.Next(&ref)) {
     const uint32_t p = PartitionOf(ref.cols, /*level=*/0);
     Status st =
         probe_writers[p]->Append(ref.cols, probe_codec.MakeFromRow(ref.cols, 0));
@@ -515,13 +518,6 @@ void GraceHashJoin::Repartition(const PartitionPair& pair) {
   if (!st.ok()) Degrade(st);
 }
 
-bool GraceHashJoin::ServeQueued(RowRef* out) {
-  if (queue_pos_ >= output_queue_.size()) return false;
-  out->cols = output_queue_.row(queue_pos_++);
-  out->ovc = 0;
-  return true;
-}
-
 bool GraceHashJoin::ProcessNextPartition() {
   while (!pending_.empty() && !failed_) {
     PartitionPair pair = pending_.back();
@@ -572,20 +568,21 @@ bool GraceHashJoin::ProcessNextPartition() {
   return false;
 }
 
-bool GraceHashJoin::NextFallback(RowRef* out) {
-  RowRef ref;
-  if (!fb_join_->Next(&ref)) return false;
+uint32_t GraceHashJoin::NextFallback(RowBlock* out) {
   const uint32_t ps_total = probe_->schema().total_columns();
-  uint64_t* dst = out_row_.data();
-  if (type_ == JoinTypeHash::kLeftSemi) {
-    // Passthrough on both layouts: columns line up exactly.
-    std::memcpy(dst, ref.cols, ps_total * sizeof(uint64_t));
-  } else {
+  RowRef ref;
+  while (!out->full() && fb_input_->Next(&ref)) {
+    uint64_t* dst = out->AppendRow(0);  // this operator: unordered, no codes
+    if (type_ == JoinTypeHash::kLeftSemi) {
+      // Passthrough on both layouts: columns line up exactly.
+      std::memcpy(dst, ref.cols, ps_total * sizeof(uint64_t));
+      continue;
+    }
     // MergeJoin emits [join key][probe rest][build rest][indicator]; this
     // operator's inner layout is [probe row][build row][indicator]. The
-    // probe row is the continuation's first ps_total columns verbatim,
-    // and the build row's leading key columns equal the join key (it is
-    // an equi-join), so the remap is three memcpys.
+    // probe row is the continuation's first ps_total columns verbatim, and
+    // the build row's leading key columns equal the join key (it is an
+    // equi-join), so the remap is three memcpys.
     const uint32_t bs_total = build_->schema().total_columns();
     std::memcpy(dst, ref.cols, ps_total * sizeof(uint64_t));
     std::memcpy(dst + ps_total, ref.cols, bind_columns_ * sizeof(uint64_t));
@@ -593,25 +590,25 @@ bool GraceHashJoin::NextFallback(RowRef* out) {
                 (bs_total - bind_columns_) * sizeof(uint64_t));
     dst[ps_total + bs_total] = 3;
   }
-  out->cols = dst;
-  out->ovc = 0;  // this operator's contract: unordered, no codes
-  return true;
+  return out->size();
 }
 
-bool GraceHashJoin::Next(RowRef* out) {
-  if (failed_) return false;
+uint32_t GraceHashJoin::NextBatch(RowBlock* out) {
+  out->Clear();
+  if (failed_) return 0;
   if (fell_back_) return NextFallback(out);
-  while (true) {
-    if (ServeQueued(out)) return true;
-    if (in_memory_) return false;
-    if (!ProcessNextPartition()) return false;
+  while (queue_pos_ >= output_queue_.size()) {
+    if (in_memory_ || !ProcessNextPartition()) return 0;
   }
+  // The queue stays put until the next partition refills it.
+  return output_queue_.ServeBlock(&queue_pos_, out);
 }
 
 void GraceHashJoin::Close() {
   output_queue_.Clear();
   resident_build_.Clear();
   table_.clear();
+  fb_input_.reset();
   if (fb_join_ != nullptr) fb_join_->Close();
   fb_join_.reset();
   fb_probe_view_.reset();

@@ -54,7 +54,7 @@ class OrderPreservingHashJoin : public Operator {
                           uint64_t memory_rows, QueryCounters* counters);
 
   void Open() override;
-  bool Next(RowRef* out) override;
+  uint32_t NextBatch(RowBlock* out) override;
   void Close() override;
   const Schema& schema() const override { return output_schema_; }
   bool sorted() const override { return true; }
@@ -64,10 +64,11 @@ class OrderPreservingHashJoin : public Operator {
   Schema MakeOutputSchema() const;
   void BuildTable();
   void EmitCombined(const uint64_t* probe_row, const uint64_t* build_row,
-                    Ovc code, RowRef* out);
+                    Ovc code, RowBlock* out);
 
   Operator* probe_;
   Operator* build_;
+  BlockCursor probe_input_;
   uint32_t bind_columns_;
   JoinTypeHash type_;
   uint64_t memory_rows_;
@@ -84,8 +85,6 @@ class OrderPreservingHashJoin : public Operator {
   size_t match_idx_ = 0;
   Ovc probe_code_ = 0;
   bool emitting_ = false;
-  std::vector<uint64_t> probe_row_copy_;
-  std::vector<uint64_t> out_row_;
 };
 
 /// Grace hash join baseline: unordered output, no codes, spills both inputs
@@ -113,7 +112,7 @@ class GraceHashJoin : public Operator {
                 SortConfig sort_config = SortConfig{});
 
   void Open() override;
-  bool Next(RowRef* out) override;
+  uint32_t NextBatch(RowBlock* out) override;
   void Close() override;
   const Schema& schema() const override { return output_schema_; }
   bool sorted() const override { return false; }
@@ -129,7 +128,6 @@ class GraceHashJoin : public Operator {
   Schema MakeOutputSchema() const;
   /// Joins one resident (build RowBuffer) against a probe iterator.
   void JoinResident(const RowBuffer& build, const uint64_t* probe_row);
-  bool ServeQueued(RowRef* out);
   bool ProcessNextPartition();
   /// Level-salted hash partition (recursion splits colliding keys).
   uint32_t PartitionOf(const uint64_t* row, uint32_t level);
@@ -142,8 +140,8 @@ class GraceHashJoin : public Operator {
   void BeginSortMergeFallback();
   /// Sorts the probe stream and stands up the MergeJoin continuation.
   void FinishSortMergeFallback();
-  /// Serves one continuation row, remapped to this operator's layout.
-  bool NextFallback(RowRef* out);
+  /// Fills `out` with continuation rows, remapped to this operator's layout.
+  uint32_t NextFallback(RowBlock* out);
   /// Records `status` in the temp manager's error slot and stops output.
   void Degrade(const Status& status);
 
@@ -179,8 +177,7 @@ class GraceHashJoin : public Operator {
   std::unique_ptr<Operator> fb_probe_view_;
   std::unique_ptr<Operator> fb_build_view_;
   std::unique_ptr<MergeJoin> fb_join_;
-
-  std::vector<uint64_t> out_row_;
+  std::unique_ptr<BlockCursor> fb_input_;  // reads fb_join_
 };
 
 }  // namespace ovc

@@ -148,18 +148,7 @@ Status InSortAggregate::PrepareMerge() {
         sources.push_back(readers.back().get());
       }
       OvcMerger merger(&codec_, &comparator_, sources);
-      // Adapt the merger to a MergeSource for the collapser.
-      struct MergerSource : MergeSource {
-        explicit MergerSource(OvcMerger* m) : merger(m) {}
-        bool Next(const uint64_t** row, Ovc* code) override {
-          RowRef ref;
-          if (!merger->Next(&ref)) return false;
-          *row = ref.cols;
-          *code = ref.ovc;
-          return true;
-        }
-        OvcMerger* merger;
-      } merger_source(&merger);
+      RowRefSource<OvcMerger> merger_source(&merger);
       CollapsingSource collapser(&state_schema_, merge_fns_, &merger_source);
       RunFileWriter writer(&state_schema_, counters_);
       const std::string path = temp_->NewPath("isa-merge");
@@ -183,18 +172,8 @@ Status InSortAggregate::PrepareMerge() {
     sources.push_back(readers_.back().get());
   }
   merger_ = std::make_unique<OvcMerger>(&codec_, &comparator_, sources);
-  struct FinalMergerSource : MergeSource {
-    explicit FinalMergerSource(OvcMerger* m) : merger(m) {}
-    bool Next(const uint64_t** row, Ovc* code) override {
-      RowRef ref;
-      if (!merger->Next(&ref)) return false;
-      *row = ref.cols;
-      *code = ref.ovc;
-      return true;
-    }
-    OvcMerger* merger;
-  };
-  final_merger_source_ = std::make_unique<FinalMergerSource>(merger_.get());
+  final_merger_source_ =
+      std::make_unique<RowRefSource<OvcMerger>>(merger_.get());
   collapsing_output_ = std::make_unique<CollapsingSource>(
       &state_schema_, merge_fns_, final_merger_source_.get());
   return Status::Ok();
@@ -216,8 +195,9 @@ void InSortAggregate::Open() {
   failed_ = false;
 
   child_->Open();
+  BlockCursor input(child_);
   RowRef ref;
-  while (child_->Next(&ref)) {
+  while (input.Next(&ref)) {
     TransformRow(ref.cols);
     buffer_.AppendRow(state_row_.data());
     if (buffer_.size() >= config_.memory_rows) {
@@ -243,20 +223,18 @@ void InSortAggregate::Open() {
   if (!st.ok()) Degrade(st);
 }
 
-bool InSortAggregate::Next(RowRef* out) {
-  if (failed_) return false;
-  const uint64_t* row = nullptr;
-  Ovc code = 0;
-  if (memory_source_ != nullptr) {
-    if (!memory_source_->Next(&row, &code)) return false;
-  } else if (collapsing_output_ != nullptr) {
-    if (!collapsing_output_->Next(&row, &code)) return false;
-  } else {
-    return false;
+uint32_t InSortAggregate::NextBatch(RowBlock* out) {
+  out->Clear();
+  if (failed_) return 0;
+  if (memory_source_ != nullptr) return memory_source_->NextBlock(out);
+  if (collapsing_output_ != nullptr) {
+    const uint64_t* row = nullptr;
+    Ovc code = 0;
+    while (!out->full() && collapsing_output_->Next(&row, &code)) {
+      out->Append(row, code);
+    }
   }
-  out->cols = row;
-  out->ovc = code;
-  return true;
+  return out->size();
 }
 
 void InSortAggregate::Close() {

@@ -45,7 +45,7 @@ class InSortAggregate : public Operator {
                   SortConfig config = SortConfig());
 
   void Open() override;
-  bool Next(RowRef* out) override;
+  uint32_t NextBatch(RowBlock* out) override;
   void Close() override;
   const Schema& schema() const override { return state_schema_; }
   bool sorted() const override { return true; }

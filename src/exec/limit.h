@@ -27,13 +27,6 @@ class LimitOperator : public Operator {
     emitted_ = 0;
   }
 
-  bool Next(RowRef* out) override {
-    if (emitted_ >= limit_) return false;
-    if (!child_->Next(out)) return false;
-    ++emitted_;
-    return true;
-  }
-
   uint32_t NextBatch(RowBlock* out) override {
     if (emitted_ >= limit_) {
       out->Clear();

@@ -51,15 +51,15 @@ MergeJoin::MergeJoin(Operator* left, Operator* right, JoinType type,
                      QueryCounters* counters)
     : left_(left),
       right_(right),
+      lhs_(left),
+      rhs_(right),
       type_(type),
       output_schema_(MakeOutputSchema(left->schema(), right->schema(), type)),
       key_codec_(&left->schema()),
       out_codec_(&output_schema_),
       comparator_(&left->schema(), counters),
       counters_(counters),
-      right_group_(right->schema().total_columns()),
-      left_row_copy_(left->schema().total_columns()),
-      out_row_(output_schema_.total_columns(), 0) {
+      right_group_(right->schema().total_columns()) {
   OVC_CHECK(left->sorted() && left->has_ovc());
   OVC_CHECK(right->sorted() && right->has_ovc());
   // Join keys: both inputs sorted on the same key layout.
@@ -72,8 +72,8 @@ MergeJoin::MergeJoin(Operator* left, Operator* right, JoinType type,
 void MergeJoin::Open() {
   left_->Open();
   right_->Open();
-  AdvanceLeft();
-  AdvanceRight();
+  lhs_.Start();
+  rhs_.Start();
   acc_.Reset();
   state_ = State::kCompare;
 }
@@ -83,50 +83,23 @@ void MergeJoin::Close() {
   right_->Close();
 }
 
-void MergeJoin::AdvanceLeft() {
-  l_valid_ = left_->Next(&lref_);
-  if (!l_valid_) {
-    lref_.cols = nullptr;
-    lref_.ovc = OvcCodec::LateFence();
-  }
-}
-
-void MergeJoin::AdvanceRight() {
-  r_valid_ = right_->Next(&rref_);
-  if (!r_valid_) {
-    rref_.cols = nullptr;
-    rref_.ovc = OvcCodec::LateFence();
-  }
-}
-
 void MergeJoin::BufferRightGroup() {
   right_group_.Clear();
-  right_group_.AppendRow(rref_.cols);
+  right_group_.AppendRow(rhs_.ref.cols);
   while (true) {
-    AdvanceRight();
-    if (!r_valid_ || !key_codec_.IsDuplicate(rref_.ovc)) break;
-    right_group_.AppendRow(rref_.cols);
+    rhs_.Advance();
+    if (!rhs_.valid || !key_codec_.IsDuplicate(rhs_.ref.ovc)) break;
+    right_group_.AppendRow(rhs_.ref.cols);
   }
-}
-
-void MergeJoin::SkipLeftGroup() {
-  do {
-    AdvanceLeft();
-  } while (l_valid_ && key_codec_.IsDuplicate(lref_.ovc));
-}
-
-void MergeJoin::SkipRightGroup() {
-  do {
-    AdvanceRight();
-  } while (r_valid_ && key_codec_.IsDuplicate(rref_.ovc));
 }
 
 void MergeJoin::EmitCombined(const uint64_t* left_row,
-                             const uint64_t* right_row, Ovc code, RowRef* out) {
+                             const uint64_t* right_row, Ovc code,
+                             RowBlock* out) {
   const Schema& ls = left_->schema();
   const Schema& rs = right_->schema();
   const uint32_t arity = ls.key_arity();
-  uint64_t* dst = out_row_.data();
+  uint64_t* dst = out->AppendRow(code);
   // Coalesced join key (the paper's virtual column for outer joins).
   std::memcpy(dst, left_row != nullptr ? left_row : right_row,
               arity * sizeof(uint64_t));
@@ -147,99 +120,87 @@ void MergeJoin::EmitCombined(const uint64_t* left_row,
                 rs.payload_columns() * sizeof(uint64_t));
   }
   dst[arity + ls.payload_columns() + rs.payload_columns()] = indicator;
-  out->cols = dst;
-  out->ovc = code;
 }
 
-void MergeJoin::EmitPassthrough(const uint64_t* row, uint32_t total_columns,
-                                Ovc code, RowRef* out) {
-  std::memcpy(out_row_.data(), row, total_columns * sizeof(uint64_t));
-  out->cols = out_row_.data();
-  out->ovc = code;
-}
-
-bool MergeJoin::Next(RowRef* out) {
-  while (true) {
+uint32_t MergeJoin::NextBatch(RowBlock* out) {
+  out->Clear();
+  // Every emission below appends one row and loops back to the capacity
+  // check, so a key group larger than the block resumes where it stopped.
+  while (!out->full()) {
     switch (state_) {
       case State::kDone:
-        return false;
+        return out->size();
 
       case State::kCompare: {
-        if (!l_valid_ && !r_valid_) {
+        if (!lhs_.valid && !rhs_.valid) {
           state_ = State::kDone;
-          return false;
+          return out->size();
         }
         // The merge comparison: fences stand in for exhausted inputs, and
         // the loser's code is re-based onto the winner per the corollaries.
-        const int cmp = CompareWithOvc(key_codec_, comparator_, lref_.cols,
-                                       &lref_.ovc, rref_.cols, &rref_.ovc);
+        const int cmp =
+            CompareWithOvc(key_codec_, comparator_, lhs_.ref.cols,
+                           &lhs_.ref.ovc, rhs_.ref.cols, &rhs_.ref.ovc);
         if (cmp < 0) {
           // Left key without right match.
           if (WantLeftOnly()) {
-            const Ovc code = acc_.Combine(lref_.ovc);
+            const Ovc code = acc_.Combine(lhs_.ref.ovc);
             acc_.Reset();
             if (IsPassthrough()) {
-              EmitPassthrough(lref_.cols,
-                              left_->schema().total_columns(), code, out);
+              out->Append(lhs_.ref.cols, code);
             } else {
-              EmitCombined(lref_.cols, nullptr, code, out);
+              EmitCombined(lhs_.ref.cols, nullptr, code, out);
             }
-            AdvanceLeft();
-            return true;
+          } else {
+            acc_.Absorb(lhs_.ref.ovc);
           }
-          acc_.Absorb(lref_.ovc);
-          AdvanceLeft();
+          lhs_.Advance();
           continue;
         }
         if (cmp > 0) {
           // Right key without left match.
           if (WantRightOnly()) {
-            const Ovc code = acc_.Combine(rref_.ovc);
+            const Ovc code = acc_.Combine(rhs_.ref.ovc);
             acc_.Reset();
             if (IsPassthrough()) {
-              EmitPassthrough(rref_.cols,
-                              right_->schema().total_columns(), code, out);
+              out->Append(rhs_.ref.cols, code);
             } else {
-              EmitCombined(nullptr, rref_.cols, code, out);
+              EmitCombined(nullptr, rhs_.ref.cols, code, out);
             }
-            AdvanceRight();
-            return true;
+          } else {
+            acc_.Absorb(rhs_.ref.ovc);
           }
-          acc_.Absorb(rref_.ovc);
-          AdvanceRight();
+          rhs_.Advance();
           continue;
         }
         // Equal keys: a matched key group. Both sides' codes are equal
         // (same key, same base), so either serves as the group's code.
         if (!WantMatches()) {
-          acc_.Absorb(lref_.ovc);
-          SkipLeftGroup();
-          SkipRightGroup();
+          acc_.Absorb(lhs_.ref.ovc);
+          lhs_.SkipGroup(key_codec_);
+          rhs_.SkipGroup(key_codec_);
           continue;
         }
-        group_code_ = acc_.Combine(lref_.ovc);
+        group_code_ = acc_.Combine(lhs_.ref.ovc);
         acc_.Reset();
         group_first_pending_ = true;
         if (type_ == JoinType::kLeftSemi) {
-          // Keep left rows; right group only needs skipping.
-          SkipRightGroup();
-          left_row_copy_.Clear();
-          left_row_copy_.AppendRow(lref_.cols);
-          right_idx_ = 0;
-          state_ = State::kCrossEmit;  // degenerate cross: right side unused
+          // Keep left rows; the right group only needs skipping.
+          rhs_.SkipGroup(key_codec_);
+          state_ = State::kCrossEmit;
           continue;
         }
         if (type_ == JoinType::kRightSemi) {
           BufferRightGroup();
-          SkipLeftGroup();
+          lhs_.SkipGroup(key_codec_);
           right_idx_ = 0;
           state_ = State::kRightGroupEmit;
           continue;
         }
         // Inner / outer joins: buffer the right group, stream left rows.
+        // The current left row stays put in its cursor's block until the
+        // left input advances, so it needs no copy.
         BufferRightGroup();
-        left_row_copy_.Clear();
-        left_row_copy_.AppendRow(lref_.cols);
         right_idx_ = 0;
         state_ = State::kCrossEmit;
         continue;
@@ -248,34 +209,22 @@ bool MergeJoin::Next(RowRef* out) {
       case State::kCrossEmit: {
         if (type_ == JoinType::kLeftSemi) {
           // One output per left row of the group.
-          const Ovc code = group_first_pending_ ? group_code_
-                                                : out_codec_.DuplicateCode();
-          group_first_pending_ = false;
-          EmitPassthrough(left_row_copy_.row(0),
-                          left_->schema().total_columns(), code, out);
-          AdvanceLeft();
-          if (l_valid_ && key_codec_.IsDuplicate(lref_.ovc)) {
-            left_row_copy_.Clear();
-            left_row_copy_.AppendRow(lref_.cols);
-          } else {
+          out->Append(lhs_.ref.cols, NextGroupCode());
+          lhs_.Advance();
+          if (!lhs_.valid || !key_codec_.IsDuplicate(lhs_.ref.ovc)) {
             state_ = State::kCompare;
           }
-          return true;
+          continue;
         }
         if (right_idx_ < right_group_.size()) {
-          const Ovc code = group_first_pending_ ? group_code_
-                                                : out_codec_.DuplicateCode();
-          group_first_pending_ = false;
-          EmitCombined(left_row_copy_.row(0), right_group_.row(right_idx_),
-                       code, out);
+          EmitCombined(lhs_.ref.cols, right_group_.row(right_idx_),
+                       NextGroupCode(), out);
           ++right_idx_;
-          return true;
+          continue;
         }
         // Finished this left row; more duplicates on the left?
-        AdvanceLeft();
-        if (l_valid_ && key_codec_.IsDuplicate(lref_.ovc)) {
-          left_row_copy_.Clear();
-          left_row_copy_.AppendRow(lref_.cols);
+        lhs_.Advance();
+        if (lhs_.valid && key_codec_.IsDuplicate(lhs_.ref.ovc)) {
           right_idx_ = 0;
           continue;
         }
@@ -288,16 +237,13 @@ bool MergeJoin::Next(RowRef* out) {
           state_ = State::kCompare;
           continue;
         }
-        const Ovc code = group_first_pending_ ? group_code_
-                                              : out_codec_.DuplicateCode();
-        group_first_pending_ = false;
-        EmitPassthrough(right_group_.row(right_idx_),
-                        right_->schema().total_columns(), code, out);
+        out->Append(right_group_.row(right_idx_), NextGroupCode());
         ++right_idx_;
-        return true;
+        continue;
       }
     }
   }
+  return out->size();
 }
 
 }  // namespace ovc

@@ -48,6 +48,37 @@ enum class JoinType {
   kRightAnti,
 };
 
+/// One input of a two-input merge (merge join, set operations): a cursor
+/// over the child and its current row. An exhausted input's row is the late
+/// fence, so the merge comparison needs no end-of-input special case.
+struct MergeInput {
+  explicit MergeInput(Operator* child) : cursor(child) {}
+
+  /// Positions on the first row; call after (re)opening the child.
+  void Start() {
+    cursor.Reset();
+    Advance();
+  }
+  void Advance() {
+    valid = cursor.Next(&ref);
+    if (!valid) {
+      ref.cols = nullptr;
+      ref.ovc = OvcCodec::LateFence();
+    }
+  }
+  /// Advances past the rest of the current key group (duplicate codes);
+  /// returns the group's row count, the current row included.
+  uint64_t SkipGroup(const OvcCodec& codec) {
+    uint64_t rows = 1;
+    for (Advance(); valid && codec.IsDuplicate(ref.ovc); Advance()) ++rows;
+    return rows;
+  }
+
+  BlockCursor cursor;
+  RowRef ref;
+  bool valid = false;
+};
+
 /// Returns a short lowercase name, e.g. "left outer".
 const char* JoinTypeName(JoinType type);
 
@@ -74,7 +105,7 @@ class MergeJoin : public Operator {
                                  JoinType type);
 
   void Open() override;
-  bool Next(RowRef* out) override;
+  uint32_t NextBatch(RowBlock* out) override;
   void Close() override;
   const Schema& schema() const override { return output_schema_; }
   bool sorted() const override { return true; }
@@ -83,19 +114,18 @@ class MergeJoin : public Operator {
  private:
   enum class State { kCompare, kCrossEmit, kRightGroupEmit, kDone };
 
-  void AdvanceLeft();
-  void AdvanceRight();
   /// Buffers all right rows of the current key group and advances past them.
   void BufferRightGroup();
-  /// Skips all remaining rows of the current left/right key group.
-  void SkipLeftGroup();
-  void SkipRightGroup();
-  /// Emits a combined row into out_row_.
+  /// Appends a combined row (join key, payloads, indicator) to `out`.
   void EmitCombined(const uint64_t* left_row, const uint64_t* right_row,
-                    Ovc code, RowRef* out);
-  /// Emits a passthrough row (semi/anti) into out_row_.
-  void EmitPassthrough(const uint64_t* row, uint32_t total_columns, Ovc code,
-                       RowRef* out);
+                    Ovc code, RowBlock* out);
+  /// The code of the current group's next output row: the group key's code
+  /// for its first row, the duplicate code for every further row.
+  Ovc NextGroupCode() {
+    if (!group_first_pending_) return out_codec_.DuplicateCode();
+    group_first_pending_ = false;
+    return group_code_;
+  }
 
   bool WantLeftOnly() const {
     return type_ == JoinType::kLeftOuter || type_ == JoinType::kFullOuter ||
@@ -115,6 +145,8 @@ class MergeJoin : public Operator {
 
   Operator* left_;
   Operator* right_;
+  MergeInput lhs_;
+  MergeInput rhs_;
   JoinType type_;
   Schema output_schema_;
   OvcCodec key_codec_;   // over the left schema (join keys match)
@@ -122,8 +154,6 @@ class MergeJoin : public Operator {
   KeyComparator comparator_;
   QueryCounters* counters_;
 
-  RowRef lref_, rref_;
-  bool l_valid_ = false, r_valid_ = false;
   OvcAccumulator acc_;
   State state_ = State::kCompare;
 
@@ -132,8 +162,6 @@ class MergeJoin : public Operator {
   bool group_first_pending_ = false;  // next emission is the group's first
   RowBuffer right_group_;
   size_t right_idx_ = 0;
-  RowBuffer left_row_copy_;
-  std::vector<uint64_t> out_row_;
 };
 
 }  // namespace ovc

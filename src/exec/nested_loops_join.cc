@@ -84,6 +84,7 @@ Schema NestedLoopsJoin::MakeOutputSchema() const {
 NestedLoopsJoin::NestedLoopsJoin(Operator* outer, LookupSource* inner,
                                  JoinTypeNlj type, QueryCounters* counters)
     : outer_(outer),
+      outer_input_(outer),
       inner_(inner),
       type_(type),
       extended_(inner->sorted_with_ovc() && type != JoinTypeNlj::kLeftSemi &&
@@ -94,14 +95,14 @@ NestedLoopsJoin::NestedLoopsJoin(Operator* outer, LookupSource* inner,
       out_codec_(&output_schema_),
       counters_(counters),
       outer_group_(outer->schema().total_columns()),
-      inner_row_copy_(inner->schema().total_columns(), 0),
-      out_row_(output_schema_.total_columns(), 0) {
+      inner_row_copy_(inner->schema().total_columns(), 0) {
   OVC_CHECK(outer->sorted() && outer->has_ovc());
 }
 
 void NestedLoopsJoin::Open() {
   outer_->Open();
-  o_valid_ = outer_->Next(&oref_);
+  outer_input_.Reset();
+  o_valid_ = outer_input_.Next(&oref_);
   acc_.Reset();
   state_ = o_valid_ ? State::kNextGroup : State::kDone;
 }
@@ -111,7 +112,7 @@ void NestedLoopsJoin::CollectOuterGroup() {
   outer_group_.AppendRow(oref_.cols);
   group_code_ = oref_.ovc;  // raw first-of-group code; combined lazily
   while (true) {
-    o_valid_ = outer_->Next(&oref_);
+    o_valid_ = outer_input_.Next(&oref_);
     if (!o_valid_ || !outer_codec_.IsDuplicate(oref_.ovc)) break;
     outer_group_.AppendRow(oref_.cols);
   }
@@ -126,10 +127,10 @@ Ovc NestedLoopsJoin::LiftOuterCode(Ovc code) const {
 
 void NestedLoopsJoin::EmitCombined(const uint64_t* outer_row,
                                    const uint64_t* inner_row, Ovc code,
-                                   RowRef* out) {
+                                   RowBlock* out) {
   const Schema& os = outer_->schema();
   const Schema& is = inner_->schema();
-  uint64_t* dst = out_row_.data();
+  uint64_t* dst = out->AppendRow(code);
   std::memcpy(dst, outer_row, os.key_arity() * sizeof(uint64_t));
   uint64_t* p = dst + os.key_arity();
   if (inner_row != nullptr) {
@@ -149,20 +150,19 @@ void NestedLoopsJoin::EmitCombined(const uint64_t* outer_row,
   }
   p += is.payload_columns();
   *p = inner_row != nullptr ? 3 : 1;  // match indicator
-  out->cols = dst;
-  out->ovc = code;
 }
 
-bool NestedLoopsJoin::Next(RowRef* out) {
-  while (true) {
+uint32_t NestedLoopsJoin::NextBatch(RowBlock* out) {
+  out->Clear();
+  while (!out->full()) {
     switch (state_) {
       case State::kDone:
-        return false;
+        return out->size();
 
       case State::kNextGroup: {
         if (!o_valid_) {
           state_ = State::kDone;
-          return false;
+          return out->size();
         }
         CollectOuterGroup();
         inner_->Bind(outer_group_.row(0));
@@ -234,7 +234,7 @@ bool NestedLoopsJoin::Next(RowRef* out) {
         if (outer_idx_ >= outer_group_.size()) {
           state_ = State::kScanInner;
         }
-        return true;
+        continue;
       }
 
       case State::kEmitGroupRows: {
@@ -254,16 +254,14 @@ bool NestedLoopsJoin::Next(RowRef* out) {
         if (type_ == JoinTypeNlj::kLeftOuter) {
           EmitCombined(outer_group_.row(emit_idx_), nullptr, code, out);
         } else {
-          std::memcpy(out_row_.data(), outer_group_.row(emit_idx_),
-                      outer_->schema().total_columns() * sizeof(uint64_t));
-          out->cols = out_row_.data();
-          out->ovc = code;
+          out->Append(outer_group_.row(emit_idx_), code);
         }
         ++emit_idx_;
-        return true;
+        continue;
       }
     }
   }
+  return out->size();
 }
 
 }  // namespace ovc

@@ -92,7 +92,7 @@ class NestedLoopsJoin : public Operator {
                   QueryCounters* counters);
 
   void Open() override;
-  bool Next(RowRef* out) override;
+  uint32_t NextBatch(RowBlock* out) override;
   void Close() override { outer_->Close(); }
   const Schema& schema() const override { return output_schema_; }
   bool sorted() const override { return true; }
@@ -105,12 +105,13 @@ class NestedLoopsJoin : public Operator {
   Schema MakeOutputSchema() const;
   void CollectOuterGroup();
   void EmitCombined(const uint64_t* outer_row, const uint64_t* inner_row,
-                    Ovc code, RowRef* out);
+                    Ovc code, RowBlock* out);
   /// Re-packs an outer-schema code word into the (wider) output schema:
   /// same offset, same value, different arity field.
   Ovc LiftOuterCode(Ovc code) const;
 
   Operator* outer_;
+  BlockCursor outer_input_;
   LookupSource* inner_;
   JoinTypeNlj type_;
   bool extended_;  // inner keys join the output sort key
@@ -135,7 +136,6 @@ class NestedLoopsJoin : public Operator {
   size_t outer_idx_ = 0;
   size_t emit_idx_ = 0;
   bool any_match_ = false;
-  std::vector<uint64_t> out_row_;
 };
 
 }  // namespace ovc

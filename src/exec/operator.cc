@@ -2,16 +2,6 @@
 
 namespace ovc {
 
-uint32_t Operator::NextBatch(RowBlock* out) {
-  OVC_DCHECK(out->width() == schema().total_columns());
-  out->Clear();
-  RowRef ref;
-  while (!out->full() && Next(&ref)) {
-    out->Append(ref.cols, ref.ovc);
-  }
-  return out->size();
-}
-
 uint64_t DrainAndCount(Operator* op) {
   op->Open();
   RowBlock block(op->schema().total_columns());

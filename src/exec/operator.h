@@ -1,17 +1,23 @@
-// Operator framework: Volcano-style iterators whose rows carry
-// offset-value codes.
+// Operator framework: Volcano-style iterators that pull blocks of rows
+// carrying offset-value codes.
 //
-// Every operator produces a stream of RowRefs. For order-preserving
-// operators the contract is:
+// Every operator produces one stream of rows, served block by block through
+// NextBatch -- the only pull there is. For order-preserving operators the
+// contract is:
 //   * rows come out sorted on the operator's output schema key prefix, and
 //   * each row's code is its ascending offset-value code relative to the
 //     previous output row (offset 0 for the first row),
 // which is exactly the contract OvcStreamChecker verifies and the next
 // operator in the pipeline consumes (Section 4's central theme: operators
-// must not only exploit but also *produce* offset-value codes).
+// must not only exploit but also *produce* offset-value codes). Block
+// boundaries carry no meaning: the concatenation of blocks is the stream.
 //
 // Unordered operators (hash baselines, plain scans) set sorted()/has_ovc()
 // to false and emit codes of 0.
+//
+// Row-wise consumers (merge join, aggregates, loser-tree merges) read a
+// child one row at a time through a BlockCursor, which pulls the child's
+// blocks and hands out their rows without another virtual call per row.
 
 #ifndef OVC_EXEC_OPERATOR_H_
 #define OVC_EXEC_OPERATOR_H_
@@ -32,33 +38,19 @@ class Operator {
  public:
   virtual ~Operator() = default;
 
-  /// Prepares the operator (and its inputs) for Next() calls.
+  /// Prepares the operator (and its inputs) for NextBatch() calls.
   virtual void Open() = 0;
 
-  /// Produces the next output row. The referenced columns stay valid until
-  /// the following Next()/NextBatch()/Close() call on this operator -- and
-  /// no longer. This bound is tight for operators that stream through
-  /// recycled buffers: a queue-fed MergeExchange frees a producer batch the
-  /// moment its QueueMergeSource pops the next one, so a RowRef that
-  /// crossed a batch boundary points at freed memory. A consumer that needs
-  /// a row beyond its own next pull (e.g. to compare against the previous
-  /// row) must copy the columns out before pulling again.
-  virtual bool Next(RowRef* out) = 0;
-
-  /// Batched production: clears `out`, fills it with up to out->capacity()
-  /// rows of the stream, and returns the number of rows produced. A return
-  /// of 0 means end of stream; short (non-full) blocks mid-stream are
-  /// allowed. Rows and codes obey exactly the Next() stream contract -- in
-  /// particular, the first row of a block is coded relative to the last row
-  /// of the previous block, so the concatenation of blocks is the
-  /// row-at-a-time stream (see row/row_block.h). Block contents stay valid
-  /// until the following NextBatch()/Next()/Close() call on this operator.
-  ///
-  /// The default implementation loops Next() into `out`, so every operator
-  /// is batch-drainable; operators override it to amortize per-row virtual
-  /// dispatch. Callers must not interleave Next() and NextBatch() pulls on
-  /// the same operator within one execution.
-  virtual uint32_t NextBatch(RowBlock* out);
+  /// Clears `out`, fills it with up to out->capacity() rows of the stream,
+  /// and returns the number of rows produced. A return of 0 means end of
+  /// stream, and `out` is then empty; short (non-full) blocks mid-stream
+  /// are allowed. The first row of a block is coded relative to the last
+  /// row of the previous block, so the concatenation of blocks is the
+  /// stream (see row/row_block.h). Block contents stay valid until the
+  /// following NextBatch()/Close() call on this operator -- and no longer:
+  /// a queue-fed MergeExchange frees a producer batch as soon as it moves
+  /// on, so a consumer that needs a row beyond its next pull must copy it.
+  virtual uint32_t NextBatch(RowBlock* out) = 0;
 
   /// Releases resources; the operator may be Open()ed again afterwards
   /// where the concrete class documents support for rescans.
@@ -74,25 +66,61 @@ class Operator {
   virtual bool has_ovc() const = 0;
 };
 
-/// Adapts an Operator to the MergeSource interface used by sort-level
-/// machinery (mergers, segmented sort).
-class OperatorMergeSource final : public MergeSource {
+/// Reads an operator's stream one row at a time. Owns one RowBlock, refills
+/// it from the child's NextBatch when its rows are used up, and hands out
+/// RowRefs into it: one virtual call per block, none per row. A RowRef it
+/// returns stays valid until the cursor refills, i.e. until the Next() call
+/// after the last row of the current block. Also a MergeSource, so loser
+/// trees merge operator streams through it.
+class BlockCursor final : public MergeSource {
  public:
-  explicit OperatorMergeSource(Operator* op) : op_(op) {}
+  /// `child` must outlive the cursor; `capacity` is the block size pulled.
+  explicit BlockCursor(Operator* child,
+                       uint32_t capacity = RowBlock::kDefaultRows)
+      : child_(child), block_(child->schema().total_columns(), capacity) {}
+
+  /// Drops buffered rows; call whenever the child is (re)opened.
+  void Reset() {
+    block_.Clear();
+    pos_ = 0;
+    done_ = false;
+  }
+
+  /// The next row of the child's stream; false at its end.
+  bool Next(RowRef* out) {
+    if (pos_ == block_.size() && !Refill()) return false;
+    out->cols = block_.row(pos_);
+    out->ovc = block_.code(pos_);
+    ++pos_;
+    return true;
+  }
 
   bool Next(const uint64_t** row, Ovc* code) override {
     RowRef ref;
-    if (!op_->Next(&ref)) return false;
+    if (!Next(&ref)) return false;
     *row = ref.cols;
     *code = ref.ovc;
     return true;
   }
 
  private:
-  Operator* op_;
+  bool Refill() {
+    pos_ = 0;
+    if (done_) return false;
+    if (child_->NextBatch(&block_) > 0) return true;
+    block_.Clear();
+    done_ = true;
+    return false;
+  }
+
+  Operator* child_;
+  RowBlock block_;
+  uint32_t pos_ = 0;
+  bool done_ = false;
 };
 
-/// Convenience: drains `op` (Open/Next/Close) and returns the row count.
+/// Convenience: drains `op` (Open/NextBatch/Close) and returns the row
+/// count.
 uint64_t DrainAndCount(Operator* op);
 
 }  // namespace ovc

@@ -17,6 +17,7 @@ PivotOperator::PivotOperator(Operator* child, uint32_t group_prefix,
                              uint32_t tag_col, uint32_t value_col,
                              std::vector<uint64_t> tags)
     : child_(child),
+      input_(child),
       group_prefix_(group_prefix),
       tag_col_(tag_col),
       value_col_(value_col),
@@ -25,8 +26,7 @@ PivotOperator::PivotOperator(Operator* child, uint32_t group_prefix,
           MakeOutputSchema(child->schema(), group_prefix, tags_.size())),
       in_codec_(&child->schema()),
       out_codec_(&output_schema_),
-      state_row_(output_schema_.total_columns(), 0),
-      out_row_(output_schema_.total_columns(), 0) {
+      state_row_(output_schema_.total_columns(), 0) {
   OVC_CHECK(child->sorted() && child->has_ovc());
   OVC_CHECK(group_prefix >= 1);
   OVC_CHECK(group_prefix <= child->schema().key_arity());
@@ -37,8 +37,8 @@ PivotOperator::PivotOperator(Operator* child, uint32_t group_prefix,
 
 void PivotOperator::Open() {
   child_->Open();
+  input_.Reset();
   group_open_ = false;
-  input_done_ = false;
 }
 
 void PivotOperator::InitGroup(const RowRef& ref) {
@@ -60,37 +60,33 @@ void PivotOperator::Accumulate(const uint64_t* row) {
   // Unknown tag: ignored.
 }
 
-void PivotOperator::EmitGroup(RowRef* out) {
-  std::memcpy(out_row_.data(), state_row_.data(),
-              output_schema_.total_columns() * sizeof(uint64_t));
-  out->cols = out_row_.data();
-  out->ovc = in_codec_.ClampToPrefix(group_code_, group_prefix_, out_codec_);
+void PivotOperator::EmitGroup(RowBlock* out) {
+  std::memcpy(
+      out->AppendRow(
+          in_codec_.ClampToPrefix(group_code_, group_prefix_, out_codec_)),
+      state_row_.data(), output_schema_.total_columns() * sizeof(uint64_t));
 }
 
-bool PivotOperator::Next(RowRef* out) {
-  if (input_done_) return false;
+uint32_t PivotOperator::NextBatch(RowBlock* out) {
+  out->Clear();
   RowRef ref;
-  while (child_->Next(&ref)) {
+  while (!out->full()) {
+    if (!input_.Next(&ref)) {
+      if (group_open_) {
+        EmitGroup(out);
+        group_open_ = false;
+      }
+      break;
+    }
     if (!group_open_) {
       InitGroup(ref);
-      Accumulate(ref.cols);
-      continue;
-    }
-    if (in_codec_.IsBoundary(ref.ovc, group_prefix_)) {
+    } else if (in_codec_.IsBoundary(ref.ovc, group_prefix_)) {
       EmitGroup(out);
       InitGroup(ref);
-      Accumulate(ref.cols);
-      return true;
     }
     Accumulate(ref.cols);
   }
-  input_done_ = true;
-  if (group_open_) {
-    EmitGroup(out);
-    group_open_ = false;
-    return true;
-  }
-  return false;
+  return out->size();
 }
 
 }  // namespace ovc

@@ -29,7 +29,7 @@ class PivotOperator : public Operator {
                 uint32_t value_col, std::vector<uint64_t> tags);
 
   void Open() override;
-  bool Next(RowRef* out) override;
+  uint32_t NextBatch(RowBlock* out) override;
   void Close() override { child_->Close(); }
   const Schema& schema() const override { return output_schema_; }
   bool sorted() const override { return true; }
@@ -41,9 +41,11 @@ class PivotOperator : public Operator {
 
   void InitGroup(const RowRef& ref);
   void Accumulate(const uint64_t* row);
-  void EmitGroup(RowRef* out);
+  /// Appends the open group's output row to `out`.
+  void EmitGroup(RowBlock* out);
 
   Operator* child_;
+  BlockCursor input_;
   uint32_t group_prefix_;
   uint32_t tag_col_;
   uint32_t value_col_;
@@ -53,10 +55,8 @@ class PivotOperator : public Operator {
   OvcCodec out_codec_;
 
   std::vector<uint64_t> state_row_;  // group key + running tag sums
-  std::vector<uint64_t> out_row_;    // written only when a group is emitted
   Ovc group_code_ = 0;
   bool group_open_ = false;
-  bool input_done_ = false;
 };
 
 }  // namespace ovc

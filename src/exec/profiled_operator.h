@@ -2,13 +2,13 @@
 // inserts around every operator the planner builds (PlannerOptions::profile).
 //
 // The wrapper forwards the full Operator contract unchanged -- schema,
-// sorted()/has_ovc(), the RowRef/RowBlock lifetime rules -- and meters the
+// sorted()/has_ovc(), the RowBlock lifetime rules -- and meters the
 // wrapped operator from the outside: inclusive wall ticks around
-// Open/Next/NextBatch/Close plus rows and batches produced. The Next /
-// NextBatch path times a deterministic sample of its calls (every call
-// through the warmup window, then every kTimeSampleEvery-th); rows and
-// batches are counted on every call. OperatorStats::scaled_next_ticks()
-// scales the sampled time back to the full call count, which keeps the
+// Open/NextBatch/Close plus rows and batches produced. NextBatch times
+// every call through the warmup window, then a deterministic sample of
+// every kTimeSampleEvery-th; rows and batches are counted on every call.
+// OperatorStats::scaled_next_ticks() keeps the warmup time exact and
+// scales only the sampled time to the calls after warmup, which keeps the
 // instrumentation within its <=2% budget on hot batched pipelines even on
 // machines where a tick read stalls the out-of-order window. Counter
 // attribution needs no wrapper logic at all: when profiling, the planner
@@ -45,34 +45,23 @@ class ProfiledOperator final : public Operator {
     stats_->open_ticks += ProfileTicks() - t0;
   }
 
-  bool Next(RowRef* out) override {
-    if (!TimeThisCall()) {
-      const bool ok = child_->Next(out);
-      stats_->rows_out += ok ? 1 : 0;
-      return ok;
-    }
-    const uint64_t t0 = ProfileTicks();
-    const bool ok = child_->Next(out);
-    stats_->next_ticks += ProfileTicks() - t0;
-    ++stats_->next_timed;
-    stats_->rows_out += ok ? 1 : 0;
-    return ok;
-  }
-
   uint32_t NextBatch(RowBlock* out) override {
-    if (!TimeThisCall()) {
+    const uint64_t seq = stats_->next_calls++;
+    if (seq < kTimeWarmupCalls) {
+      const uint64_t t0 = ProfileTicks();
       const uint32_t n = child_->NextBatch(out);
-      stats_->rows_out += n;
-      stats_->batches_out += n > 0 ? 1 : 0;
-      return n;
+      stats_->warmup_ticks += ProfileTicks() - t0;
+      ++stats_->warmup_calls;
+      return Count(n);
+    }
+    if ((seq & (kTimeSampleEvery - 1)) != 0) {
+      return Count(child_->NextBatch(out));
     }
     const uint64_t t0 = ProfileTicks();
     const uint32_t n = child_->NextBatch(out);
     stats_->next_ticks += ProfileTicks() - t0;
     ++stats_->next_timed;
-    stats_->rows_out += n;
-    stats_->batches_out += n > 0 ? 1 : 0;
-    return n;
+    return Count(n);
   }
 
   void Close() override {
@@ -86,12 +75,10 @@ class ProfiledOperator final : public Operator {
   bool has_ovc() const override { return child_->has_ovc(); }
 
  private:
-  /// The deterministic timing sample: every call while the stream is short
-  /// (tests and small queries get exact times), then every
-  /// kTimeSampleEvery-th. Also advances the call counter.
-  bool TimeThisCall() {
-    const uint64_t seq = stats_->next_calls++;
-    return seq < kTimeWarmupCalls || (seq & (kTimeSampleEvery - 1)) == 0;
+  uint32_t Count(uint32_t n) {
+    stats_->rows_out += n;
+    stats_->batches_out += n > 0 ? 1 : 0;
+    return n;
   }
 
   Operator* child_;

@@ -9,8 +9,7 @@ ProjectOperator::ProjectOperator(Operator* child, Schema output_schema,
       mapping_(std::move(mapping)),
       order_preserving_(false),
       in_codec_(&child->schema()),
-      out_codec_(&output_schema_),
-      row_(output_schema_.total_columns()) {
+      out_codec_(&output_schema_) {
   OVC_CHECK(mapping_.size() == output_schema_.total_columns());
   for (uint32_t m : mapping_) {
     OVC_CHECK(m < child_->schema().total_columns());
@@ -29,20 +28,6 @@ ProjectOperator::ProjectOperator(Operator* child, Schema output_schema,
     }
     order_preserving_ = prefix;
   }
-}
-
-bool ProjectOperator::Next(RowRef* out) {
-  RowRef ref;
-  if (!child_->Next(&ref)) return false;
-  for (uint32_t i = 0; i < mapping_.size(); ++i) {
-    row_[i] = ref.cols[mapping_[i]];
-  }
-  out->cols = row_.data();
-  out->ovc = order_preserving_
-                 ? in_codec_.ClampToPrefix(ref.ovc, output_schema_.key_arity(),
-                                           out_codec_)
-                 : 0;
-  return true;
 }
 
 uint32_t ProjectOperator::NextBatch(RowBlock* out) {

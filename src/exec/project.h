@@ -32,7 +32,6 @@ class ProjectOperator : public Operator {
                   std::vector<uint32_t> mapping);
 
   void Open() override { child_->Open(); }
-  bool Next(RowRef* out) override;
   uint32_t NextBatch(RowBlock* out) override;
   void Close() override { child_->Close(); }
   const Schema& schema() const override { return output_schema_; }
@@ -46,7 +45,6 @@ class ProjectOperator : public Operator {
   bool order_preserving_;
   OvcCodec in_codec_;
   OvcCodec out_codec_;
-  std::vector<uint64_t> row_;
   /// Child-width staging block for NextBatch (sized lazily to match the
   /// consumer's block capacity).
   std::unique_ptr<RowBlock> in_block_;

@@ -22,23 +22,9 @@ class BufferScan : public Operator {
   }
 
   void Open() override { pos_ = 0; }
-  bool Next(RowRef* out) override {
-    if (pos_ >= buffer_->size()) return false;
-    out->cols = buffer_->row(pos_++);
-    out->ovc = 0;
-    return true;
-  }
   uint32_t NextBatch(RowBlock* out) override {
-    out->Clear();
-    const size_t avail = buffer_->size() - pos_;
-    const uint32_t n = static_cast<uint32_t>(
-        avail < out->capacity() ? avail : out->capacity());
-    if (n == 0) return 0;
-    // RowBuffer rows are contiguous and stable for the scan's lifetime:
-    // serve the span zero-copy (codes are all zero for an unsorted scan).
-    out->RefContiguous(buffer_->row(pos_), nullptr, n);
-    pos_ += n;
-    return n;
+    // RowBuffer rows are contiguous and stable for the scan's lifetime.
+    return buffer_->ServeBlock(&pos_, out);
   }
   void Close() override {}
   const Schema& schema() const override { return *schema_; }
@@ -58,32 +44,14 @@ class RunScan : public Operator {
  public:
   /// `schema` and `run` must outlive the scan.
   RunScan(const Schema* schema, const InMemoryRun* run)
-      : schema_(schema), run_(run) {
+      : schema_(schema), source_(run) {
     OVC_CHECK(run->width() == schema->total_columns());
   }
 
-  void Open() override { pos_ = 0; }
-  bool Next(RowRef* out) override {
-    if (pos_ >= run_->size()) return false;
-    out->cols = run_->row(pos_);
-    out->ovc = run_->code(pos_);
-    ++pos_;
-    return true;
-  }
+  void Open() override { source_.Rewind(); }
   uint32_t NextBatch(RowBlock* out) override {
-    out->Clear();
-    const size_t avail = run_->size() - pos_;
-    const uint32_t n = static_cast<uint32_t>(
-        avail < out->capacity() ? avail : out->capacity());
-    if (n == 0) return 0;
-    // Rows and codes are contiguous in the run and stable: serve the span
-    // zero-copy. The stored codes are already relative to each row's
-    // predecessor, so they carry over unchanged -- including the first row
-    // of this block, whose predecessor was the last row of the previous
-    // block.
-    out->RefContiguous(run_->row(pos_), run_->codes() + pos_, n);
-    pos_ += n;
-    return n;
+    // Rows and codes are contiguous in the run and stable: zero-copy.
+    return source_.NextBlock(out);
   }
   void Close() override {}
   const Schema& schema() const override { return *schema_; }
@@ -92,8 +60,7 @@ class RunScan : public Operator {
 
  private:
   const Schema* schema_;
-  const InMemoryRun* run_;
-  size_t pos_ = 0;
+  InMemoryRunSource source_;
 };
 
 }  // namespace ovc

@@ -8,6 +8,8 @@ SetOperation::SetOperation(Operator* left, Operator* right, SetOpType type,
                            bool all, QueryCounters* counters)
     : left_(left),
       right_(right),
+      lhs_(left),
+      rhs_(right),
       type_(type),
       all_(all),
       codec_(&left->schema()),
@@ -22,8 +24,8 @@ SetOperation::SetOperation(Operator* left, Operator* right, SetOpType type,
 void SetOperation::Open() {
   left_->Open();
   right_->Open();
-  AdvanceLeft();
-  AdvanceRight();
+  lhs_.Start();
+  rhs_.Start();
   acc_.Reset();
   pending_copies_ = 0;
 }
@@ -31,48 +33,6 @@ void SetOperation::Open() {
 void SetOperation::Close() {
   left_->Close();
   right_->Close();
-}
-
-void SetOperation::AdvanceLeft() {
-  l_valid_ = left_->Next(&lref_);
-  if (!l_valid_) {
-    lref_.cols = nullptr;
-    lref_.ovc = OvcCodec::LateFence();
-  }
-}
-
-void SetOperation::AdvanceRight() {
-  r_valid_ = right_->Next(&rref_);
-  if (!r_valid_) {
-    rref_.cols = nullptr;
-    rref_.ovc = OvcCodec::LateFence();
-  }
-}
-
-uint64_t SetOperation::CountLeftGroup() {
-  uint64_t n = 1;
-  do {
-    AdvanceLeft();
-    if (l_valid_ && codec_.IsDuplicate(lref_.ovc)) {
-      ++n;
-    } else {
-      break;
-    }
-  } while (true);
-  return n;
-}
-
-uint64_t SetOperation::CountRightGroup() {
-  uint64_t n = 1;
-  do {
-    AdvanceRight();
-    if (r_valid_ && codec_.IsDuplicate(rref_.ovc)) {
-      ++n;
-    } else {
-      break;
-    }
-  } while (true);
-  return n;
 }
 
 uint64_t SetOperation::CopiesFor(uint64_t nl, uint64_t nr) const {
@@ -90,46 +50,29 @@ uint64_t SetOperation::CopiesFor(uint64_t nl, uint64_t nr) const {
   return 0;
 }
 
-bool SetOperation::Next(RowRef* out) {
-  while (true) {
+uint32_t SetOperation::NextBatch(RowBlock* out) {
+  out->Clear();
+  while (!out->full()) {
     if (pending_copies_ > 0) {
       --pending_copies_;
-      out->cols = group_row_.row(0);
-      if (first_copy_pending_) {
-        out->ovc = group_code_;
-        first_copy_pending_ = false;
-      } else {
-        out->ovc = codec_.DuplicateCode();
-      }
-      return true;
+      out->Append(group_row_.row(0),
+                  first_copy_pending_ ? group_code_ : codec_.DuplicateCode());
+      first_copy_pending_ = false;
+      continue;
     }
 
-    if (!l_valid_ && !r_valid_) {
-      return false;
-    }
+    if (!lhs_.valid && !rhs_.valid) break;
 
-    const int cmp = CompareWithOvc(codec_, comparator_, lref_.cols, &lref_.ovc,
-                                   rref_.cols, &rref_.ovc);
-    uint64_t nl = 0, nr = 0;
-    Ovc key_code;
-    if (cmp < 0) {
-      group_row_.Clear();
-      group_row_.AppendRow(lref_.cols);
-      key_code = lref_.ovc;
-      nl = CountLeftGroup();
-    } else if (cmp > 0) {
-      group_row_.Clear();
-      group_row_.AppendRow(rref_.cols);
-      key_code = rref_.ovc;
-      nr = CountRightGroup();
-    } else {
-      group_row_.Clear();
-      group_row_.AppendRow(lref_.cols);
-      key_code = lref_.ovc;  // equal keys relative to the same base: codes
-                             // are equal on both sides
-      nl = CountLeftGroup();
-      nr = CountRightGroup();
-    }
+    const int cmp = CompareWithOvc(codec_, comparator_, lhs_.ref.cols,
+                                   &lhs_.ref.ovc, rhs_.ref.cols, &rhs_.ref.ovc);
+    // The smaller key's group goes next; on equal keys (relative to the
+    // same base, so with equal codes) both sides' groups do.
+    const MergeInput& key = cmp > 0 ? rhs_ : lhs_;
+    group_row_.Clear();
+    group_row_.AppendRow(key.ref.cols);
+    const Ovc key_code = key.ref.ovc;
+    const uint64_t nl = cmp <= 0 ? lhs_.SkipGroup(codec_) : 0;
+    const uint64_t nr = cmp >= 0 ? rhs_.SkipGroup(codec_) : 0;
 
     const uint64_t copies = CopiesFor(nl, nr);
     if (copies == 0) {
@@ -141,6 +84,7 @@ bool SetOperation::Next(RowRef* out) {
     pending_copies_ = copies;
     first_copy_pending_ = true;
   }
+  return out->size();
 }
 
 }  // namespace ovc

@@ -23,6 +23,7 @@
 #include "common/counters.h"
 #include "core/accumulator.h"
 #include "core/ovc_compare.h"
+#include "exec/merge_join.h"
 #include "exec/operator.h"
 #include "row/row_buffer.h"
 
@@ -41,30 +42,25 @@ class SetOperation : public Operator {
                QueryCounters* counters);
 
   void Open() override;
-  bool Next(RowRef* out) override;
+  uint32_t NextBatch(RowBlock* out) override;
   void Close() override;
   const Schema& schema() const override { return left_->schema(); }
   bool sorted() const override { return true; }
   bool has_ovc() const override { return true; }
 
  private:
-  void AdvanceLeft();
-  void AdvanceRight();
-  /// Counts the rest of a key group (duplicate codes) and advances past it.
-  uint64_t CountLeftGroup();
-  uint64_t CountRightGroup();
   /// Copies to emit for a group of nl left and nr right duplicates.
   uint64_t CopiesFor(uint64_t nl, uint64_t nr) const;
 
   Operator* left_;
   Operator* right_;
+  MergeInput lhs_;
+  MergeInput rhs_;
   SetOpType type_;
   bool all_;
   OvcCodec codec_;
   KeyComparator comparator_;
 
-  RowRef lref_, rref_;
-  bool l_valid_ = false, r_valid_ = false;
   OvcAccumulator acc_;
 
   RowBuffer group_row_;

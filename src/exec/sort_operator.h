@@ -27,8 +27,8 @@ class SortOperator : public Operator {
     child_->Open();
     sort_ = std::make_unique<ExternalSort>(&child_->schema(), counters_, temp_,
                                            config_);
-    // Batched intake: drain the child block-wise so run generation's memory
-    // buffer fills with bulk copies instead of per-row virtual pulls.
+    // Batched intake: run generation's memory buffer fills with one bulk
+    // copy per child block.
     RowBlock block(child_->schema().total_columns());
     while (child_->NextBatch(&block) > 0) {
       sort_->AddBlock(block);
@@ -43,10 +43,12 @@ class SortOperator : public Operator {
     }
   }
 
-  bool Next(RowRef* out) override { return !failed_ && sort_->Next(out); }
-
   uint32_t NextBatch(RowBlock* out) override {
-    return failed_ ? 0 : sort_->NextBlock(out);
+    if (failed_) {
+      out->Clear();
+      return 0;
+    }
+    return sort_->NextBlock(out);
   }
 
   void Close() override {

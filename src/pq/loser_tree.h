@@ -51,6 +51,36 @@ class MergeSource {
   virtual bool Next(const uint64_t** row, Ovc* code) = 0;
 };
 
+/// MergeSource view of a row producer with `bool Next(RowRef*)` -- a merger
+/// or a finished sort -- so collapsing and merging stages stack on it.
+template <typename Rows>
+class RowRefSource final : public MergeSource {
+ public:
+  explicit RowRefSource(Rows* rows) : rows_(rows) {}
+
+  bool Next(const uint64_t** row, Ovc* code) override {
+    RowRef ref;
+    if (!rows_->Next(&ref)) return false;
+    *row = ref.cols;
+    *code = ref.ovc;
+    return true;
+  }
+
+ private:
+  Rows* rows_;
+};
+
+/// Clears `out` and fills it with copies of up to out->capacity() rows
+/// pulled from `rows` (anything with `bool Next(RowRef*)`: a merger, a
+/// sort). Returns the row count; 0 once `rows` is exhausted.
+template <typename Rows>
+uint32_t FillBlock(Rows* rows, RowBlock* out) {
+  out->Clear();
+  RowRef ref;
+  while (!out->full() && rows->Next(&ref)) out->Append(ref.cols, ref.ovc);
+  return out->size();
+}
+
 /// Merges F sorted OVC streams into one sorted OVC stream.
 ///
 /// `Source` is the concrete input type; it only needs
@@ -89,8 +119,9 @@ class OvcMergerT {
   }
 
   /// Produces the next merged row; its code is relative to the previously
-  /// produced row. Returns false when all inputs are exhausted. The row
-  /// pointer stays valid until the next Next()/destruction.
+  /// produced row. Returns false when all inputs are exhausted, and keeps
+  /// returning false without further work. The row pointer stays valid
+  /// until the next Next()/destruction.
   bool Next(RowRef* out) {
     if (!started_) {
       started_ = true;
@@ -99,7 +130,7 @@ class OvcMergerT {
       } else {
         winner_ = BuildWinner(1);
       }
-    } else {
+    } else if (OvcCodec::IsValid(winner_.code)) {
       Advance();
     }
     if (!OvcCodec::IsValid(winner_.code)) {
@@ -116,14 +147,7 @@ class OvcMergerT {
   /// the stream contract across block boundaries (the first row of a block
   /// is coded relative to the last row of the previous block). Returns the
   /// number of rows produced; 0 means all inputs are exhausted.
-  uint32_t NextBlock(RowBlock* out) {
-    out->Clear();
-    RowRef ref;
-    while (!out->full() && Next(&ref)) {
-      out->Append(ref.cols, ref.ovc);
-    }
-    return out->size();
-  }
+  uint32_t NextBlock(RowBlock* out) { return FillBlock(this, out); }
 
   /// Number of inputs merged.
   uint32_t fan_in() const { return static_cast<uint32_t>(sources_.size()); }

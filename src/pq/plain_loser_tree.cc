@@ -83,7 +83,7 @@ bool PlainMerger::Next(RowRef* out) {
     } else {
       winner_ = BuildWinner(1);
     }
-  } else {
+  } else if (!winner_.exhausted) {
     Entry cand = FetchSuccessor(winner_.slot);
     uint32_t node = (capacity_ + winner_.slot) >> 1;
     while (node >= 1) {

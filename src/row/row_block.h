@@ -1,17 +1,18 @@
-// RowBlock: the unit of batched data flow between operators.
+// RowBlock: the unit of data flow between operators.
 //
 // A RowBlock holds up to `capacity` fixed-width rows in one contiguous
-// stretch plus a parallel array of offset-value codes, so a batched
-// operator amortizes one virtual dispatch (Operator::NextBatch) over the
-// whole block instead of paying one per row (Operator::Next).
+// stretch plus a parallel array of offset-value codes. Operator::NextBatch,
+// the one pull, fills a block, so an operator pays one virtual dispatch per
+// block instead of one per row.
 //
-// Stream contract (identical to the row-at-a-time contract): rows appear in
-// stream order and, for sorted-with-codes streams, row i's code is relative
-// to the stream's previous row -- which is row i-1 of the same block, or the
-// *last row of the previous block* for the first row of a block. Codes are
-// therefore valid across block boundaries and a concatenation of blocks is
-// exactly the row-at-a-time stream; OvcStreamChecker can observe the rows of
-// consecutive blocks in order and will accept the stream.
+// Stream contract: rows appear in stream order and, for sorted-with-codes
+// streams, row i's code is relative to the stream's previous row -- which
+// is row i-1 of the same block, or the *last row of the previous block* for
+// the first row of a block. Codes are therefore valid across block
+// boundaries and a concatenation of blocks is exactly the stream, whatever
+// the capacity (capacity 1 is the row-at-a-time stream); OvcStreamChecker
+// can observe the rows of consecutive blocks in order and will accept the
+// stream.
 //
 // Two serving modes:
 //  * owned -- producers append (copy) rows into the block's own storage,
@@ -27,8 +28,8 @@
 // the producer's storage and follow its lifetime rules. Either way, a
 // producer refilling a block (NextBatch) invalidates previous contents, so
 // consumers must finish with a block's rows before asking for the next
-// block, mirroring the Volcano rule that a row is valid until the next
-// Next() call.
+// block. A BlockCursor (exec/operator.h) follows the same rule: its rows
+// stay valid until it refills.
 
 #ifndef OVC_ROW_ROW_BLOCK_H_
 #define OVC_ROW_ROW_BLOCK_H_

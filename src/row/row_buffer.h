@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "common/check.h"
+#include "row/row_block.h"
 
 namespace ovc {
 
@@ -58,6 +59,19 @@ class RowBuffer {
   uint64_t* mutable_row(size_t i) {
     OVC_DCHECK(i < size());
     return data_.data() + i * width_;
+  }
+
+  /// Zero-copy serving of an unordered stream: clears `out`, points it at
+  /// up to out->capacity() rows from row `*pos` on (codes all zero) and
+  /// advances `*pos` past them. Returns the row count, 0 at the end.
+  uint32_t ServeBlock(size_t* pos, RowBlock* out) const {
+    out->Clear();
+    const size_t avail = size() - *pos;
+    const uint32_t n = static_cast<uint32_t>(
+        avail < out->capacity() ? avail : out->capacity());
+    if (n > 0) out->RefContiguous(row(*pos), nullptr, n);
+    *pos += n;
+    return n;
   }
 
   /// Number of rows stored.

@@ -261,26 +261,13 @@ uint32_t ExternalSort::NextBlock(RowBlock* out) {
   OVC_CHECK(finished_);
   out->Clear();
   if (memory_source_ != nullptr) {
-    // In-memory result: serve contiguous spans straight from the run,
-    // zero-copy (the run is stable until the sort is destroyed).
-    const uint64_t* rows = nullptr;
-    const Ovc* codes = nullptr;
-    const uint32_t n = memory_source_->NextSpan(&rows, &codes,
-                                                out->capacity());
-    if (n == 0) return 0;
-    out->RefContiguous(rows, codes, n);
-    return n;
+    // In-memory result: the run is stable until the sort is destroyed.
+    return memory_source_->NextBlock(out);
   }
   if (merger_ != nullptr) {
     return merger_->NextBlock(out);
   }
-  if (plain_merger_ != nullptr) {
-    RowRef ref;
-    while (!out->full() && plain_merger_->Next(&ref)) {
-      out->Append(ref.cols, ref.ovc);
-    }
-    return out->size();
-  }
+  if (plain_merger_ != nullptr) return FillBlock(plain_merger_.get(), out);
   return 0;  // empty input
 }
 

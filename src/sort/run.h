@@ -75,19 +75,18 @@ class InMemoryRunSource final : public MergeSource {
     return true;
   }
 
-  /// Bulk variant: exposes up to `max_rows` contiguous rows (and their
-  /// codes) starting at the current position and advances past them.
-  /// Returns the span length; 0 at end of input. Shares the cursor with
-  /// Next(), so callers may not interleave the two arbitrarily mid-stream
-  /// (a span consumes all its rows at once).
-  uint32_t NextSpan(const uint64_t** rows, const Ovc** codes,
-                    uint32_t max_rows) {
+  /// Block variant: clears `out`, points it zero-copy at up to
+  /// out->capacity() rows (and their codes) from the current position and
+  /// advances past them. Returns the row count; 0 at end of input. The
+  /// stored codes are relative to each row's predecessor, so they carry
+  /// over unchanged across block boundaries. Shares the position with
+  /// Next().
+  uint32_t NextBlock(RowBlock* out) {
+    out->Clear();
     const size_t avail = run_->size() - pos_;
-    const uint32_t n =
-        static_cast<uint32_t>(avail < max_rows ? avail : max_rows);
-    if (n == 0) return 0;
-    *rows = run_->row(pos_);
-    *codes = run_->codes() + pos_;
+    const uint32_t n = static_cast<uint32_t>(
+        avail < out->capacity() ? avail : out->capacity());
+    if (n > 0) out->RefContiguous(run_->row(pos_), run_->codes() + pos_, n);
     pos_ += n;
     return n;
   }

@@ -324,26 +324,6 @@ class BTreeScanImpl : public Operator {
     first_ = true;
   }
 
-  bool Next(RowRef* out) override {
-    while (leaf_ != nullptr) {
-      if (leaf_ == end_leaf_ && pos_ >= end_pos_) return false;
-      if (pos_ < leaf_->rows.size()) break;
-      leaf_ = leaf_->next;
-      pos_ = 0;
-    }
-    if (leaf_ == nullptr) return false;
-    out->cols = leaf_->rows.row(pos_);
-    out->ovc = leaf_->codes[pos_];
-    if (first_ && rebase_first_) {
-      // A range scan starts mid-stream: the first row's stored code is
-      // relative to a row outside the range.
-      out->ovc = codec_->MakeInitial(out->cols);
-    }
-    first_ = false;
-    ++pos_;
-    return true;
-  }
-
   uint32_t NextBatch(RowBlock* out) override {
     // Copies whole leaf spans (rows and stored codes are contiguous per
     // leaf) instead of walking the chain row by row.

@@ -14,8 +14,9 @@ void RleColumnStore::Build(Operator* sorted_input) {
   OVC_CHECK(sorted_input->schema() == *schema_);
   OvcCodec codec(schema_);
   sorted_input->Open();
+  BlockCursor input(sorted_input);
   RowRef ref;
-  while (sorted_input->Next(&ref)) {
+  while (input.Next(&ref)) {
     // The code's offset tells exactly which key columns start new segments:
     // columns before the offset extend their current segment, the column at
     // the offset and beyond begin fresh ones. (Columns past the offset
@@ -52,22 +53,13 @@ uint64_t RleColumnStore::total_segments() const {
 class RleColumnScan : public Operator {
  public:
   explicit RleColumnScan(const RleColumnStore* store)
-      : store_(store),
-        codec_(store->schema_),
-        row_(store->schema_->total_columns(), 0) {}
+      : store_(store), codec_(store->schema_) {}
 
   void Open() override {
     const uint32_t arity = store_->schema_->key_arity();
     seg_idx_.assign(arity, 0);
     seg_left_.assign(arity, 0);
     pos_ = 0;
-  }
-
-  bool Next(RowRef* out) override {
-    if (pos_ >= store_->rows_) return false;
-    ProduceRow(row_.data(), &out->ovc);
-    out->cols = row_.data();
-    return true;
   }
 
   uint32_t NextBatch(RowBlock* out) override {
@@ -88,8 +80,8 @@ class RleColumnScan : public Operator {
 
  private:
   /// Materializes the row at the cursor into `dst` (total_columns values),
-  /// stores its code in `*code`, and advances. Non-virtual so NextBatch's
-  /// loop stays free of per-row dispatch. Caller checks pos_ < rows_.
+  /// stores its code in `*code`, and advances. Caller checks
+  /// pos_ < rows_.
   void ProduceRow(uint64_t* dst, Ovc* code) {
     const uint32_t arity = store_->schema_->key_arity();
     // The offset is the first key column whose current segment is used up.
@@ -120,7 +112,6 @@ class RleColumnScan : public Operator {
 
   const RleColumnStore* store_;
   OvcCodec codec_;
-  std::vector<uint64_t> row_;
   std::vector<size_t> seg_idx_;
   std::vector<uint64_t> seg_left_;
   uint64_t pos_ = 0;

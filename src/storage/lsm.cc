@@ -46,23 +46,23 @@ class ForestScan : public Operator {
     }
     merger_ = std::make_unique<OvcMerger>(&codec_, &comparator_, sources);
     if (collapse_) {
-      merger_source_ = std::make_unique<MergerSource>(merger_.get());
+      merger_source_ =
+          std::make_unique<RowRefSource<OvcMerger>>(merger_.get());
       collapser_ = std::make_unique<CollapsingSource>(
           schema_, collapse_fns_, merger_source_.get());
     }
   }
 
-  bool Next(RowRef* out) override {
-    if (merger_ == nullptr) return false;
-    if (collapser_ != nullptr) {
-      const uint64_t* row = nullptr;
-      Ovc code = 0;
-      if (!collapser_->Next(&row, &code)) return false;
-      out->cols = row;
-      out->ovc = code;
-      return true;
+  uint32_t NextBatch(RowBlock* out) override {
+    out->Clear();
+    if (merger_ == nullptr) return 0;
+    if (collapser_ == nullptr) return merger_->NextBlock(out);
+    const uint64_t* row = nullptr;
+    Ovc code = 0;
+    while (!out->full() && collapser_->Next(&row, &code)) {
+      out->Append(row, code);
     }
-    return merger_->Next(out);
+    return out->size();
   }
 
   void Close() override {
@@ -77,18 +77,6 @@ class ForestScan : public Operator {
   bool has_ovc() const override { return true; }
 
  private:
-  struct MergerSource : MergeSource {
-    explicit MergerSource(OvcMerger* m) : merger(m) {}
-    bool Next(const uint64_t** row, Ovc* code) override {
-      RowRef ref;
-      if (!merger->Next(&ref)) return false;
-      *row = ref.cols;
-      *code = ref.ovc;
-      return true;
-    }
-    OvcMerger* merger;
-  };
-
   const Schema* schema_;
   OvcCodec codec_;
   KeyComparator comparator_;
@@ -97,7 +85,7 @@ class ForestScan : public Operator {
   std::vector<StateMergeFn> collapse_fns_;
   std::vector<std::unique_ptr<RunFileReader>> readers_;
   std::unique_ptr<OvcMerger> merger_;
-  std::unique_ptr<MergerSource> merger_source_;
+  std::unique_ptr<RowRefSource<OvcMerger>> merger_source_;
   std::unique_ptr<CollapsingSource> collapser_;
 };
 

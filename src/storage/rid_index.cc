@@ -71,17 +71,16 @@ class RidListScan : public Operator {
     rid_ = 0;
   }
 
-  bool Next(RowRef* out) override {
-    if (list_ == nullptr || emitted_ >= list_->count) return false;
-    size_t pos = pos_;
-    const uint64_t delta = ReadVarint(list_->bytes, &pos);
-    pos_ = pos;
-    rid_ = emitted_ == 0 ? delta : rid_ + delta;
-    row_ = rid_;
-    out->cols = &row_;
-    out->ovc = codec_.MakeFromRow(&row_, 0);
-    ++emitted_;
-    return true;
+  uint32_t NextBatch(RowBlock* out) override {
+    out->Clear();
+    if (list_ == nullptr) return 0;
+    while (!out->full() && emitted_ < list_->count) {
+      const uint64_t delta = ReadVarint(list_->bytes, &pos_);
+      rid_ = emitted_ == 0 ? delta : rid_ + delta;
+      out->Append(&rid_, codec_.MakeFromRow(&rid_, 0));
+      ++emitted_;
+    }
+    return out->size();
   }
 
   void Close() override {}
@@ -95,7 +94,6 @@ class RidListScan : public Operator {
   size_t pos_ = 0;
   uint64_t emitted_ = 0;
   uint64_t rid_ = 0;
-  uint64_t row_ = 0;
 };
 
 namespace {
@@ -112,19 +110,25 @@ class RidMergeScan : public Operator {
 
   void Open() override {
     sources_.clear();
-    std::vector<MergeSource*> raw;
+    std::vector<BlockCursor*> raw;
     for (auto& scan : scans_) {
       scan->Open();
-      sources_.push_back(std::make_unique<OperatorMergeSource>(scan.get()));
+      sources_.push_back(
+          std::make_unique<BlockCursor>(scan.get(), kCursorRows));
       raw.push_back(sources_.back().get());
     }
     merger_ = raw.empty()
                   ? nullptr
-                  : std::make_unique<OvcMerger>(&codec_, &comparator_, raw);
+                  : std::make_unique<OvcMergerT<BlockCursor>>(
+                        &codec_, &comparator_, raw);
   }
 
-  bool Next(RowRef* out) override {
-    return merger_ != nullptr && merger_->Next(out);
+  uint32_t NextBatch(RowBlock* out) override {
+    if (merger_ == nullptr) {
+      out->Clear();
+      return 0;
+    }
+    return merger_->NextBlock(out);
   }
 
   void Close() override {
@@ -138,11 +142,15 @@ class RidMergeScan : public Operator {
   bool has_ovc() const override { return true; }
 
  private:
+  /// Block size of each list's cursor: a range may merge many lists, and
+  /// each cursor holds one block of single-column rows.
+  static constexpr uint32_t kCursorRows = 64;
+
   OvcCodec codec_;
   KeyComparator comparator_;
   std::vector<std::unique_ptr<Operator>> scans_;
-  std::vector<std::unique_ptr<MergeSource>> sources_;
-  std::unique_ptr<OvcMerger> merger_;
+  std::vector<std::unique_ptr<BlockCursor>> sources_;
+  std::unique_ptr<OvcMergerT<BlockCursor>> merger_;
 };
 
 /// Wraps a MergeJoin and owns it together with its reference to inputs.
@@ -153,7 +161,7 @@ class OwningSemiJoin : public Operator {
                                           counters)) {}
 
   void Open() override { join_->Open(); }
-  bool Next(RowRef* out) override { return join_->Next(out); }
+  uint32_t NextBatch(RowBlock* out) override { return join_->NextBatch(out); }
   void Close() override { join_->Close(); }
   const Schema& schema() const override { return join_->schema(); }
   bool sorted() const override { return true; }

@@ -18,6 +18,7 @@ using ::ovc::testing::Canonicalize;
 using ::ovc::testing::DrainValidated;
 using ::ovc::testing::MakeTable;
 using ::ovc::testing::RowVec;
+using ::ovc::testing::RunFromSorted;
 using ::ovc::testing::ToRowVec;
 
 /// Pass-through wrapper that counts lifecycle calls on the wrapped child.
@@ -29,7 +30,6 @@ class LifecycleSpy : public Operator {
     ++opens;
     child_->Open();
   }
-  bool Next(RowRef* out) override { return child_->Next(out); }
   uint32_t NextBatch(RowBlock* out) override {
     return child_->NextBatch(out);
   }
@@ -48,19 +48,10 @@ class LifecycleSpy : public Operator {
   Operator* child_;
 };
 
-InMemoryRun RunFromSorted(const Schema& schema, const RowBuffer& sorted) {
-  OvcCodec codec(&schema);
-  KeyComparator cmp(&schema, nullptr);
-  InMemoryRun run(schema.total_columns());
-  for (size_t i = 0; i < sorted.size(); ++i) {
-    Ovc code = i == 0 ? codec.MakeInitial(sorted.row(i))
-                      : codec.MakeFromRow(
-                            sorted.row(i),
-                            cmp.FirstDifference(sorted.row(i - 1),
-                                                sorted.row(i), 0));
-    run.Append(sorted.row(i), code);
-  }
-  return run;
+/// Pulls one block of exactly `rows` rows from the open operator `op`.
+void PullRows(Operator* op, uint32_t rows) {
+  RowBlock block(op->schema().total_columns(), rows);
+  ASSERT_EQ(op->NextBatch(&block), rows);
 }
 
 struct SplitParam {
@@ -107,7 +98,7 @@ INSTANTIATE_TEST_SUITE_P(
     });
 
 TEST(SplitExchange, InterleavedConsumptionStaysValid) {
-  // Consume partitions round-robin a row at a time: buffering must keep
+  // Consume partitions round-robin in one-row blocks: buffering must keep
   // every partition stream independently valid.
   Schema schema(2);
   RowBuffer table = MakeTable(schema, 300, 3, /*seed=*/92, /*sorted=*/true);
@@ -116,15 +107,15 @@ TEST(SplitExchange, InterleavedConsumptionStaysValid) {
   SplitExchange split(&scan, 3, SplitExchange::Policy::kRoundRobin, nullptr);
   std::vector<OvcStreamChecker> checkers(3, OvcStreamChecker(&schema));
   std::vector<bool> done(3, false);
+  RowBlock block(schema.total_columns(), /*capacity_rows=*/1);
   uint64_t total = 0;
   bool progress = true;
   while (progress) {
     progress = false;
     for (uint32_t i = 0; i < 3; ++i) {
       if (done[i]) continue;
-      RowRef ref;
-      if (split.partition(i)->Next(&ref)) {
-        ASSERT_TRUE(checkers[i].Observe(ref.cols, ref.ovc))
+      if (split.partition(i)->NextBatch(&block) > 0) {
+        ASSERT_TRUE(checkers[i].Observe(block.row(0), block.code(0)))
             << checkers[i].error();
         ++total;
         progress = true;
@@ -191,38 +182,30 @@ TEST(SplitExchange, UnsortedChildFeedsParallelSortShape) {
   EXPECT_EQ(all, expected);
 }
 
-TEST(SplitExchange, BatchPullMatchesRowPull) {
-  // The partition streams' real NextBatch path yields exactly the
-  // row-at-a-time stream, block boundary codes included.
+TEST(SplitExchange, BlockCapacityDoesNotChangePartitionStreams) {
+  // One cycle per capacity drains all three partitions (the child rescans
+  // only once every stream has closed); each partition must get the same
+  // rows and codes at every capacity, block boundary codes included.
   Schema schema(3, 1);
   RowBuffer table = MakeTable(schema, 700, 4, /*seed=*/23, /*sorted=*/true);
   InMemoryRun run = RunFromSorted(schema, table);
-
-  RunScan row_scan(&schema, &run);
-  SplitExchange row_split(&row_scan, 3, SplitExchange::Policy::kHashKey,
-                          nullptr);
-  RunScan batch_scan(&schema, &run);
-  SplitExchange batch_split(&batch_scan, 3, SplitExchange::Policy::kHashKey,
-                            nullptr);
-
-  for (uint32_t i = 0; i < 3; ++i) {
-    RowVec expected = DrainValidated(row_split.partition(i));
-    Operator* part = batch_split.partition(i);
-    part->Open();
-    OvcStreamChecker checker(&schema);
-    RowVec got;
-    RowBlock block(schema.total_columns(), /*capacity_rows=*/64);
-    uint32_t n;
-    while ((n = part->NextBatch(&block)) > 0) {
-      for (uint32_t r = 0; r < n; ++r) {
-        ASSERT_TRUE(checker.Observe(block.row(r), block.code(r)))
-            << checker.error();
-        got.emplace_back(block.row(r),
-                         block.row(r) + schema.total_columns());
+  RunScan scan(&schema, &run);
+  SplitExchange split(&scan, 3, SplitExchange::Policy::kHashKey, nullptr);
+  std::vector<RowVec> rows_at_one(3);
+  std::vector<std::vector<Ovc>> codes_at_one(3);
+  for (uint32_t capacity : {1u, 7u, 1024u}) {
+    for (uint32_t i = 0; i < 3; ++i) {
+      std::vector<Ovc> codes;
+      RowVec rows = DrainValidated(split.partition(i), /*check_codes=*/true,
+                                   capacity, &codes);
+      if (capacity == 1) {
+        rows_at_one[i] = std::move(rows);
+        codes_at_one[i] = std::move(codes);
+        continue;
       }
+      EXPECT_EQ(rows, rows_at_one[i]) << "partition " << i;
+      EXPECT_EQ(codes, codes_at_one[i]) << "partition " << i;
     }
-    part->Close();
-    EXPECT_EQ(got, expected) << "partition " << i;
   }
 }
 
@@ -321,8 +304,7 @@ TEST(MergeExchange, ReopenWithoutCloseResetsLeftoverState) {
     options.threaded = threaded;
     MergeExchange exchange(spied, nullptr, options);
     exchange.Open();
-    RowRef ref;
-    for (int i = 0; i < 5; ++i) ASSERT_TRUE(exchange.Next(&ref));
+    PullRows(&exchange, 5);
     // Re-open mid-stream; the fresh cycle must deliver the full stream.
     RowVec all = DrainValidated(&exchange);
     EXPECT_EQ(all.size(), 900u) << "threaded=" << threaded;
@@ -334,7 +316,7 @@ TEST(MergeExchange, ReopenWithoutCloseResetsLeftoverState) {
 }
 
 TEST(MergeExchange, CopyingConsumerSurvivesBatchBoundaries) {
-  // Regression for the RowRef lifetime contract (exec/operator.h): a
+  // Regression for the row lifetime contract (exec/operator.h): a
   // queue-fed merge frees a producer batch when it pops the next one, so a
   // consumer that copies each row before the next pull -- across many
   // batch boundaries (tiny batch_rows forces them) -- must see the intact
@@ -393,8 +375,7 @@ TEST(MergeExchange, EarlyCloseWhileProducersBlockedOnFullQueues) {
   options.queue_batches = 1;
   MergeExchange exchange(spied, nullptr, options);
   exchange.Open();
-  RowRef ref;
-  for (int i = 0; i < 10; ++i) ASSERT_TRUE(exchange.Next(&ref));
+  PullRows(&exchange, 10);
   exchange.Close();  // producers blocked on full queues: must not hang
   for (const auto& spy : spies) {
     EXPECT_EQ(spy->opens, 1);
@@ -410,8 +391,7 @@ TEST(MergeExchange, DestructorWithoutCloseJoinsProducers) {
     options.queue_batches = 1;
     MergeExchange exchange(in.ops, nullptr, options);
     exchange.Open();
-    RowRef ref;
-    for (int i = 0; i < 10; ++i) ASSERT_TRUE(exchange.Next(&ref));
+    PullRows(&exchange, 10);
     // Destructor with live, blocked producers: must cancel and join.
   }
 }
@@ -431,8 +411,7 @@ TEST(MergeExchange, DestructorWithoutCloseBalancesInlineInputs) {
     options.threaded = false;
     MergeExchange exchange(spied, nullptr, options);
     exchange.Open();
-    RowRef ref;
-    for (int i = 0; i < 10; ++i) ASSERT_TRUE(exchange.Next(&ref));
+    PullRows(&exchange, 10);
   }
   for (const auto& spy : spies) {
     EXPECT_EQ(spy->opens, 1);
@@ -457,10 +436,7 @@ TEST(MergeExchange, EarlyCloseJoinsProducers) {
   }
   MergeExchange exchange(inputs, nullptr);
   exchange.Open();
-  RowRef ref;
-  for (int i = 0; i < 10; ++i) {
-    ASSERT_TRUE(exchange.Next(&ref));
-  }
+  PullRows(&exchange, 10);
   exchange.Close();  // must not hang or crash with blocked producers
 }
 

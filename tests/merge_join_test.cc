@@ -19,22 +19,8 @@ using ::ovc::testing::Canonicalize;
 using ::ovc::testing::DrainValidated;
 using ::ovc::testing::MakeTable;
 using ::ovc::testing::RowVec;
+using ::ovc::testing::RunFromSorted;
 using ::ovc::testing::ToRowVec;
-
-InMemoryRun RunFromSorted(const Schema& schema, const RowBuffer& sorted) {
-  OvcCodec codec(&schema);
-  KeyComparator cmp(&schema, nullptr);
-  InMemoryRun run(schema.total_columns());
-  for (size_t i = 0; i < sorted.size(); ++i) {
-    Ovc code = i == 0 ? codec.MakeInitial(sorted.row(i))
-                      : codec.MakeFromRow(
-                            sorted.row(i),
-                            cmp.FirstDifference(sorted.row(i - 1),
-                                                sorted.row(i), 0));
-    run.Append(sorted.row(i), code);
-  }
-  return run;
-}
 
 // Reference join over materialized tables (nested loops, all types).
 RowVec ReferenceJoin(const Schema& ls, const Schema& rs, const RowVec& left,

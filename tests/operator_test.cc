@@ -47,16 +47,15 @@ TEST(Filter, Table3Golden) {
   });
   OvcCodec codec(&schema);
   filter.Open();
-  RowRef ref;
-  ASSERT_TRUE(filter.Next(&ref));
-  EXPECT_EQ(ref.cols[3], 9u);
-  EXPECT_EQ(codec.OffsetOf(ref.ovc), 0u);  // "4 5 405": arity-offset 4
-  EXPECT_EQ(OvcCodec::ValueOf(ref.ovc), 5u);
-  ASSERT_TRUE(filter.Next(&ref));
-  EXPECT_EQ(ref.cols[1], 9u);
-  EXPECT_EQ(codec.OffsetOf(ref.ovc), 1u);  // "3 9 309": arity-offset 3
-  EXPECT_EQ(OvcCodec::ValueOf(ref.ovc), 9u);
-  EXPECT_FALSE(filter.Next(&ref));
+  RowBlock block(schema.total_columns());
+  ASSERT_EQ(filter.NextBatch(&block), 2u);
+  EXPECT_EQ(block.row(0)[3], 9u);
+  EXPECT_EQ(codec.OffsetOf(block.code(0)), 0u);  // "4 5 405": arity-offset 4
+  EXPECT_EQ(OvcCodec::ValueOf(block.code(0)), 5u);
+  EXPECT_EQ(block.row(1)[1], 9u);
+  EXPECT_EQ(codec.OffsetOf(block.code(1)), 1u);  // "3 9 309": arity-offset 3
+  EXPECT_EQ(OvcCodec::ValueOf(block.code(1)), 9u);
+  EXPECT_EQ(filter.NextBatch(&block), 0u);
   filter.Close();
 }
 

@@ -287,8 +287,8 @@ TEST_P(ParallelPlanTest, PlanDestroyedMidStreamWithoutClose) {
   {
     PhysicalPlan plan = planner.Plan(logical.get());
     plan.root()->Open();
-    RowRef ref;
-    for (int i = 0; i < 10; ++i) ASSERT_TRUE(plan.root()->Next(&ref));
+    RowBlock block(plan.root()->schema().total_columns(), 10);
+    ASSERT_EQ(plan.root()->NextBatch(&block), 10u);
     // ~PhysicalPlan with live producers blocked on tight queues.
   }
 }

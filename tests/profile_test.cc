@@ -15,6 +15,9 @@
 #include <gtest/gtest.h>
 
 #include "common/profile.h"
+#include "exec/filter.h"
+#include "exec/profiled_operator.h"
+#include "exec/scan.h"
 #include "plan/logical_plan.h"
 #include "plan/physical_plan.h"
 #include "plan/plan_executor.h"
@@ -196,6 +199,52 @@ TEST_F(ProfileTest, TimingsAreInclusiveAndBounded) {
           << "child " << child << " of node " << i;
     }
   }
+}
+
+TEST(OperatorStats, OneExpensiveEarlyPullIsCountedOnce) {
+  // One expensive first pull (like a sort opened lazily on its first pull),
+  // then 1,000 cheap ones. Scaling every timed tick by calls / timed calls
+  // would multiply the first pull by ~11; the warmup window is timed
+  // exactly and must stay unscaled.
+  constexpr uint64_t kFirstTicks = 20'000'000;
+  Schema schema(1);
+  RowBuffer table(1);
+  for (uint64_t i = 0; i < 1001; ++i) table.AppendRow(&i);
+  BufferScan scan(&schema, &table);
+  FilterOperator slow_first(&scan, [](const uint64_t* row) {
+    const uint64_t t0 = ProfileTicks();
+    while (row[0] == 0 && ProfileTicks() - t0 < kFirstTicks) {
+    }
+    return true;
+  });
+  OperatorStats stats;
+  ProfiledOperator wrapper(&slow_first, &stats);
+  wrapper.Open();
+  RowBlock block(1, /*capacity_rows=*/1);  // one row per pull
+  while (wrapper.NextBatch(&block) > 0) {
+  }
+  wrapper.Close();
+  EXPECT_EQ(stats.rows_out, 1001u);
+  EXPECT_EQ(stats.next_calls, 1002u);  // every row, then the end of stream
+  EXPECT_GE(stats.scaled_next_ticks(), kFirstTicks);
+  EXPECT_LT(stats.scaled_next_ticks(), 4 * kFirstTicks);
+}
+
+TEST(OperatorStats, SampleScalesOnlyPostWarmupCallsAcrossMergedSlices) {
+  // A slice as the wrapper leaves it after 1,000 calls, the first costing
+  // 1,000,000 ticks and every other one 100: the 32 warmup calls are timed
+  // exactly, and 61 of the 968 later calls were sampled.
+  OperatorStats slice;
+  slice.next_calls = 1000;
+  slice.warmup_calls = kTimeWarmupCalls;
+  slice.warmup_ticks = 1'000'000 + 31 * 100;
+  slice.next_timed = 61;
+  slice.next_ticks = 61 * 100;
+  EXPECT_EQ(slice.scaled_next_ticks(), 1'000'000u + 999 * 100);
+  OperatorStats merged;
+  merged.Merge(slice);
+  merged.Merge(slice);
+  EXPECT_EQ(merged.scaled_next_ticks(), 2 * (1'000'000u + 999 * 100));
 }
 
 TEST_F(ProfileTest, JsonProfileRoundTrips) {

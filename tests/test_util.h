@@ -47,22 +47,51 @@ inline RowVec ReferenceSort(const Schema& schema, const RowBuffer& input) {
   return ToRowVec(copy);
 }
 
-/// Drains `op`, validating sortedness and codes with OvcStreamChecker when
-/// `check_codes`. Returns all rows.
-inline RowVec DrainValidated(Operator* op, bool check_codes = true) {
+/// Drains `op` through NextBatch with blocks of `block_rows`, validating
+/// sortedness and codes with OvcStreamChecker when `check_codes`. Appends
+/// every row to the returned RowVec and, when `codes` is given, every code
+/// to it. Fails the test when a block overflows its capacity or the end of
+/// stream leaves rows in the block.
+inline RowVec DrainValidated(Operator* op, bool check_codes = true,
+                             uint32_t block_rows = RowBlock::kDefaultRows,
+                             std::vector<Ovc>* codes = nullptr) {
+  const uint32_t width = op->schema().total_columns();
   op->Open();
   OvcStreamChecker checker(&op->schema());
   RowVec out;
-  RowRef ref;
-  while (op->Next(&ref)) {
-    out.emplace_back(ref.cols, ref.cols + op->schema().total_columns());
-    if (check_codes) {
-      EXPECT_TRUE(checker.Observe(ref.cols, ref.ovc)) << checker.error();
-      if (!checker.ok()) break;  // avoid error spam
+  RowBlock block(width, block_rows);
+  uint32_t n;
+  while ((n = op->NextBatch(&block)) > 0) {
+    EXPECT_EQ(n, block.size());
+    EXPECT_LE(n, block_rows);
+    for (uint32_t i = 0; i < n; ++i) {
+      out.emplace_back(block.row(i), block.row(i) + width);
+      if (codes != nullptr) codes->push_back(block.code(i));
+      if (check_codes && checker.ok()) {  // one failure, no error spam
+        EXPECT_TRUE(checker.Observe(block.row(i), block.code(i)))
+            << checker.error();
+      }
     }
   }
+  EXPECT_TRUE(block.empty()) << "end of stream must leave an empty block";
   op->Close();
   return out;
+}
+
+/// Drains `op` at block capacities 1, 7 and 1024 and requires identical
+/// rows and codes from all three (capacity 1 is the row-at-a-time stream).
+/// Codes are validated with OvcStreamChecker when `check_codes`. Returns
+/// the rows.
+inline RowVec ExpectCapacityInvariant(Operator* op, bool check_codes = true) {
+  std::vector<Ovc> one_codes;
+  const RowVec one = DrainValidated(op, check_codes, 1, &one_codes);
+  for (const uint32_t capacity : {7u, 1024u}) {
+    std::vector<Ovc> codes;
+    const RowVec rows = DrainValidated(op, check_codes, capacity, &codes);
+    EXPECT_EQ(rows, one) << "capacity " << capacity;
+    EXPECT_EQ(codes, one_codes) << "capacity " << capacity;
+  }
+  return one;
 }
 
 /// Makes a random table per the paper's data shape.

@@ -24,7 +24,7 @@
 // planner; --hash-memory-rows shrinks the hash budget to watch the
 // cost-based planner flip join and aggregation strategies, and
 // --sort-memory-rows bounds the sort workspace the same way (spilled
-// runs beyond it; --memory-rows is the legacy spelling). --fallback
+// runs beyond it). --fallback
 // picks what an overflowing hash operator does mid-query: sort-merge
 // (default; docs/ROBUSTNESS.md) or classic grace partitioning. A CI smoke
 // test pipes tools/smoke.sql through this binary and greps the plans, and
@@ -191,10 +191,6 @@ int main(int argc, char** argv) {
     } else if (std::strncmp(arg, "--sort-memory-rows=", 19) == 0) {
       options.planner.sort_config.memory_rows =
           std::strtoull(arg + 19, nullptr, 10);
-    } else if (std::strncmp(arg, "--memory-rows=", 14) == 0) {
-      // Legacy spelling of --sort-memory-rows.
-      options.planner.sort_config.memory_rows =
-          std::strtoull(arg + 14, nullptr, 10);
     } else if (std::strncmp(arg, "--hash-memory-rows=", 19) == 0) {
       options.planner.hash_memory_rows =
           std::strtoull(arg + 19, nullptr, 10);
