@@ -305,8 +305,7 @@ void MergeExchange::Open() {
   } else {
     for (Operator* in : inputs_) {
       in->Open();
-      sources_.push_back(
-          std::make_unique<BlockCursor>(in, options_.batch_rows));
+      sources_.push_back(std::make_unique<BlockCursor>(in));
       raw_sources.push_back(sources_.back().get());
     }
     inline_inputs_open_ = true;

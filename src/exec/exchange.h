@@ -207,8 +207,7 @@ class MergeExchange : public Operator {
     /// Producer threads per input; false pulls inputs inline (deterministic
     /// single-threaded mode for benchmarks).
     bool threaded;
-    /// Rows per batch pulled from each input (queue batches in threaded
-    /// mode, cursor blocks inline).
+    /// Rows per queue batch in threaded mode.
     uint32_t batch_rows;
     /// Batches buffered per input queue.
     size_t queue_batches;

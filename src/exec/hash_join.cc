@@ -307,10 +307,9 @@ void GraceHashJoin::FinishSortMergeFallback() {
   }
   fb_probe_sort_ = std::make_unique<ExternalSort>(
       fb_probe_schema_.get(), counters_, temp_, sort_config_);
-  BlockCursor probe_input(probe_);
-  RowRef ref;
-  while (probe_input.Next(&ref)) {
-    fb_probe_sort_->Add(ref.cols);
+  RowBlock block(probe_->schema().total_columns());
+  while (probe_->NextBatch(&block) > 0) {
+    fb_probe_sort_->AddBlock(block);
   }
   probe_->Close();
   st = fb_probe_sort_->Finish();

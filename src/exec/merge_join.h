@@ -48,37 +48,6 @@ enum class JoinType {
   kRightAnti,
 };
 
-/// One input of a two-input merge (merge join, set operations): a cursor
-/// over the child and its current row. An exhausted input's row is the late
-/// fence, so the merge comparison needs no end-of-input special case.
-struct MergeInput {
-  explicit MergeInput(Operator* child) : cursor(child) {}
-
-  /// Positions on the first row; call after (re)opening the child.
-  void Start() {
-    cursor.Reset();
-    Advance();
-  }
-  void Advance() {
-    valid = cursor.Next(&ref);
-    if (!valid) {
-      ref.cols = nullptr;
-      ref.ovc = OvcCodec::LateFence();
-    }
-  }
-  /// Advances past the rest of the current key group (duplicate codes);
-  /// returns the group's row count, the current row included.
-  uint64_t SkipGroup(const OvcCodec& codec) {
-    uint64_t rows = 1;
-    for (Advance(); valid && codec.IsDuplicate(ref.ovc); Advance()) ++rows;
-    return rows;
-  }
-
-  BlockCursor cursor;
-  RowRef ref;
-  bool valid = false;
-};
-
 /// Returns a short lowercase name, e.g. "left outer".
 const char* JoinTypeName(JoinType type);
 

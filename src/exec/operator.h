@@ -74,10 +74,9 @@ class Operator {
 /// trees merge operator streams through it.
 class BlockCursor final : public MergeSource {
  public:
-  /// `child` must outlive the cursor; `capacity` is the block size pulled.
-  explicit BlockCursor(Operator* child,
-                       uint32_t capacity = RowBlock::kDefaultRows)
-      : child_(child), block_(child->schema().total_columns(), capacity) {}
+  /// `child` must outlive the cursor.
+  explicit BlockCursor(Operator* child)
+      : child_(child), block_(child->schema().total_columns()) {}
 
   /// Drops buffered rows; call whenever the child is (re)opened.
   void Reset() {
@@ -117,6 +116,37 @@ class BlockCursor final : public MergeSource {
   RowBlock block_;
   uint32_t pos_ = 0;
   bool done_ = false;
+};
+
+/// One input of a two-input merge (merge join, set operations): a cursor
+/// over the child and its current row. An exhausted input's row is the late
+/// fence, so the merge comparison needs no end-of-input special case.
+struct MergeInput {
+  explicit MergeInput(Operator* child) : cursor(child) {}
+
+  /// Positions on the first row; call after (re)opening the child.
+  void Start() {
+    cursor.Reset();
+    Advance();
+  }
+  void Advance() {
+    valid = cursor.Next(&ref);
+    if (!valid) {
+      ref.cols = nullptr;
+      ref.ovc = OvcCodec::LateFence();
+    }
+  }
+  /// Advances past the rest of the current key group (duplicate codes);
+  /// returns the group's row count, the current row included.
+  uint64_t SkipGroup(const OvcCodec& codec) {
+    uint64_t rows = 1;
+    for (Advance(); valid && codec.IsDuplicate(ref.ovc); Advance()) ++rows;
+    return rows;
+  }
+
+  BlockCursor cursor;
+  RowRef ref;
+  bool valid = false;
 };
 
 /// Convenience: drains `op` (Open/NextBatch/Close) and returns the row

@@ -23,7 +23,6 @@
 #include "common/counters.h"
 #include "core/accumulator.h"
 #include "core/ovc_compare.h"
-#include "exec/merge_join.h"
 #include "exec/operator.h"
 #include "row/row_buffer.h"
 

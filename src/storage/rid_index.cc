@@ -113,8 +113,7 @@ class RidMergeScan : public Operator {
     std::vector<BlockCursor*> raw;
     for (auto& scan : scans_) {
       scan->Open();
-      sources_.push_back(
-          std::make_unique<BlockCursor>(scan.get(), kCursorRows));
+      sources_.push_back(std::make_unique<BlockCursor>(scan.get()));
       raw.push_back(sources_.back().get());
     }
     merger_ = raw.empty()
@@ -142,10 +141,6 @@ class RidMergeScan : public Operator {
   bool has_ovc() const override { return true; }
 
  private:
-  /// Block size of each list's cursor: a range may merge many lists, and
-  /// each cursor holds one block of single-column rows.
-  static constexpr uint32_t kCursorRows = 64;
-
   OvcCodec codec_;
   KeyComparator comparator_;
   std::vector<std::unique_ptr<Operator>> scans_;

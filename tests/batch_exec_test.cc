@@ -99,11 +99,12 @@ TEST(RowBlock, AppendTruncateAndPointerStability) {
 
 TEST(BlockCursor, ServesTheStreamAcrossBlocksAndStaysAtEnd) {
   Schema schema(2, 1);
-  RowBuffer table = MakeTable(schema, 1000, 4, /*seed=*/13, /*sorted=*/true);
+  // More rows than one block, so the stream crosses a refill.
+  RowBuffer table = MakeTable(schema, 2500, 4, /*seed=*/13, /*sorted=*/true);
   InMemoryRun run = RunFromSorted(schema, table);
   RunScan scan(&schema, &run);
   scan.Open();
-  BlockCursor cursor(&scan, /*capacity=*/64);
+  BlockCursor cursor(&scan);
   RowRef ref;
   for (size_t i = 0; i < run.size(); ++i) {
     ASSERT_TRUE(cursor.Next(&ref)) << i;

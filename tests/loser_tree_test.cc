@@ -288,5 +288,51 @@ TEST(PlainMerger, NaiveOutputCodesAreValid) {
   EXPECT_EQ(n, 350u);
 }
 
+/// Counts the pulls a merger makes on one of its inputs.
+class CountingSource final : public MergeSource {
+ public:
+  explicit CountingSource(const InMemoryRun* run) : source_(run) {}
+  bool Next(const uint64_t** row, Ovc* code) override {
+    ++pulls;
+    return source_.Next(row, code);
+  }
+  uint64_t pulls = 0;
+
+ private:
+  InMemoryRunSource source_;
+};
+
+TEST(Mergers, DoNoWorkAfterReportingExhaustion) {
+  // Pulling a drained merger again must neither pull its inputs nor play
+  // another (fence against fence) tournament pass.
+  Schema schema(2);
+  InMemoryRun a = MakeRun(schema, {{1, 1}, {3, 1}, {5, 2}});
+  InMemoryRun b = MakeRun(schema, {{2, 1}, {3, 1}, {4, 4}});
+  OvcCodec codec(&schema);
+  for (const bool plain : {false, true}) {
+    SCOPED_TRACE(plain ? "PlainMerger" : "OvcMerger");
+    CountingSource sa(&a), sb(&b);
+    QueryCounters counters;
+    KeyComparator comparator(&schema, &counters);
+    OvcMerger ovc_merger(&codec, &comparator, {&sa, &sb});
+    PlainMerger plain_merger(&codec, &comparator, {&sa, &sb});
+    auto next = [&](RowRef* ref) {
+      return plain ? plain_merger.Next(ref) : ovc_merger.Next(ref);
+    };
+    RowRef ref;
+    uint64_t n = 0;
+    while (next(&ref)) ++n;
+    EXPECT_EQ(n, 6u);
+    const QueryCounters drained = counters;
+    const uint64_t pulls = sa.pulls + sb.pulls;
+    EXPECT_FALSE(next(&ref));
+    EXPECT_FALSE(next(&ref));
+    EXPECT_EQ(counters.column_comparisons, drained.column_comparisons);
+    EXPECT_EQ(counters.code_comparisons, drained.code_comparisons);
+    EXPECT_EQ(counters.row_comparisons, drained.row_comparisons);
+    EXPECT_EQ(sa.pulls + sb.pulls, pulls);
+  }
+}
+
 }  // namespace
 }  // namespace ovc
