@@ -25,13 +25,20 @@
 # profiling and metrics+tracing, each instrumented vs bare on the batched
 # pipeline (see docs/OBSERVABILITY.md); tools/compare_bench.py enforces
 # the 2% budget and cross-PR regressions on the committed aggregates.
+#
+# The aggregate's "context" records what the numbers need to be read:
+# ovc_build_type (the repo's CMAKE_BUILD_TYPE from the build directory),
+# git_sha and git_dirty, nproc, and loadavg (the 1-minute load before the
+# first benchmark). It sets "dirty": true when the build is not Release or
+# that load exceeds 0.25 x nproc; compare_bench.py reports a dirty
+# aggregate as informational only.
 
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
 
 BUILD_DIR=build
-OUT=${BENCH_OUT:-BENCH_PR10.json}
+OUT=${BENCH_OUT:-BENCH_PR13.json}
 MIN_TIME=0.5
 BENCHES=(bench_batch_pipeline bench_pq_merge bench_sort_ovc
          bench_exchange_merge bench_parallel_sort bench_sql_e2e
@@ -56,6 +63,22 @@ done
 tmpdir=$(mktemp -d)
 trap 'rm -rf "$tmpdir"' EXIT
 
+# Sampled before the first benchmark adds its own load.
+export OVC_BUILD_TYPE="$(sed -n 's/^CMAKE_BUILD_TYPE:[A-Z]*=//p' \
+  "$BUILD_DIR/CMakeCache.txt")"
+export OVC_NPROC="$(nproc)"
+export OVC_LOADAVG="$(cut -d' ' -f1 /proc/loadavg)"
+export OVC_GIT_SHA=unknown
+export OVC_GIT_DIRTY=unknown
+if git rev-parse --git-dir >/dev/null 2>&1; then
+  OVC_GIT_SHA="$(git rev-parse HEAD)"
+  if [[ -n "$(git status --porcelain)" ]]; then
+    OVC_GIT_DIRTY=true
+  else
+    OVC_GIT_DIRTY=false
+  fi
+fi
+
 for bench in "${BENCHES[@]}"; do
   echo "== running $bench (min_time=${MIN_TIME}s)"
   "$BUILD_DIR/$bench" \
@@ -66,6 +89,7 @@ done
 
 python3 - "$OUT" "$tmpdir" "${BENCHES[@]}" <<'PYEOF'
 import json
+import os
 import sys
 from datetime import datetime, timezone
 
@@ -86,8 +110,24 @@ for bench in benches:
         entry["binary"] = bench
         aggregate["benchmarks"].append(entry)
 
+context = aggregate["context"] or {}
+build_type = os.environ["OVC_BUILD_TYPE"]
+nproc = int(os.environ["OVC_NPROC"])
+loadavg = float(os.environ["OVC_LOADAVG"])
+git_dirty = os.environ["OVC_GIT_DIRTY"]
+context.update({
+    "ovc_build_type": build_type,
+    "git_sha": os.environ["OVC_GIT_SHA"],
+    "git_dirty": {"true": True, "false": False}.get(git_dirty, git_dirty),
+    "nproc": nproc,
+    "loadavg": loadavg,
+    "dirty": build_type != "Release" or loadavg > 0.25 * nproc,
+})
+aggregate["context"] = context
+
 with open(out_path, "w") as f:
     json.dump(aggregate, f, indent=2, sort_keys=False)
     f.write("\n")
-print(f"wrote {out_path} ({len(aggregate['benchmarks'])} benchmark entries)")
+print(f"wrote {out_path} ({len(aggregate['benchmarks'])} benchmark entries"
+      + (", dirty: not Release or loaded" if context["dirty"] else "") + ")")
 PYEOF

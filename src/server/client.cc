@@ -2,6 +2,7 @@
 
 #include <arpa/inet.h>
 #include <netinet/in.h>
+#include <netinet/tcp.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
@@ -45,6 +46,9 @@ Status Client::Connect(const std::string& host, uint16_t port) {
     Disconnect();
     return status;
   }
+  // Requests are one send() each; none should wait on a delayed ACK.
+  const int one = 1;
+  (void)::setsockopt(fd_, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
   return Status::Ok();
 }
 
@@ -94,16 +98,12 @@ Status Client::Prepare(const std::string& sql, PreparedInfo* info) {
 }
 
 Status Client::Execute(uint64_t handle, Result* result) {
-  PayloadWriter payload;
-  payload.PutU64(handle);
-  OVC_RETURN_IF_ERROR(SendFrame(FrameType::kExecute, payload.str()));
+  OVC_RETURN_IF_ERROR(SendHandle(FrameType::kExecute, handle));
   return CollectResult(result);
 }
 
 Status Client::CloseStatement(uint64_t handle) {
-  PayloadWriter payload;
-  payload.PutU64(handle);
-  OVC_RETURN_IF_ERROR(SendFrame(FrameType::kClose, payload.str()));
+  OVC_RETURN_IF_ERROR(SendHandle(FrameType::kClose, handle));
   Frame frame;
   OVC_RETURN_IF_ERROR(ReadOneFrame(&frame));
   if (frame.type != FrameType::kClosed) {
@@ -128,22 +128,24 @@ Status Client::Metrics(std::string* json) {
 
 Status Client::SendFrame(FrameType type, std::string_view payload) {
   if (fd_ < 0) return Status::IoError("not connected");
-  return WriteFrame(fd_, type, payload);
+  FrameWriter out(fd_);
+  out.BeginFrame(type);
+  out.PutBytes(payload);
+  return out.EndResponse();
+}
+
+Status Client::SendHandle(FrameType type, uint64_t handle) {
+  if (fd_ < 0) return Status::IoError("not connected");
+  FrameWriter out(fd_);
+  out.BeginFrame(type);
+  out.PutU64(handle);
+  return out.EndResponse();
 }
 
 Status Client::SendBytes(const void* data, size_t len) {
   if (fd_ < 0) return Status::IoError("not connected");
-  const char* p = static_cast<const char*>(data);
-  while (len > 0) {
-    const ssize_t n = ::send(fd_, p, len, MSG_NOSIGNAL);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      return Status::IoError(std::string("send: ") + std::strerror(errno));
-    }
-    p += n;
-    len -= static_cast<size_t>(n);
-  }
-  return Status::Ok();
+  return SendAll(fd_, std::string_view(static_cast<const char*>(data), len),
+                 SendCounters());
 }
 
 Status Client::ReadOneFrame(Frame* frame) {

@@ -100,6 +100,8 @@ class Client {
   [[nodiscard]] Status ReadOneFrame(Frame* frame);
 
  private:
+  /// Sends an EXECUTE or CLOSE frame for `handle`.
+  Status SendHandle(FrameType type, uint64_t handle);
   /// Reads response frames after QUERY/EXECUTE until RESULT_DONE or ERROR.
   Status CollectResult(Result* result);
 

@@ -2,6 +2,7 @@
 
 #include <arpa/inet.h>
 #include <netinet/in.h>
+#include <netinet/tcp.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
@@ -26,6 +27,11 @@ metrics::Counter& BytesSent() {
                             "Frame bytes written to clients");
 }
 
+metrics::Counter& Sends() {
+  return OVC_METRIC_COUNTER("server.sends",
+                            "send() calls writing response frames");
+}
+
 metrics::Counter& BytesReceived() {
   return OVC_METRIC_COUNTER("server.bytes_received",
                             "Frame bytes read from clients");
@@ -36,9 +42,6 @@ metrics::Counter& QueryErrors() {
                             "Statements answered with an ERROR frame");
 }
 
-/// Frame-header bytes, for the bytes_sent/received accounting.
-constexpr uint64_t kHeaderBytes = 5;
-
 /// One connection's protocol loop: reads request frames off `fd` and
 /// serves them through a private SqlSession over the server's shared
 /// catalog, plan cache, and admission gate.
@@ -47,6 +50,7 @@ class ServerSession {
   ServerSession(Server* server, int fd)
       : server_(server),
         fd_(fd),
+        out_(fd, SendCounters{&Sends(), &BytesSent()}),
         session_(server->catalog(), server->session_options(),
                  server->temp_root()) {}
 
@@ -62,7 +66,7 @@ class ServerSession {
         return;
       }
       if (!read.ok()) return;  // disconnect mid-frame / socket error
-      BytesReceived().Add(kHeaderBytes + frame.payload.size());
+      BytesReceived().Add(kFrameHeaderBytes + frame.payload.size());
       if (!HandleFrame(frame)) return;
     }
   }
@@ -164,14 +168,14 @@ class ServerSession {
     }
 
     const uint64_t handle = next_handle_++;
-    PayloadWriter reply;
-    reply.PutU64(handle);
-    reply.PutU8(lookup.hit ? 1 : 0);
+    out_.BeginFrame(FrameType::kPrepared);
+    out_.PutU64(handle);
+    out_.PutU8(lookup.hit ? 1 : 0);
     const std::vector<std::string>& columns = slot.prepared->columns;
-    reply.PutU32(static_cast<uint32_t>(columns.size()));
-    for (const std::string& column : columns) reply.PutString(column);
+    out_.PutU32(static_cast<uint32_t>(columns.size()));
+    for (const std::string& column : columns) out_.PutString(column);
     statements_[handle] = std::move(slot);
-    return SendFrame(FrameType::kPrepared, reply.str());
+    return out_.EndResponse().ok();
   }
 
   bool HandleExecute(const std::string& payload) {
@@ -212,16 +216,18 @@ class ServerSession {
       return false;
     }
     statements_.erase(handle);  // idempotent by design
-    return SendFrame(FrameType::kClosed, "");
+    out_.BeginFrame(FrameType::kClosed);
+    return out_.EndResponse().ok();
   }
 
   bool HandleMetrics() {
-    PayloadWriter reply;
-    reply.PutString(metrics::MetricRegistry::Instance().JsonSnapshot());
-    return SendFrame(FrameType::kText, reply.str());
+    out_.BeginFrame(FrameType::kText);
+    out_.PutString(metrics::MetricRegistry::Instance().JsonSnapshot());
+    return out_.EndResponse().ok();
   }
 
-  /// Executes a prepared statement and streams the result frames.
+  /// Executes a prepared statement and streams the result frames. False
+  /// when the peer is gone (a failed send drops the connection).
   bool RunAndSend(sql::PreparedQuery* prepared) {
     sql::QueryResult result = session_.Run(prepared);
     if (!result.result.status.ok()) {
@@ -232,21 +238,18 @@ class ServerSession {
       return SendError(error);
     }
     if (result.is_explain) {
-      PayloadWriter text;
-      text.PutString(result.explain_text);
-      if (!SendFrame(FrameType::kText, text.str())) return false;
-      PayloadWriter done;
-      done.PutU64(0);
-      done.PutCounters(result.counters_delta);
-      return SendFrame(FrameType::kResultDone, done.str());
+      out_.BeginFrame(FrameType::kText);
+      out_.PutString(result.explain_text);
+      if (!out_.EndFrame().ok()) return false;
+      return SendDone(0, result.counters_delta);
     }
 
-    PayloadWriter header;
-    header.PutU32(static_cast<uint32_t>(result.columns.size()));
+    out_.BeginFrame(FrameType::kResultHeader);
+    out_.PutU32(static_cast<uint32_t>(result.columns.size()));
     for (const std::string& column : result.columns) {
-      header.PutString(column);
+      out_.PutString(column);
     }
-    if (!SendFrame(FrameType::kResultHeader, header.str())) return false;
+    if (!out_.EndFrame().ok()) return false;
 
     const RowBuffer& rows = result.result.rows;
     const uint32_t width = rows.width();
@@ -254,37 +257,31 @@ class ServerSession {
          begin += kRowsPerBatchFrame) {
       const uint32_t count = static_cast<uint32_t>(
           std::min<size_t>(kRowsPerBatchFrame, rows.size() - begin));
-      PayloadWriter batch;
-      batch.PutU32(count);
-      batch.PutU32(width);
-      for (uint32_t i = 0; i < count; ++i) {
-        const uint64_t* row = rows.row(begin + i);
-        for (uint32_t c = 0; c < width; ++c) batch.PutU64(row[c]);
-      }
-      if (!SendFrame(FrameType::kRowBatch, batch.str())) return false;
+      out_.BeginFrame(FrameType::kRowBatch);
+      out_.PutU32(count);
+      out_.PutU32(width);
+      // Rows are contiguous in the buffer: one append per batch.
+      out_.PutU64s(rows.row(begin), size_t{count} * width);
+      if (!out_.EndFrame().ok()) return false;
     }
     OVC_METRIC_COUNTER("server.rows_sent", "Result rows streamed to clients")
         .Add(rows.size());
-
-    PayloadWriter done;
-    done.PutU64(rows.size());
-    done.PutCounters(result.counters_delta);
-    return SendFrame(FrameType::kResultDone, done.str());
+    return SendDone(rows.size(), result.counters_delta);
   }
 
-  bool SendFrame(FrameType type, std::string_view payload) {
-    const Status status = WriteFrame(fd_, type, payload);
-    if (!status.ok()) return false;  // peer gone; drop the connection
-    BytesSent().Add(kHeaderBytes + payload.size());
-    return true;
+  bool SendDone(uint64_t total_rows, const QueryCounters& delta) {
+    out_.BeginFrame(FrameType::kResultDone);
+    out_.PutU64(total_rows);
+    out_.PutCounters(delta);
+    return out_.EndResponse().ok();
   }
 
   bool SendError(const sql::SqlError& error) {
-    PayloadWriter payload;
-    payload.PutU32(error.line);
-    payload.PutU32(error.column);
-    payload.PutString(error.message);
-    return SendFrame(FrameType::kError, payload.str());
+    out_.BeginFrame(FrameType::kError);
+    out_.PutU32(error.line);
+    out_.PutU32(error.column);
+    out_.PutString(error.message);
+    return out_.EndResponse().ok();
   }
 
   bool SendErrorMessage(const std::string& message) {
@@ -295,7 +292,8 @@ class ServerSession {
 
   void RecordLatency(uint64_t start_ticks) {
     OVC_METRIC_HISTOGRAM("server.query_latency_us",
-                         "Served-statement latency, admission wait included")
+                         "Served-statement latency, receipt to final flush, "
+                         "admission wait included")
         .Record(TicksToNs(ProfileTicks() - start_ticks) / 1000);
   }
 
@@ -303,6 +301,8 @@ class ServerSession {
 
   Server* server_;
   int fd_;
+  /// This connection's one output buffer; every response goes through it.
+  FrameWriter out_;
   sql::SqlSession session_;
   uint64_t next_handle_ = 1;
   std::map<uint64_t, PreparedSlot> statements_;
@@ -389,6 +389,10 @@ void Server::AcceptLoop() {
       if (errno == EINTR || errno == ECONNABORTED) continue;
       return;  // listen socket shut down (Stop) or unrecoverable
     }
+    // Responses leave in as few writes as FrameWriter can make them; Nagle
+    // would hold each one's tail for the client's delayed ACK.
+    const int one = 1;
+    (void)::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
     MutexLock lock(mu_);
     if (stopping_) {
       ::close(fd);

@@ -10,22 +10,6 @@ namespace ovc::server {
 
 namespace {
 
-/// Frame header: u32 LE payload length + u8 type.
-constexpr size_t kHeaderBytes = 5;
-
-Status SendAll(int fd, const char* data, size_t len) {
-  while (len > 0) {
-    const ssize_t n = ::send(fd, data, len, MSG_NOSIGNAL);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      return Status::IoError(std::string("send: ") + std::strerror(errno));
-    }
-    data += n;
-    len -= static_cast<size_t>(n);
-  }
-  return Status::Ok();
-}
-
 /// Reads exactly `len` bytes. `*clean_eof` is set when zero bytes arrive
 /// before anything else was read (the peer hung up between frames).
 Status RecvAll(int fd, char* data, size_t len, bool* clean_eof) {
@@ -64,23 +48,27 @@ uint32_t GetU32At(const char* in) {
 
 }  // namespace
 
-Status WriteFrame(int fd, FrameType type, std::string_view payload) {
-  char header[kHeaderBytes];
-  PutU32At(header, static_cast<uint32_t>(payload.size()));
-  header[4] = static_cast<char>(type);
-  // Header and payload go out in one buffer so small frames are one
-  // segment on the wire instead of two.
-  std::string buf;
-  buf.reserve(kHeaderBytes + payload.size());
-  buf.append(header, kHeaderBytes);
-  buf.append(payload);
-  return SendAll(fd, buf.data(), buf.size());
+Status SendAll(int fd, std::string_view data, const SendCounters& counters) {
+  const char* p = data.data();
+  size_t len = data.size();
+  while (len > 0) {
+    const ssize_t n = ::send(fd, p, len, MSG_NOSIGNAL);
+    if (counters.sends != nullptr) counters.sends->Increment();
+    if (n < 0) {
+      if (errno == EINTR) continue;
+      return Status::IoError(std::string("send: ") + std::strerror(errno));
+    }
+    if (counters.bytes != nullptr) counters.bytes->Add(n);
+    p += n;
+    len -= static_cast<size_t>(n);
+  }
+  return Status::Ok();
 }
 
 Status ReadFrame(int fd, Frame* out) {
-  char header[kHeaderBytes];
+  char header[kFrameHeaderBytes];
   bool clean_eof = false;
-  OVC_RETURN_IF_ERROR(RecvAll(fd, header, kHeaderBytes, &clean_eof));
+  OVC_RETURN_IF_ERROR(RecvAll(fd, header, kFrameHeaderBytes, &clean_eof));
   if (clean_eof) return Status::NotFound("end of stream");
   const uint32_t len = GetU32At(header);
   if (len > kMaxFrameBytes) {
@@ -97,23 +85,38 @@ Status ReadFrame(int fd, Frame* out) {
   return Status::Ok();
 }
 
-void PayloadWriter::PutU32(uint32_t v) {
+void FrameWriter::BeginFrame(FrameType type) {
+  frame_start_ = buf_.size();
+  buf_.append(kFrameHeaderBytes - 1, '\0');  // length, patched at the end
+  buf_.push_back(static_cast<char>(type));
+}
+
+void FrameWriter::PutU32(uint32_t v) {
   char tmp[4];
   PutU32At(tmp, v);
   buf_.append(tmp, sizeof(tmp));
 }
 
-void PayloadWriter::PutU64(uint64_t v) {
+void FrameWriter::PutU64(uint64_t v) {
   PutU32(static_cast<uint32_t>(v & 0xffffffffu));
   PutU32(static_cast<uint32_t>(v >> 32));
 }
 
-void PayloadWriter::PutString(std::string_view s) {
+void FrameWriter::PutU64s(const uint64_t* values, size_t n) {
+#if defined(__BYTE_ORDER__) && __BYTE_ORDER__ == __ORDER_LITTLE_ENDIAN__
+  // In-memory layout already is the wire layout.
+  buf_.append(reinterpret_cast<const char*>(values), n * sizeof(uint64_t));
+#else
+  for (size_t i = 0; i < n; ++i) PutU64(values[i]);
+#endif
+}
+
+void FrameWriter::PutString(std::string_view s) {
   PutU32(static_cast<uint32_t>(s.size()));
   buf_.append(s);
 }
 
-void PayloadWriter::PutCounters(const QueryCounters& c) {
+void FrameWriter::PutCounters(const QueryCounters& c) {
   PutU64(c.column_comparisons);
   PutU64(c.code_comparisons);
   PutU64(c.row_comparisons);
@@ -124,6 +127,27 @@ void PayloadWriter::PutCounters(const QueryCounters& c) {
   PutU64(c.hash_join_fallbacks);
   PutU64(c.hash_agg_fallbacks);
   PutU64(c.io_retries);
+}
+
+void FrameWriter::PatchLength() {
+  const size_t payload = buf_.size() - frame_start_ - kFrameHeaderBytes;
+  PutU32At(&buf_[frame_start_], static_cast<uint32_t>(payload));
+}
+
+Status FrameWriter::EndFrame() {
+  PatchLength();
+  return buf_.size() >= kFlushBytes ? Flush() : Status::Ok();
+}
+
+Status FrameWriter::EndResponse() {
+  PatchLength();
+  return Flush();
+}
+
+Status FrameWriter::Flush() {
+  const Status status = SendAll(fd_, buf_, counters_);
+  buf_.clear();  // keeps the capacity for the next response
+  return status;
 }
 
 bool PayloadReader::Take(void* out, size_t n) {

@@ -14,6 +14,10 @@
 // little-endian; strings are u32 length + bytes. Row batches carry raw
 // u64 column values (the engine's row model is fixed-width uint64).
 //
+// Both ends set TCP_NODELAY, and every write goes through FrameWriter,
+// which coalesces a response's frames into one send() (or one per
+// ~64 KiB), so no frame waits on the peer's delayed ACK.
+//
 // Robustness contract (tests/server_test.cc):
 //  * A frame whose length exceeds kMaxFrameBytes cannot be resynchronized
 //    (the stream offset is lost) -- the server answers ERROR and closes
@@ -27,11 +31,13 @@
 #ifndef OVC_SERVER_WIRE_H_
 #define OVC_SERVER_WIRE_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <string>
 #include <string_view>
 
 #include "common/counters.h"
+#include "common/metrics.h"
 #include "common/status.h"
 
 namespace ovc::server {
@@ -69,9 +75,19 @@ struct Frame {
   std::string payload;
 };
 
-/// Writes one frame to `fd`, looping over partial writes (MSG_NOSIGNAL --
-/// a peer that vanished surfaces as kIoError, never SIGPIPE).
-Status WriteFrame(int fd, FrameType type, std::string_view payload);
+/// Frame header bytes: u32 payload length + u8 type.
+inline constexpr size_t kFrameHeaderBytes = 5;
+
+/// Where a send loop accounts what it wrote; null members are skipped.
+struct SendCounters {
+  metrics::Counter* sends = nullptr;  // one per send() call
+  metrics::Counter* bytes = nullptr;  // bytes the kernel accepted
+};
+
+/// The protocol's one send loop: writes all of `data` to `fd`, looping
+/// over partial writes. MSG_NOSIGNAL -- a peer that vanished surfaces as
+/// kIoError, never SIGPIPE.
+Status SendAll(int fd, std::string_view data, const SendCounters& counters);
 
 /// Reads one frame from `fd`. Clean end-of-stream *at a frame boundary*
 /// returns kNotFound (the peer closed politely); end-of-stream inside a
@@ -80,26 +96,50 @@ Status WriteFrame(int fd, FrameType type, std::string_view payload);
 /// the (unreadable) payload.
 Status ReadFrame(int fd, Frame* out);
 
-/// Payload builder: appends little-endian scalars and length-prefixed
-/// strings to an owned buffer.
-class PayloadWriter {
+/// Encodes frames straight into one reusable output buffer and sends them
+/// in as few send() calls as possible. A frame is BeginFrame, then Put*
+/// for its payload (little-endian scalars, length-prefixed strings), then
+/// EndFrame or EndResponse, which patch in the payload length. The buffer
+/// goes out once it reaches kFlushBytes and at every response's
+/// terminating frame, so a small response is one send().
+class FrameWriter {
  public:
+  /// Buffered bytes at which EndFrame flushes.
+  static constexpr size_t kFlushBytes = size_t{64} << 10;
+
+  explicit FrameWriter(int fd, SendCounters counters = {})
+      : fd_(fd), counters_(counters) {}
+
+  void BeginFrame(FrameType type);
+  void PutU8(uint8_t v) { buf_.push_back(static_cast<char>(v)); }
   void PutU32(uint32_t v);
   void PutU64(uint64_t v);
-  void PutU8(uint8_t v) { buf_.push_back(static_cast<char>(v)); }
+  /// `n` u64 values in one append (ROW_BATCH bodies).
+  void PutU64s(const uint64_t* values, size_t n);
   void PutString(std::string_view s);
+  /// Raw bytes, no length prefix.
+  void PutBytes(std::string_view s) { buf_.append(s); }
   /// All ten QueryCounters fields, in declaration order.
   void PutCounters(const QueryCounters& c);
 
-  const std::string& str() const { return buf_; }
+  /// Closes the open frame; flushes once the buffer reaches kFlushBytes.
+  [[nodiscard]] Status EndFrame();
+  /// Closes the open frame as its response's terminator and flushes.
+  [[nodiscard]] Status EndResponse();
 
  private:
+  void PatchLength();
+  Status Flush();
+
+  int fd_;
+  SendCounters counters_;
   std::string buf_;
+  size_t frame_start_ = 0;
 };
 
-/// Payload cursor: the mirror of PayloadWriter. Every getter returns false
-/// (and poisons the reader) on truncated input, so malformed payloads are
-/// rejected without aborting.
+/// Payload cursor: the mirror of FrameWriter's Put*. Every getter returns
+/// false (and poisons the reader) on truncated input, so malformed
+/// payloads are rejected without aborting.
 class PayloadReader {
  public:
   explicit PayloadReader(std::string_view payload) : data_(payload) {}

@@ -2,10 +2,13 @@
 // frames, oversized frames, mid-frame disconnects), shared-plan-cache
 // semantics (hit / miss / eviction / normalization / disabled), prepared
 // statements over the wire, concurrent execution of one cached plan
-// checked row-for-row against a serial oracle, and the single-owner
+// checked row-for-row against a serial oracle, the write path (one send()
+// per small response, no Nagle stall, 64 KiB flushes, a peer that leaves
+// mid-response), and the single-owner
 // regressions PR 10 fixed: per-session temp-file sub-managers (first-error
 // isolation) and per-query admission slicing of the machine budgets.
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <filesystem>
@@ -14,8 +17,13 @@
 #include <thread>
 #include <vector>
 
+#include <signal.h>
+#include <sys/socket.h>
+#include <unistd.h>
+
 #include <gtest/gtest.h>
 
+#include "common/metrics.h"
 #include "common/status.h"
 #include "common/temp_file.h"
 #include "server/admission.h"
@@ -79,29 +87,55 @@ class ServerTest : public ::testing::Test {
 // Payload codec
 // ---------------------------------------------------------------------------
 
+/// Both ends of a connected local stream socket.
+struct SocketPair {
+  SocketPair() { EXPECT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, fd), 0); }
+  ~SocketPair() {
+    ::close(fd[0]);
+    ::close(fd[1]);
+  }
+  int fd[2] = {-1, -1};
+};
+
+/// True when `fd` has bytes waiting to be read.
+bool Readable(int fd) {
+  char byte;
+  return ::recv(fd, &byte, 1, MSG_PEEK | MSG_DONTWAIT) > 0;
+}
+
 TEST(WireCodec, PayloadRoundTrip) {
   QueryCounters counters;
   counters.row_comparisons = 7;
   counters.rows_spilled = 1u << 30;
-  PayloadWriter writer;
+  const uint64_t values[3] = {1, uint64_t{1} << 63, 0x0102030405060708};
+  SocketPair pair;
+  FrameWriter writer(pair.fd[0]);
+  writer.BeginFrame(FrameType::kText);
   writer.PutU8(3);
   writer.PutU32(0xdeadbeef);
   writer.PutU64(uint64_t{1} << 40);
   writer.PutString("hello");
   writer.PutString("");
+  writer.PutU64s(values, 3);
   writer.PutCounters(counters);
+  ASSERT_TRUE(writer.EndResponse().ok());
 
-  PayloadReader reader(writer.str());
+  Frame frame;
+  ASSERT_TRUE(ReadFrame(pair.fd[1], &frame).ok());
+  EXPECT_EQ(frame.type, FrameType::kText);
+  PayloadReader reader(frame.payload);
   uint8_t u8 = 0;
   uint32_t u32 = 0;
   uint64_t u64 = 0;
   std::string s1, s2;
+  uint64_t decoded_values[3] = {};
   QueryCounters decoded;
   ASSERT_TRUE(reader.GetU8(&u8));
   ASSERT_TRUE(reader.GetU32(&u32));
   ASSERT_TRUE(reader.GetU64(&u64));
   ASSERT_TRUE(reader.GetString(&s1));
   ASSERT_TRUE(reader.GetString(&s2));
+  for (uint64_t& v : decoded_values) ASSERT_TRUE(reader.GetU64(&v));
   ASSERT_TRUE(reader.GetCounters(&decoded));
   EXPECT_TRUE(reader.AtEnd());
   EXPECT_EQ(u8, 3);
@@ -109,14 +143,68 @@ TEST(WireCodec, PayloadRoundTrip) {
   EXPECT_EQ(u64, uint64_t{1} << 40);
   EXPECT_EQ(s1, "hello");
   EXPECT_EQ(s2, "");
+  for (int i = 0; i < 3; ++i) EXPECT_EQ(decoded_values[i], values[i]);
   EXPECT_TRUE(decoded == counters);
 }
 
+TEST(WireCodec, FramesCoalesceUntilTheResponseEnds) {
+  SocketPair pair;
+  metrics::Counter sends;
+  metrics::Counter bytes;
+  FrameWriter writer(pair.fd[0], SendCounters{&sends, &bytes});
+  writer.BeginFrame(FrameType::kResultHeader);
+  writer.PutU32(0);
+  ASSERT_TRUE(writer.EndFrame().ok());
+  writer.BeginFrame(FrameType::kClosed);  // empty payload
+  ASSERT_TRUE(writer.EndFrame().ok());
+  // Below kFlushBytes nothing has left yet.
+  EXPECT_EQ(sends.value(), 0u);
+  EXPECT_FALSE(Readable(pair.fd[1]));
+
+  writer.BeginFrame(FrameType::kText);
+  writer.PutString("done");
+  ASSERT_TRUE(writer.EndResponse().ok());
+  EXPECT_EQ(sends.value(), 1u);
+  EXPECT_EQ(bytes.value(), (5u + 4) + 5 + (5 + 4 + 4));
+
+  Frame frame;
+  ASSERT_TRUE(ReadFrame(pair.fd[1], &frame).ok());
+  EXPECT_EQ(frame.type, FrameType::kResultHeader);
+  EXPECT_EQ(frame.payload.size(), 4u);
+  ASSERT_TRUE(ReadFrame(pair.fd[1], &frame).ok());
+  EXPECT_EQ(frame.type, FrameType::kClosed);
+  EXPECT_TRUE(frame.payload.empty());
+  ASSERT_TRUE(ReadFrame(pair.fd[1], &frame).ok());
+  EXPECT_EQ(frame.type, FrameType::kText);
+  EXPECT_FALSE(Readable(pair.fd[1]));
+}
+
+TEST(WireCodec, BufferFlushesOncePastTheThreshold) {
+  SocketPair pair;
+  metrics::Counter sends;
+  FrameWriter writer(pair.fd[0], SendCounters{&sends, nullptr});
+  // Two 24,000-byte frames stay buffered; the third passes 64 KiB.
+  const std::vector<uint64_t> values(3000, 42);
+  for (int i = 0; i < 3; ++i) {
+    writer.BeginFrame(FrameType::kRowBatch);
+    writer.PutU64s(values.data(), values.size());
+    ASSERT_TRUE(writer.EndFrame().ok());
+    EXPECT_EQ(sends.value(), i < 2 ? 0u : 1u) << "after frame " << i;
+  }
+  writer.BeginFrame(FrameType::kResultDone);
+  ASSERT_TRUE(writer.EndResponse().ok());
+  EXPECT_EQ(sends.value(), 2u);
+  for (int i = 0; i < 4; ++i) {
+    Frame frame;
+    ASSERT_TRUE(ReadFrame(pair.fd[1], &frame).ok());
+    EXPECT_EQ(frame.payload.size(), i < 3 ? 24000u : 0u);
+  }
+}
+
 TEST(WireCodec, TruncatedPayloadPoisonsReader) {
-  PayloadWriter writer;
-  writer.PutU64(42);
-  // Chop mid-value: every later getter must fail instead of reading junk.
-  PayloadReader reader(std::string_view(writer.str()).substr(0, 5));
+  // Five bytes of an eight-byte value: every later getter must fail
+  // instead of reading junk.
+  PayloadReader reader(std::string_view("\x2a\0\0\0\0", 5));
   uint64_t v = 0;
   EXPECT_FALSE(reader.GetU64(&v));
   EXPECT_FALSE(reader.ok());
@@ -126,9 +214,8 @@ TEST(WireCodec, TruncatedPayloadPoisonsReader) {
 }
 
 TEST(WireCodec, StringLengthPastPayloadEndFails) {
-  PayloadWriter writer;
-  writer.PutU32(1000);  // claims 1000 bytes, provides none
-  PayloadReader reader(writer.str());
+  // Claims 1000 bytes, provides none.
+  PayloadReader reader(std::string_view("\xe8\x03\0\0", 4));
   std::string s;
   EXPECT_FALSE(reader.GetString(&s));
   EXPECT_FALSE(reader.ok());
@@ -263,6 +350,203 @@ TEST_F(ServerTest, MetricsSnapshotOverWire) {
   std::string json;
   ASSERT_TRUE(client.Metrics(&json).ok());
   EXPECT_NE(json.find("\"server.connections\""), std::string::npos);
+}
+
+// ---------------------------------------------------------------------------
+// Writes: one coalesced send per response, no Nagle stall
+// ---------------------------------------------------------------------------
+
+/// The server's send accounting, read over the wire through METRICS
+/// frames. Each METRICS reply is counted after its own snapshot was
+/// taken, so Next() takes the previous reply's one send and its bytes
+/// out of the delta.
+class SendLedger {
+ public:
+  explicit SendLedger(Client* client) : client_(client) { Snapshot(); }
+
+  /// send() calls and bytes sent since the previous call (or construction).
+  void Next(uint64_t* sends, uint64_t* bytes) {
+    const uint64_t sends_before = sends_;
+    const uint64_t bytes_before = bytes_ + reply_bytes_;
+    Snapshot();
+    *sends = sends_ - sends_before - 1;
+    *bytes = bytes_ - bytes_before;
+  }
+
+ private:
+  void Snapshot() {
+    std::string json;
+    ASSERT_TRUE(client_->Metrics(&json).ok());
+    const ::ovc::testing::JsonValue root =
+        ::ovc::testing::JsonReader(json).Parse();
+    for (const ::ovc::testing::JsonValue& m : root.at("metrics").array) {
+      const std::string& name = m.at("name").str;
+      if (name == "server.sends") sends_ = Count(m);
+      if (name == "server.bytes_sent") bytes_ = Count(m);
+    }
+    reply_bytes_ = kFrameHeaderBytes + 4 + json.size();
+  }
+
+  static uint64_t Count(const ::ovc::testing::JsonValue& metric) {
+    return static_cast<uint64_t>(metric.at("value").number);
+  }
+
+  Client* client_;
+  uint64_t sends_ = 0;
+  uint64_t bytes_ = 0;
+  uint64_t reply_bytes_ = 0;
+};
+
+/// Bytes of the frames answering a row-returning statement (docs/SERVING.md
+/// frame catalog), from what the client received.
+uint64_t ResultStreamBytes(const Client::Result& result) {
+  uint64_t bytes = kFrameHeaderBytes + 4;  // RESULT_HEADER
+  for (const std::string& column : result.columns) bytes += 4 + column.size();
+  const uint64_t width = result.columns.size();
+  for (size_t begin = 0; begin < result.rows.size();
+       begin += kRowsPerBatchFrame) {
+    const uint64_t rows =
+        std::min<size_t>(kRowsPerBatchFrame, result.rows.size() - begin);
+    bytes += kFrameHeaderBytes + 8 + rows * width * 8;  // ROW_BATCH
+  }
+  return bytes + kFrameHeaderBytes + 8 + 10 * 8;  // RESULT_DONE
+}
+
+TEST_F(ServerTest, SmallStatementsAreOneSendWithoutStall) {
+  StartServer();
+  Client client = Connect();
+  SendLedger ledger(&client);
+  uint64_t sends = 0;
+  uint64_t bytes = 0;
+
+  // 50 point queries on one connection. With Nagle holding each reply's
+  // tail for the client's delayed ACK they took ~44 ms apiece.
+  constexpr int kQueries = 50;
+  uint64_t expected_bytes = 0;
+  const auto start = std::chrono::steady_clock::now();
+  for (int i = 0; i < kQueries; ++i) {
+    Client::Result result;
+    const std::string sql =
+        "SELECT a, b FROM t WHERE a = " + std::to_string(i % 40);
+    ASSERT_TRUE(client.Query(sql, &result).ok());
+    ASSERT_TRUE(result.ok) << result.error_message;
+    expected_bytes += ResultStreamBytes(result);
+  }
+  const int64_t elapsed_ms =
+      std::chrono::duration_cast<std::chrono::milliseconds>(
+          std::chrono::steady_clock::now() - start)
+          .count();
+  EXPECT_LT(elapsed_ms, kQueries * 5)
+      << elapsed_ms << " ms for " << kQueries << " point queries";
+  // Every response takes at least one send, so the total pins each.
+  ledger.Next(&sends, &bytes);
+  EXPECT_EQ(sends, static_cast<uint64_t>(kQueries));
+  EXPECT_EQ(bytes, expected_bytes);
+
+  // Every other response kind is one send as well.
+  Client::Result result;
+  ASSERT_TRUE(client.Query("EXPLAIN SELECT a FROM t", &result).ok());
+  ASSERT_TRUE(result.ok);
+  ledger.Next(&sends, &bytes);
+  EXPECT_EQ(sends, 1u);
+  EXPECT_EQ(bytes, kFrameHeaderBytes + 4 + result.explain_text.size() +
+                       kFrameHeaderBytes + 8 + 10 * 8);
+
+  ASSERT_TRUE(client.Query("SELECT bogus FROM t", &result).ok());
+  ASSERT_FALSE(result.ok);
+  ledger.Next(&sends, &bytes);
+  EXPECT_EQ(sends, 1u);
+  EXPECT_EQ(bytes, kFrameHeaderBytes + 4 + 4 + 4 + result.error_message.size());
+
+  Client::PreparedInfo info;
+  ASSERT_TRUE(client.Prepare("SELECT a FROM t WHERE a = 3", &info).ok());
+  ASSERT_TRUE(info.ok);
+  ledger.Next(&sends, &bytes);
+  EXPECT_EQ(sends, 1u);
+  ASSERT_TRUE(client.Execute(info.handle, &result).ok());
+  ASSERT_TRUE(result.ok);
+  ledger.Next(&sends, &bytes);
+  EXPECT_EQ(sends, 1u);
+  EXPECT_EQ(bytes, ResultStreamBytes(result));
+  ASSERT_TRUE(client.CloseStatement(info.handle).ok());
+  ledger.Next(&sends, &bytes);
+  EXPECT_EQ(sends, 1u);
+  EXPECT_EQ(bytes, kFrameHeaderBytes);
+}
+
+TEST_F(ServerTest, LargeResultFlushesPerBufferFill) {
+  ASSERT_TRUE(sql::RegisterGeneratedFromSpec(
+                  &catalog_, "big(a,b) rows=10000 keys=1 distinct=100 seed=3")
+                  .ok());
+  StartServer();
+  Client client = Connect();
+  SendLedger ledger(&client);
+  Client::Result result;
+  ASSERT_TRUE(client.Query("SELECT a, b FROM big", &result).ok());
+  ASSERT_TRUE(result.ok) << result.error_message;
+  ASSERT_EQ(result.rows.size(), 10000u);
+
+  uint64_t sends = 0;
+  uint64_t bytes = 0;
+  ledger.Next(&sends, &bytes);
+  const uint64_t expected_bytes = ResultStreamBytes(result);
+  EXPECT_EQ(bytes, expected_bytes);
+  ASSERT_GT(expected_bytes, FrameWriter::kFlushBytes);
+  const uint64_t fills = (expected_bytes + FrameWriter::kFlushBytes - 1) /
+                         FrameWriter::kFlushBytes;
+  EXPECT_GE(sends, 2u);
+  EXPECT_LE(sends, fills + 1);
+}
+
+std::atomic<int> g_sigpipes{0};
+
+TEST_F(ServerTest, PeerLeavingMidResponseReleasesItsSlot) {
+  // ~640 KB of rows: many 64 KiB flushes, so the server is still sending
+  // when the peer's reset arrives.
+  ASSERT_TRUE(sql::RegisterGeneratedFromSpec(
+                  &catalog_, "big(a,b) rows=40000 keys=1 distinct=100 seed=3")
+                  .ok());
+  StartServer();
+  struct sigaction count_sigpipe = {};
+  count_sigpipe.sa_handler = [](int) { g_sigpipes.fetch_add(1); };
+  struct sigaction previous = {};
+  ASSERT_EQ(::sigaction(SIGPIPE, &count_sigpipe, &previous), 0);
+  g_sigpipes.store(0);
+
+  metrics::MetricRegistry& registry = metrics::MetricRegistry::Instance();
+  metrics::Counter& accepted = registry.GetCounter("server.connections", "");
+  metrics::Gauge& open = registry.GetGauge("server.active_connections", "");
+  metrics::Gauge& admitted = registry.GetGauge("server.active_queries", "");
+  const uint64_t accepted_before = accepted.value();
+  const int64_t open_before = open.value();
+  {
+    Client leaver = Connect();
+    ASSERT_TRUE(leaver.SendFrame(FrameType::kQuery, "SELECT a, b FROM big")
+                    .ok());
+    leaver.Disconnect();  // without reading a byte
+  }
+  // The server must notice the dead peer and end that session.
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(30);
+  while ((accepted.value() != accepted_before + 1 ||
+          open.value() != open_before) &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
+  EXPECT_EQ(open.value(), open_before) << "abandoned session still open";
+  EXPECT_EQ(server_->admission()->active(), 0u);
+  EXPECT_EQ(admitted.value(), 0);
+
+  // A new client is served in full.
+  Client client = Connect();
+  Client::Result result;
+  ASSERT_TRUE(client.Query("SELECT a, b FROM big", &result).ok());
+  ASSERT_TRUE(result.ok) << result.error_message;
+  EXPECT_EQ(result.rows.size(), 40000u);
+  EXPECT_EQ(result.total_rows, 40000u);
+
+  ASSERT_EQ(::sigaction(SIGPIPE, &previous, nullptr), 0);
+  EXPECT_EQ(g_sigpipes.load(), 0) << "MSG_NOSIGNAL must keep SIGPIPE away";
 }
 
 // ---------------------------------------------------------------------------

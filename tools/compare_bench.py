@@ -28,6 +28,12 @@ a freshly-run (noisy, CI-throttled) measurement:
     --overhead-pct (default 2%), the observability budget documented in
     docs/OBSERVABILITY.md.
 
+A dirty aggregate is informational only: bench/run_benches.sh marks its
+context "dirty" when the build was not Release or the machine was loaded,
+and an aggregate that records no such context predates the check and
+cannot vouch for either. A check that reads a dirty aggregate prints its
+findings without failing.
+
 Usage:
   tools/compare_bench.py                  # auto-pick from the repo root
   tools/compare_bench.py NEW.json OLD.json
@@ -58,9 +64,18 @@ _UNIT_NS = {"ns": 1.0, "us": 1e3, "ms": 1e6, "s": 1e9}
 
 
 def load_entries(path):
-    """Returns {benchmark name: real_time in ns} (suites mix ms/ns units)."""
+    """Returns ({benchmark name: real_time in ns}, dirty).
+
+    Suites mix ms/ns units. `dirty` is the context's flag, True when the
+    aggregate records none.
+    """
     with open(path) as f:
         data = json.load(f)
+    dirty = (data.get("context") or {}).get("dirty", True)
+    if dirty:
+        print(f"note: {os.path.basename(path)} is dirty (not Release, "
+              f"loaded, or no recorded context): its checks are "
+              f"informational only")
     entries = {}
     for b in data.get("benchmarks", []):
         # Skip aggregate rows (mean/median/stddev) if a run ever emits them.
@@ -70,7 +85,7 @@ def load_entries(path):
         if unit not in _UNIT_NS:
             sys.exit(f"error: {path}: unknown time unit {unit!r}")
         entries[b["name"]] = float(b["real_time"]) * _UNIT_NS[unit]
-    return entries
+    return entries, dirty
 
 
 def main():
@@ -97,9 +112,10 @@ def main():
     else:
         parser.error("pass exactly two aggregates, or none for auto-pick")
 
-    new = load_entries(new_path)
-    old = load_entries(old_path)
+    new, new_dirty = load_entries(new_path)
+    old, old_dirty = load_entries(old_path)
     failures = []
+    notes = []
 
     # --- 1. cross-PR regressions on shared entries -------------------------
     shared = sorted(n for n in set(new) & set(old) if old[n] > 0)
@@ -122,14 +138,14 @@ def main():
           f"{os.path.basename(old_path)} -> {os.path.basename(new_path)}, "
           f"median machine shift {machine_shift:.2f}x"
           + (f", worst +{worst[0]:.1f}% on {worst[1]}" if worst[1] else ""))
-    if comparable:
-        failures.extend(regressions)
-    else:
+    if not comparable:
         print(f"note: {machine_shift:.2f}x median shift exceeds "
               f"{args.comparable_shift_pct:.0f}% -- different machine, "
               f"regression gate informational only")
-        for r in regressions:
-            print(f"info ({r})")
+    if comparable and not new_dirty and not old_dirty:
+        failures.extend(regressions)
+    else:
+        notes.extend(regressions)
 
     # --- 2. instrumentation-overhead budgets in the newest aggregate -------
     pairs = 0
@@ -143,17 +159,20 @@ def main():
                 continue
             pairs += 1
             overhead_pct = (new[sibling] - bare_time) / bare_time * 100.0
-            status = "OK" if overhead_pct <= args.overhead_pct else "FAIL"
+            status = ("OK" if overhead_pct <= args.overhead_pct
+                      else "OVER" if new_dirty else "FAIL")
             print(f"overhead {status}: {sibling} vs {name}: "
                   f"{overhead_pct:+.2f}% (budget {args.overhead_pct:.0f}%)")
             if overhead_pct > args.overhead_pct:
-                failures.append(
+                (notes if new_dirty else failures).append(
                     f"overhead: {sibling}: {overhead_pct:+.2f}% over "
                     f"{name} exceeds {args.overhead_pct:.0f}% budget")
     if pairs == 0:
         failures.append("no _Bare/_Profiled|_Instrumented pairs found in "
                         + os.path.basename(new_path))
 
+    for n in notes:
+        print(f"info ({n})")
     for f in failures:
         print(f"FAIL: {f}")
     return 1 if failures else 0
