@@ -6,8 +6,10 @@
 // Measured with real time (producer threads do the sorting); the scaling
 // these numbers show is bounded by the machine's core count, so expect
 // near-flat curves on single-core CI runners and real speedup on
-// multi-core hardware. column_cmp_per_row tracks the rolled-up per-worker
-// comparison totals, which stay hardware-independent.
+// multi-core hardware: each run records `nproc`, and runs with more workers
+// than usable CPUs are labelled "not a scaling measurement".
+// column_cmp_per_row tracks the rolled-up per-worker comparison totals,
+// which stay hardware-independent.
 
 #include <memory>
 
@@ -61,6 +63,11 @@ void ParallelSortPlan(benchmark::State& state) {
       static_cast<double>(counters.column_comparisons) /
       (static_cast<double>(state.iterations()) * kRows);
   state.counters["workers"] = workers;
+  const int nproc = bench::UsableCpus();
+  state.counters["nproc"] = nproc;
+  if (static_cast<int>(workers) > nproc) {
+    state.SetLabel("not a scaling measurement");
+  }
 }
 
 BENCHMARK(ParallelSortPlan)

@@ -12,7 +12,6 @@
 //   BM_ServingQps/clients:N/warm:{0,1} -- items/sec is QPS.
 
 #include <benchmark/benchmark.h>
-#include <sched.h>
 
 #include <atomic>
 #include <memory>
@@ -20,6 +19,7 @@
 #include <thread>
 #include <vector>
 
+#include "bench_util.h"
 #include "server/client.h"
 #include "server/server.h"
 #include "sql/catalog.h"
@@ -35,13 +35,6 @@ const char kSql[] =
     "FROM t f INNER JOIN d ON f.a = d.a "
     "GROUP BY f.a ORDER BY f.a";
 constexpr int kQueriesPerRound = 20;
-
-/// CPUs this process may run on (what `nproc` prints).
-int UsableCpus() {
-  cpu_set_t set;
-  if (sched_getaffinity(0, sizeof(set), &set) != 0) return 1;
-  return CPU_COUNT(&set);
-}
 
 sql::Catalog* SharedCatalog() {
   static sql::Catalog* catalog = [] {
@@ -103,7 +96,7 @@ void BM_ServingQps(benchmark::State& state) {
   OVC_CHECK(!failed.load());
 
   state.SetItemsProcessed(state.iterations() * clients * kQueriesPerRound);
-  if (clients > UsableCpus()) state.SetLabel("not a scaling measurement");
+  if (clients > bench::UsableCpus()) state.SetLabel("not a scaling measurement");
   state.counters["plan_cache_hits"] =
       static_cast<double>(server.plan_cache()->hits());
   server.Stop();

@@ -9,6 +9,8 @@
 #ifndef OVC_BENCH_BENCH_UTIL_H_
 #define OVC_BENCH_BENCH_UTIL_H_
 
+#include <sched.h>
+
 #include <cstdint>
 
 #include "core/ovc.h"
@@ -18,6 +20,14 @@
 #include "sort/run.h"
 
 namespace ovc::bench {
+
+/// CPUs this process may run on (what `nproc` prints). A run with more
+/// threads than this is not a scaling measurement.
+inline int UsableCpus() {
+  cpu_set_t set;
+  if (sched_getaffinity(0, sizeof(set), &set) != 0) return 1;
+  return CPU_COUNT(&set);
+}
 
 /// Random table in the paper's shape.
 inline RowBuffer MakeTable(const Schema& schema, uint64_t rows,

@@ -15,49 +15,65 @@
 
 namespace ovc {
 
+/// The one list of QueryCounters fields, in declaration order (which is
+/// also the RESULT_DONE wire order). Each entry is X(field, help), where
+/// `help` is the help text of the `query.<field>` metric. The struct
+/// members, Merge/Delta/==/ToString, the wire codec, the JSON profile,
+/// the query.* metrics and ovcsql `.counters` all expand this list, so a
+/// new counter is one entry here plus one row in the docs/OBSERVABILITY.md
+/// metric registry.
+#define OVC_QUERY_COUNTER_FIELDS(X)                                          \
+  /* Individual column-value comparisons (the expensive kind the paper       \
+     bounds by N x K). */                                                    \
+  X(column_comparisons, "Column value comparisons across all statements")    \
+  /* Integer comparisons of whole offset-value codes (the cheap kind;        \
+     "practically free" when folded into validity tests). */                 \
+  X(code_comparisons, "Offset-value code comparisons across all statements") \
+  /* Full row comparisons requested (each may cost several column            \
+     comparisons). */                                                        \
+  X(row_comparisons, "Row comparisons across all statements")                \
+  /* Hash computations over key columns (hash-based baselines). */           \
+  X(hash_computations, "Key hash computations across all statements")        \
+  /* Rows written to temporary storage (spill volume, Figure 6               \
+     discussion). */                                                         \
+  X(rows_spilled, "Rows written to temporary storage")                       \
+  /* Bytes written to temporary storage. */                                  \
+  X(bytes_spilled, "Bytes written to temporary storage")                     \
+  /* Rows that bypassed merge logic because their code marked them as        \
+     duplicates of the previous winner (Section 5). */                       \
+  X(merge_bypass_rows, "Rows that bypassed merge logic as coded duplicates") \
+  /* Grace hash joins whose build side overflowed its memory budget and      \
+     degraded to the sort+merge continuation mid-query. */                   \
+  X(hash_join_fallbacks,                                                     \
+    "Grace hash joins degraded to sort+merge mid-query")                     \
+  /* Hash aggregations whose group table overflowed and degraded to          \
+     in-sort aggregation mid-query. */                                       \
+  X(hash_agg_fallbacks, "Hash aggregations degraded to in-sort mid-query")   \
+  /* Transient temp-file I/O failures recovered by retry-with-backoff. */    \
+  X(io_retries, "Transient temp-file I/O failures recovered by retry")
+
 /// Work counters threaded through comparators, operators, and storage.
 /// Not thread-safe; each execution thread owns its own instance and parallel
 /// operators (exchange) aggregate at the end.
 struct QueryCounters {
-  /// Individual column-value comparisons (the expensive kind the paper
-  /// bounds by N x K).
-  uint64_t column_comparisons = 0;
-  /// Integer comparisons of whole offset-value codes (the cheap kind;
-  /// "practically free" when folded into validity tests).
-  uint64_t code_comparisons = 0;
-  /// Full row comparisons requested (each may cost several column
-  /// comparisons).
-  uint64_t row_comparisons = 0;
-  /// Hash computations over key columns (hash-based baselines).
-  uint64_t hash_computations = 0;
-  /// Rows written to temporary storage (spill volume, Figure 6 discussion).
-  uint64_t rows_spilled = 0;
-  /// Bytes written to temporary storage.
-  uint64_t bytes_spilled = 0;
-  /// Rows that bypassed merge logic because their code marked them as
-  /// duplicates of the previous winner (Section 5).
-  uint64_t merge_bypass_rows = 0;
-  /// Grace hash joins whose build side overflowed its memory budget and
-  /// degraded to the sort+merge continuation mid-query.
-  uint64_t hash_join_fallbacks = 0;
-  /// Hash aggregations whose group table overflowed and degraded to
-  /// in-sort aggregation mid-query.
-  uint64_t hash_agg_fallbacks = 0;
-  /// Transient temp-file I/O failures recovered by retry-with-backoff.
-  uint64_t io_retries = 0;
+#define OVC_DECLARE_COUNTER(field, help) uint64_t field = 0;
+  OVC_QUERY_COUNTER_FIELDS(OVC_DECLARE_COUNTER)
+#undef OVC_DECLARE_COUNTER
+
+  /// Calls `f(name, member)` for every field in declaration order, where
+  /// `member` is a `uint64_t QueryCounters::*`.
+  template <typename F>
+  static void ForEachField(F&& f) {
+#define OVC_VISIT_COUNTER(field, help) f(#field, &QueryCounters::field);
+    OVC_QUERY_COUNTER_FIELDS(OVC_VISIT_COUNTER)
+#undef OVC_VISIT_COUNTER
+  }
 
   /// Adds all counts from `other` into this instance.
   void Merge(const QueryCounters& other) {
-    column_comparisons += other.column_comparisons;
-    code_comparisons += other.code_comparisons;
-    row_comparisons += other.row_comparisons;
-    hash_computations += other.hash_computations;
-    rows_spilled += other.rows_spilled;
-    bytes_spilled += other.bytes_spilled;
-    merge_bypass_rows += other.merge_bypass_rows;
-    hash_join_fallbacks += other.hash_join_fallbacks;
-    hash_agg_fallbacks += other.hash_agg_fallbacks;
-    io_retries += other.io_retries;
+    ForEachField([&](const char*, uint64_t QueryCounters::*m) {
+      this->*m += other.*m;
+    });
   }
 
   /// Resets all counts to zero.
@@ -69,44 +85,31 @@ struct QueryCounters {
   static QueryCounters Delta(const QueryCounters& before,
                              const QueryCounters& after) {
     QueryCounters d;
-    d.column_comparisons = after.column_comparisons - before.column_comparisons;
-    d.code_comparisons = after.code_comparisons - before.code_comparisons;
-    d.row_comparisons = after.row_comparisons - before.row_comparisons;
-    d.hash_computations = after.hash_computations - before.hash_computations;
-    d.rows_spilled = after.rows_spilled - before.rows_spilled;
-    d.bytes_spilled = after.bytes_spilled - before.bytes_spilled;
-    d.merge_bypass_rows = after.merge_bypass_rows - before.merge_bypass_rows;
-    d.hash_join_fallbacks = after.hash_join_fallbacks - before.hash_join_fallbacks;
-    d.hash_agg_fallbacks = after.hash_agg_fallbacks - before.hash_agg_fallbacks;
-    d.io_retries = after.io_retries - before.io_retries;
+    ForEachField([&](const char*, uint64_t QueryCounters::*m) {
+      d.*m = after.*m - before.*m;
+    });
     return d;
   }
 
-  /// One-line human-readable summary for examples and benchmarks.
+  /// One-line `field=value` summary of every field, for examples,
+  /// benchmarks and test failure messages.
   std::string ToString() const {
-    return "column_cmp=" + std::to_string(column_comparisons) +
-           " code_cmp=" + std::to_string(code_comparisons) +
-           " row_cmp=" + std::to_string(row_comparisons) +
-           " hash=" + std::to_string(hash_computations) +
-           " rows_spilled=" + std::to_string(rows_spilled) +
-           " bytes_spilled=" + std::to_string(bytes_spilled) +
-           " merge_bypass=" + std::to_string(merge_bypass_rows) +
-           " fallbacks=" +
-           std::to_string(hash_join_fallbacks + hash_agg_fallbacks) +
-           " io_retries=" + std::to_string(io_retries);
+    std::string out;
+    ForEachField([&](const char* name, uint64_t QueryCounters::*m) {
+      if (!out.empty()) out += ' ';
+      out += name;
+      out += '=';
+      out += std::to_string(this->*m);
+    });
+    return out;
   }
 
   friend bool operator==(const QueryCounters& a, const QueryCounters& b) {
-    return a.column_comparisons == b.column_comparisons &&
-           a.code_comparisons == b.code_comparisons &&
-           a.row_comparisons == b.row_comparisons &&
-           a.hash_computations == b.hash_computations &&
-           a.rows_spilled == b.rows_spilled &&
-           a.bytes_spilled == b.bytes_spilled &&
-           a.merge_bypass_rows == b.merge_bypass_rows &&
-           a.hash_join_fallbacks == b.hash_join_fallbacks &&
-           a.hash_agg_fallbacks == b.hash_agg_fallbacks &&
-           a.io_retries == b.io_retries;
+    bool equal = true;
+    ForEachField([&](const char*, uint64_t QueryCounters::*m) {
+      equal = equal && a.*m == b.*m;
+    });
+    return equal;
   }
   friend bool operator!=(const QueryCounters& a, const QueryCounters& b) {
     return !(a == b);

@@ -249,18 +249,17 @@ void QueryProfile::JsonNode(int node, std::string* out) const {
   char qbuf[64];
   std::snprintf(qbuf, sizeof(qbuf), ",\"q_error\":%.3f", QError(node));
   *out += qbuf;
-  *out += ",\"counters\":{\"column_comparisons\":" +
-          std::to_string(c.column_comparisons) +
-          ",\"code_comparisons\":" + std::to_string(c.code_comparisons) +
-          ",\"row_comparisons\":" + std::to_string(c.row_comparisons) +
-          ",\"hash_computations\":" + std::to_string(c.hash_computations) +
-          ",\"rows_spilled\":" + std::to_string(c.rows_spilled) +
-          ",\"bytes_spilled\":" + std::to_string(c.bytes_spilled) +
-          ",\"merge_bypass_rows\":" + std::to_string(c.merge_bypass_rows) +
-          ",\"hash_join_fallbacks\":" +
-          std::to_string(c.hash_join_fallbacks) +
-          ",\"hash_agg_fallbacks\":" + std::to_string(c.hash_agg_fallbacks) +
-          ",\"io_retries\":" + std::to_string(c.io_retries) + "}";
+  *out += ",\"counters\":{";
+  const char* sep = "";
+  QueryCounters::ForEachField(
+      [&](const char* name, uint64_t QueryCounters::*m) {
+        *out += sep;
+        *out += "\"";
+        *out += name;
+        *out += "\":" + std::to_string(c.*m);
+        sep = ",";
+      });
+  *out += "}";
   *out += ",\"children\":[";
   for (size_t i = 0; i < n.children.size(); ++i) {
     if (i > 0) *out += ",";

@@ -7,16 +7,6 @@
 
 namespace ovc::plan {
 
-const char* CostPolicyName(CostPolicy policy) {
-  switch (policy) {
-    case CostPolicy::kCostBased:
-      return "cost-based";
-    case CostPolicy::kRuleBased:
-      return "rule-based";
-  }
-  return "unknown";
-}
-
 double CardEstimate::DistinctPrefix(uint32_t prefix) const {
   if (prefix == 0) return 1.0;
   double d;

@@ -44,19 +44,6 @@ namespace ovc::plan {
 
 struct LogicalNode;
 
-/// How the physical planner chooses among algorithms.
-enum class CostPolicy : uint8_t {
-  /// Compare estimated costs (cardinalities x calibrated constants) under
-  /// the configured memory budgets. The default.
-  kCostBased,
-  /// The pure property/policy rules of PR 1..4 (hash wherever order is not
-  /// interesting, grace hash for unsorted joins regardless of spilling).
-  /// Every pre-PR5 plan-shape test can pin this to stay byte-identical.
-  kRuleBased,
-};
-
-const char* CostPolicyName(CostPolicy policy);
-
 /// Calibrated per-event work constants, in nanoseconds on the machine that
 /// produced the committed BENCH_PR*.json aggregates. Override through
 /// PlannerOptions::cost_constants; re-derive with bench/run_benches.sh

@@ -104,9 +104,8 @@ double SortCostFor(const CostModel& model, const CardEstimate& card,
 
 // ---------------------------------------------------------------------------
 // Pure decision rules, shared by the instantiating planner and the pure
-// inference entry point so the two can never disagree. Under
-// CostPolicy::kCostBased the open calls compare cost estimates; under
-// kRuleBased they reproduce the PR 1..4 policy exactly.
+// inference entry point so the two can never disagree. The open calls
+// compare cost estimates.
 // ---------------------------------------------------------------------------
 
 struct JoinDecision {
@@ -158,95 +157,58 @@ JoinDecision DecideJoin(const LogicalNode& node, const OrderProperty& left,
   if (l_ok && r_ok) {
     // Both inputs arrive sorted with codes: the merge join both exploits
     // and reproduces them (Section 4.7) at pure code-comparison cost --
-    // nothing can beat it, under either policy.
+    // nothing can beat it.
     d.alg = PhysicalAlg::kMergeJoin;
     return d;
   }
   const bool hash_allowed = !options.prefer_sort_based && HashSupports(type);
-  if (options.cost_policy == CostPolicy::kCostBased) {
-    const CostModel model = ModelFor(options);
-    const CardEstimate lc = CardOf(*node.children[0], options.cost_constants);
-    const CardEstimate rc = CardOf(*node.children[1], options.cost_constants);
-    const double out_rows = CardOf(node, options.cost_constants).rows;
-    // The sort-based fallback: sorts exactly where order or codes are
-    // missing, then merge join (spilling gracefully past the sort memory
-    // budget).
-    const double sort_merge = (l_ok ? 0.0 : SortCostFor(model, lc, ls)) +
-                              (r_ok ? 0.0 : SortCostFor(model, rc, rs)) +
-                              model.MergeJoin(lc.rows, rc.rows, out_rows);
-    if (hash_allowed && !l_ok &&
-        (type == JoinType::kInner || type == JoinType::kLeftSemi)) {
-      // No order on the probe side: grace hash join versus sorting both
-      // inputs, decided by estimated cost under the memory budgets --
-      // grace pays a partition write+read round trip for both sides once
-      // the build exceeds hash_memory_rows, which is where the sort-based
-      // plan starts winning (the Figure 6 race). An ordered coded probe
-      // (l_ok below) is never discarded for a hash join.
-      // Combining hash joins pay the layout-restoring projection back to
-      // the canonical merge layout; merge joins never do. Charge it here
-      // so the decision threshold matches the recorded estimates.
-      const double grace = model.GraceHashJoin(lc.rows, rc.rows, out_rows,
-                                               ls.total_columns(),
-                                               rs.total_columns()) +
-                           (combines ? model.Project(out_rows) : 0.0);
-      if (grace < sort_merge) {
-        d.alg = PhysicalAlg::kGraceHashJoin;
-        d.normalize = combines;
-        d.out = OrderProperty::Unsorted();
-        return d;
-      }
-    }
-    if (hash_allowed && l_ok && options.assume_build_fits_memory &&
-        rc.rows <= static_cast<double>(options.hash_memory_rows)) {
-      // Sorted probe over an unsorted build with a residency vouch: the
-      // order-preserving in-memory hash join (Section 4.9) versus sorting
-      // only the build side. The estimate must also respect the budget
-      // the vouch is about -- the operator aborts past it.
-      const double in_memory_hash =
-          model.OrderPreservingHashJoin(lc.rows, rc.rows, out_rows) +
-          (combines ? model.Project(out_rows) : 0.0);
-      if (in_memory_hash < sort_merge) {
-        d.alg = PhysicalAlg::kOrderPreservingHashJoin;
-        d.normalize = combines;
-        return d;
-      }
-    }
-    d.alg = PhysicalAlg::kMergeJoin;
-    d.sort_left = !l_ok;
-    d.sort_right = !r_ok;
-    return d;
-  }
-  // Rule-based policy (pre-PR5 behavior, byte for byte).
-  if (hash_allowed) {
-    if (l_ok && options.assume_build_fits_memory) {
-      // Probe side ordered and coded: the in-memory hash join preserves
-      // both (Section 4.9), at the price of a resident build side. Only
-      // when the caller vouches for the build fitting in memory -- the
-      // operator aborts past its budget, so the robust default below
-      // sorts the build side and merge joins instead.
-      d.alg = PhysicalAlg::kOrderPreservingHashJoin;
-      d.normalize = combines;
-      return d;
-    }
-    if (!l_ok && (type == JoinType::kInner || type == JoinType::kLeftSemi)) {
-      // No order anywhere: grace hash join. An order-interested parent is
-      // deliberately NOT honored here -- it is cheaper to let the parent
-      // absorb the disorder with an order-producing operator over the join
-      // *output* (in-sort aggregation/distinct, Figure 5's early-
-      // aggregation shape) than to sort both join *inputs*; the
-      // cost-based policy revisits this per cardinality and memory
-      // budget.
+  const CostModel model = ModelFor(options);
+  const CardEstimate lc = CardOf(*node.children[0], options.cost_constants);
+  const CardEstimate rc = CardOf(*node.children[1], options.cost_constants);
+  const double out_rows = CardOf(node, options.cost_constants).rows;
+  // The sort-based fallback: sorts exactly where order or codes are
+  // missing, then merge join (spilling gracefully past the sort memory
+  // budget).
+  const double sort_merge = (l_ok ? 0.0 : SortCostFor(model, lc, ls)) +
+                            (r_ok ? 0.0 : SortCostFor(model, rc, rs)) +
+                            model.MergeJoin(lc.rows, rc.rows, out_rows);
+  if (hash_allowed && !l_ok &&
+      (type == JoinType::kInner || type == JoinType::kLeftSemi)) {
+    // No order on the probe side: grace hash join versus sorting both
+    // inputs, decided by estimated cost under the memory budgets --
+    // grace pays a partition write+read round trip for both sides once
+    // the build exceeds hash_memory_rows, which is where the sort-based
+    // plan starts winning (the Figure 6 race). An ordered coded probe
+    // (l_ok below) is never discarded for a hash join.
+    // Combining hash joins pay the layout-restoring projection back to
+    // the canonical merge layout; merge joins never do. Charge it here
+    // so the decision threshold matches the recorded estimates.
+    const double grace = model.GraceHashJoin(lc.rows, rc.rows, out_rows,
+                                             ls.total_columns(),
+                                             rs.total_columns()) +
+                         (combines ? model.Project(out_rows) : 0.0);
+    if (grace < sort_merge) {
       d.alg = PhysicalAlg::kGraceHashJoin;
       d.normalize = combines;
       d.out = OrderProperty::Unsorted();
       return d;
     }
   }
-  // Sort-based fallback: insert sorts exactly where order or codes are
-  // missing, then merge join. This also serves a sorted probe over an
-  // unsorted build when assume_build_fits_memory is off: only the build
-  // side is sorted, the probe's order and codes are reused as-is, and
-  // everything spills gracefully.
+  if (hash_allowed && l_ok && options.assume_build_fits_memory &&
+      rc.rows <= static_cast<double>(options.hash_memory_rows)) {
+    // Sorted probe over an unsorted build with a residency vouch: the
+    // order-preserving in-memory hash join (Section 4.9) versus sorting
+    // only the build side. The estimate must also respect the budget
+    // the vouch is about -- the operator aborts past it.
+    const double in_memory_hash =
+        model.OrderPreservingHashJoin(lc.rows, rc.rows, out_rows) +
+        (combines ? model.Project(out_rows) : 0.0);
+    if (in_memory_hash < sort_merge) {
+      d.alg = PhysicalAlg::kOrderPreservingHashJoin;
+      d.normalize = combines;
+      return d;
+    }
+  }
   d.alg = PhysicalAlg::kMergeJoin;
   d.sort_left = !l_ok;
   d.sort_right = !r_ok;
@@ -266,7 +228,7 @@ UnaryDecision DecideAggregate(const LogicalNode& node,
   if (child.SortedOn(node.group_prefix)) {
     // Sorted input: group boundaries are one integer test per row when
     // codes are present, column comparisons otherwise (Figure 4's two
-    // sides). Cheapest under either policy.
+    // sides). Cheapest by any estimate.
     d.alg = PhysicalAlg::kInStreamAggregate;
     d.out = OrderProperty::Sorted(node.group_prefix, child.has_ovc);
     return d;
@@ -274,8 +236,8 @@ UnaryDecision DecideAggregate(const LogicalNode& node,
   if (node.required.interested() || options.prefer_sort_based) {
     // The parent can exploit order (or sort-based planning is forced):
     // aggregate inside the sort, collapsing duplicates at every stage
-    // (Figure 5's sort-based plan). This gate survives the cost-based
-    // policy as a robustness guard: producing the order here feeds the
+    // (Figure 5's sort-based plan). This gate stays ahead of the cost
+    // model as a robustness guard: producing the order here feeds the
     // parent codes for free, while a hash aggregate would force the
     // parent to re-sort output whose duplicate density the model can
     // only guess.
@@ -283,27 +245,25 @@ UnaryDecision DecideAggregate(const LogicalNode& node,
     d.out = OrderProperty::Sorted(node.schema.key_arity(), /*ovc=*/true);
     return d;
   }
-  if (options.cost_policy == CostPolicy::kCostBased) {
-    // Order-indifferent parent: in-sort versus hash aggregation by
-    // estimated cost under the memory budgets. In memory the hash
-    // aggregate wins on constants; once the estimated group count
-    // overflows hash_memory_rows the hash table starts spilling input
-    // rows while duplicate collapse keeps the sort's spill volume bounded
-    // by the group count -- the point where Figure 5's sort-based plan
-    // takes over.
-    const CostModel model = ModelFor(options);
-    const CardEstimate cc = CardOf(*node.children[0], options.cost_constants);
-    const double groups = cc.DistinctPrefix(node.group_prefix);
-    const double in_sort =
-        model.InSortAggregate(cc.rows, groups, node.group_prefix, groups,
-                              node.schema.total_columns());
-    const double hash =
-        model.HashAggregate(cc.rows, groups, node.schema.total_columns());
-    if (in_sort < hash) {
-      d.alg = PhysicalAlg::kInSortAggregate;
-      d.out = OrderProperty::Sorted(node.schema.key_arity(), /*ovc=*/true);
-      return d;
-    }
+  // Order-indifferent parent: in-sort versus hash aggregation by
+  // estimated cost under the memory budgets. In memory the hash
+  // aggregate wins on constants; once the estimated group count
+  // overflows hash_memory_rows the hash table starts spilling input
+  // rows while duplicate collapse keeps the sort's spill volume bounded
+  // by the group count -- the point where Figure 5's sort-based plan
+  // takes over.
+  const CostModel model = ModelFor(options);
+  const CardEstimate cc = CardOf(*node.children[0], options.cost_constants);
+  const double groups = cc.DistinctPrefix(node.group_prefix);
+  const double in_sort =
+      model.InSortAggregate(cc.rows, groups, node.group_prefix, groups,
+                            node.schema.total_columns());
+  const double hash =
+      model.HashAggregate(cc.rows, groups, node.schema.total_columns());
+  if (in_sort < hash) {
+    d.alg = PhysicalAlg::kInSortAggregate;
+    d.out = OrderProperty::Sorted(node.schema.key_arity(), /*ovc=*/true);
+    return d;
   }
   d.alg = PhysicalAlg::kHashAggregate;
   d.out = OrderProperty::Unsorted();
@@ -325,22 +285,20 @@ UnaryDecision DecideDistinct(const LogicalNode& node,
   const bool keeps_payloads = schema.payload_columns() > 0;
   if (!keeps_payloads && !options.prefer_sort_based &&
       !node.required.interested()) {
-    if (options.cost_policy == CostPolicy::kCostBased) {
-      // Same open call as the aggregate above, over the full key.
-      const CostModel model = ModelFor(options);
-      const CardEstimate cc =
-          CardOf(*node.children[0], options.cost_constants);
-      const double groups = cc.DistinctPrefix(schema.key_arity());
-      const double in_sort =
-          model.InSortAggregate(cc.rows, groups, schema.key_arity(), groups,
-                                schema.total_columns());
-      const double hash =
-          model.HashAggregate(cc.rows, groups, schema.total_columns());
-      if (in_sort < hash) {
-        d.alg = PhysicalAlg::kInSortDistinct;
-        d.out = OrderProperty::Sorted(schema.key_arity(), /*ovc=*/true);
-        return d;
-      }
+    // Same open call as the aggregate above, over the full key.
+    const CostModel model = ModelFor(options);
+    const CardEstimate cc =
+        CardOf(*node.children[0], options.cost_constants);
+    const double groups = cc.DistinctPrefix(schema.key_arity());
+    const double in_sort =
+        model.InSortAggregate(cc.rows, groups, schema.key_arity(), groups,
+                              schema.total_columns());
+    const double hash =
+        model.HashAggregate(cc.rows, groups, schema.total_columns());
+    if (in_sort < hash) {
+      d.alg = PhysicalAlg::kInSortDistinct;
+      d.out = OrderProperty::Sorted(schema.key_arity(), /*ovc=*/true);
+      return d;
     }
     d.alg = PhysicalAlg::kHashDistinct;
     d.out = OrderProperty::Unsorted();
@@ -367,8 +325,7 @@ UnaryDecision DecideSort(const LogicalNode& node, const OrderProperty& child,
   UnaryDecision d;
   if (SortedWithCodesOn(child, node.schema)) {
     // The planner's key property payoff: input already sorted and coded
-    // means the sort disappears entirely -- zero cost beats any resort
-    // under any policy.
+    // means the sort disappears entirely -- zero cost beats any resort.
     d.alg = PhysicalAlg::kElidedSort;
     d.out = child;
     return d;
@@ -530,7 +487,7 @@ Planner::Planner(QueryCounters* counters, TempFileManager* temp,
 PhysicalPlan Planner::Plan(LogicalNode* root) {
   InferOrderRequirements(root);
   // Cardinalities first: the decision rules behind the inferred-property
-  // pass consult them under the cost-based policy.
+  // pass consult them.
   AnnotateCardinalities(root, options_.cost_constants);
   AnnotateInferred(root, options_);
   PhysicalPlan plan;

@@ -24,8 +24,7 @@
 //    Figure 5) when the input is unsorted but the parent has an interesting
 //    order or sort-based planning is preferred; hash versus in-sort by
 //    estimated cost otherwise (hash wins resident, in-sort once the group
-//    count overflows the hash budget). CostPolicy::kRuleBased pins the
-//    pre-cost-model policy for all of the above.
+//    count overflows the hash budget).
 //  * Distinct: code-only duplicate removal over sorted input (Section 4.4);
 //    in-sort or hash duplicate removal over unsorted input.
 //  * Set operations are inherently sort-based; sorts are inserted only for
@@ -97,19 +96,15 @@ const char* PhysicalAlgName(PhysicalAlg alg);
 
 /// Planner knobs.
 struct PlannerOptions {
-  /// How the planner picks among physical alternatives where correctness
-  /// permits several: estimated-cost comparison (the default) or the pure
-  /// property/policy rules of PR 1..4. Under kCostBased the hard policy
-  /// gates stay as correctness/robustness guards (hash joins only for the
-  /// types they support, an ordered coded probe is never discarded, an
-  /// order-interested parent gets an order-producing aggregate), and the
-  /// cost model decides the remaining open calls: grace-hash versus
-  /// sort+merge-join under the memory budgets, hash versus in-sort
-  /// aggregation/distinct by estimated duplicate density, and the
-  /// vouched in-memory hash join versus sorting the build side.
-  CostPolicy cost_policy = CostPolicy::kCostBased;
   /// Per-event work constants for the cost model. Defaults to the
-  /// committed calibration (see docs/COST_MODEL.md to re-derive).
+  /// committed calibration (see docs/COST_MODEL.md to re-derive). Where
+  /// correctness permits several algorithms, hard gates come first (hash
+  /// joins only for the types they support, an ordered coded probe is
+  /// never discarded, an order-interested parent gets an order-producing
+  /// aggregate) and estimated cost decides the remaining open calls:
+  /// grace-hash versus sort+merge-join under the memory budgets, hash
+  /// versus in-sort aggregation/distinct by estimated duplicate density,
+  /// and the vouched in-memory hash join versus sorting the build side.
   CostConstants cost_constants = CostConstants::Calibrated();
   /// True forces sort-based algorithms (inserting sorts) even where a
   /// hash-based operator would serve an order-indifferent consumer.

@@ -53,8 +53,9 @@ class Client {
     std::string explain_text;
     /// Total rows the server reported in RESULT_DONE (equals rows.size()).
     uint64_t total_rows = 0;
-    /// The statement's server-side QueryCounters delta -- the same ten
-    /// numbers the server added to its query.* metrics for this run.
+    /// The statement's server-side QueryCounters delta -- every
+    /// QueryCounters field, as the server added it to its query.* metrics
+    /// for this run.
     QueryCounters counters;
 
     std::string error_message;

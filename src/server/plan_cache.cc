@@ -40,22 +40,17 @@ bool NormalizeSql(std::string_view sql, std::string* normalized) {
   return true;
 }
 
-PlanCache::PlanCache(size_t capacity, std::string options_fingerprint)
-    : capacity_(capacity), options_fingerprint_(std::move(options_fingerprint)) {}
+PlanCache::PlanCache(size_t capacity) : capacity_(capacity) {}
 
 PlanCache::Lookup PlanCache::GetOrBind(std::string_view sql,
                                        const sql::Catalog* catalog) {
   Lookup result;
-  std::string normalized;
-  if (!NormalizeSql(sql, &normalized)) {
+  std::string key;
+  if (!NormalizeSql(sql, &key)) {
     // Does not lex; fall through to Prepare for the real diagnostic.
     result.cacheable = false;
     return result;
   }
-  std::string key = options_fingerprint_;
-  key.push_back('\n');
-  key.append(normalized);
-
   MutexLock lock(mu_);
   auto it = entries_.find(key);
   if (it != entries_.end()) {

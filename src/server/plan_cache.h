@@ -16,9 +16,9 @@
 //
 // Keying: the normalized statement text (lowercased identifiers,
 // canonical keywords, comments and whitespace collapsed -- see
-// NormalizeSql) prefixed by the cache's options fingerprint, so
-// `SELECT a FROM t` and `select  A from t -- x` share one entry, and a
-// cache built for one planner configuration can never serve another.
+// NormalizeSql), so `SELECT a FROM t` and `select  A from t -- x` share
+// one entry. Planner options never reach binding, so they are not part of
+// the key.
 // EXPLAIN [ANALYZE] statements and statements that fail to parse or bind
 // are not cached.
 //
@@ -63,9 +63,7 @@ class PlanCache {
 
   /// `capacity` 0 disables caching entirely (every lookup misses and
   /// nothing is stored) -- the cold-cache benchmark configuration.
-  /// `options_fingerprint` names the planner configuration this cache's
-  /// plans were bound under; it is folded into every key.
-  PlanCache(size_t capacity, std::string options_fingerprint);
+  explicit PlanCache(size_t capacity);
 
   struct Lookup {
     /// Set when the statement is cacheable and parse + bind succeeded
@@ -110,7 +108,6 @@ class PlanCache {
   };
 
   const size_t capacity_;
-  const std::string options_fingerprint_;
 
   mutable Mutex mu_;
   std::unordered_map<std::string, Slot> entries_ OVC_GUARDED_BY(mu_);

@@ -310,23 +310,6 @@ class ServerSession {
 
 }  // namespace
 
-std::string OptionsFingerprint(const plan::PlanExecutor::Options& options) {
-  const plan::PlannerOptions& p = options.planner;
-  std::string out;
-  out += "cost=" + std::to_string(static_cast<int>(p.cost_policy));
-  out += " sort_based=" + std::to_string(p.prefer_sort_based ? 1 : 0);
-  out += " build_fits=" + std::to_string(p.assume_build_fits_memory ? 1 : 0);
-  out += " hash_rows=" + std::to_string(p.hash_memory_rows);
-  out += " hash_parts=" + std::to_string(p.hash_partitions);
-  out += " fallback=" + std::to_string(static_cast<int>(p.fallback));
-  out += " parallelism=" + std::to_string(p.parallelism);
-  out += " sort_rows=" + std::to_string(p.sort_config.memory_rows);
-  out += " fan_in=" + std::to_string(p.sort_config.fan_in);
-  out += " ovc=" + std::to_string(p.sort_config.use_ovc ? 1 : 0);
-  out += " profile=" + std::to_string(p.profile ? 1 : 0);
-  return out;
-}
-
 Server::Server(const sql::Catalog* catalog, ServerOptions options)
     : catalog_(catalog),
       options_(std::move(options)),
@@ -334,8 +317,7 @@ Server::Server(const sql::Catalog* catalog, ServerOptions options)
                                                   options_.max_queries,
                                                   options_.workers_per_query)),
       temp_root_(options_.temp_dir),
-      cache_(options_.plan_cache_capacity,
-             OptionsFingerprint(session_options_)),
+      cache_(options_.plan_cache_capacity),
       admission_(options_.max_queries) {}
 
 Server::~Server() { Stop(); }

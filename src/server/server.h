@@ -125,10 +125,6 @@ class Server {
   std::vector<std::unique_ptr<Connection>> connections_ OVC_GUARDED_BY(mu_);
 };
 
-/// Renders PlanExecutor options into the stable string the plan cache
-/// keys on: every field that changes what a bound/planned statement means.
-std::string OptionsFingerprint(const plan::PlanExecutor::Options& options);
-
 }  // namespace ovc::server
 
 #endif  // OVC_SERVER_SERVER_H_

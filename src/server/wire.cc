@@ -117,16 +117,8 @@ void FrameWriter::PutString(std::string_view s) {
 }
 
 void FrameWriter::PutCounters(const QueryCounters& c) {
-  PutU64(c.column_comparisons);
-  PutU64(c.code_comparisons);
-  PutU64(c.row_comparisons);
-  PutU64(c.hash_computations);
-  PutU64(c.rows_spilled);
-  PutU64(c.bytes_spilled);
-  PutU64(c.merge_bypass_rows);
-  PutU64(c.hash_join_fallbacks);
-  PutU64(c.hash_agg_fallbacks);
-  PutU64(c.io_retries);
+  QueryCounters::ForEachField(
+      [&](const char*, uint64_t QueryCounters::*m) { PutU64(c.*m); });
 }
 
 void FrameWriter::PatchLength() {
@@ -190,11 +182,11 @@ bool PayloadReader::GetString(std::string* s) {
 }
 
 bool PayloadReader::GetCounters(QueryCounters* c) {
-  return GetU64(&c->column_comparisons) && GetU64(&c->code_comparisons) &&
-         GetU64(&c->row_comparisons) && GetU64(&c->hash_computations) &&
-         GetU64(&c->rows_spilled) && GetU64(&c->bytes_spilled) &&
-         GetU64(&c->merge_bypass_rows) && GetU64(&c->hash_join_fallbacks) &&
-         GetU64(&c->hash_agg_fallbacks) && GetU64(&c->io_retries);
+  bool ok = true;
+  QueryCounters::ForEachField([&](const char*, uint64_t QueryCounters::*m) {
+    ok = ok && GetU64(&(c->*m));
+  });
+  return ok;
 }
 
 }  // namespace ovc::server

@@ -55,7 +55,7 @@ enum class FrameType : uint8_t {
   kPrepared = 16,      // u64 handle | u8 cache_hit | u32 ncols | ncols * str
   kResultHeader = 17,  // u32 ncols | ncols * str
   kRowBatch = 18,      // u32 nrows | u32 width | nrows*width u64
-  kResultDone = 19,    // u64 total_rows | 10 u64 counters delta
+  kResultDone = 19,    // u64 total_rows | u64 per QueryCounters field
   kError = 20,         // u32 line | u32 col | str message
   kClosed = 21,        // empty
   kText = 22,          // str (EXPLAIN text, metrics JSON)
@@ -119,7 +119,7 @@ class FrameWriter {
   void PutString(std::string_view s);
   /// Raw bytes, no length prefix.
   void PutBytes(std::string_view s) { buf_.append(s); }
-  /// All ten QueryCounters fields, in declaration order.
+  /// Every QueryCounters field, in declaration order.
   void PutCounters(const QueryCounters& c);
 
   /// Closes the open frame; flushes once the buffer reaches kFlushBytes.

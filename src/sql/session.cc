@@ -9,45 +9,14 @@
 
 namespace ovc::sql {
 
-namespace {
-
-/// Mirrors a statement's counter delta into the process-wide query.*
-/// metrics, one metric per QueryCounters field. ovcsql `.counters`, the
-/// JSON profile, and `.metrics` therefore agree field-for-field.
-void RecordQueryMetrics(const QueryCounters& d) {
-  OVC_METRIC_COUNTER("query.column_comparisons",
-                     "Column value comparisons across all statements")
-      .Add(d.column_comparisons);
-  OVC_METRIC_COUNTER("query.code_comparisons",
-                     "Offset-value code comparisons across all statements")
-      .Add(d.code_comparisons);
-  OVC_METRIC_COUNTER("query.row_comparisons",
-                     "Row comparisons across all statements")
-      .Add(d.row_comparisons);
-  OVC_METRIC_COUNTER("query.hash_computations",
-                     "Key hash computations across all statements")
-      .Add(d.hash_computations);
-  OVC_METRIC_COUNTER("query.rows_spilled",
-                     "Rows written to temporary storage")
-      .Add(d.rows_spilled);
-  OVC_METRIC_COUNTER("query.bytes_spilled",
-                     "Bytes written to temporary storage")
-      .Add(d.bytes_spilled);
-  OVC_METRIC_COUNTER("query.merge_bypass_rows",
-                     "Rows that bypassed merge logic as coded duplicates")
-      .Add(d.merge_bypass_rows);
-  OVC_METRIC_COUNTER("query.hash_join_fallbacks",
-                     "Grace hash joins degraded to sort+merge mid-query")
-      .Add(d.hash_join_fallbacks);
-  OVC_METRIC_COUNTER("query.hash_agg_fallbacks",
-                     "Hash aggregations degraded to in-sort mid-query")
-      .Add(d.hash_agg_fallbacks);
-  OVC_METRIC_COUNTER("query.io_retries",
-                     "Transient temp-file I/O failures recovered by retry")
-      .Add(d.io_retries);
+void RecordQueryMetrics(const QueryCounters& delta) {
+  // One OVC_METRIC_COUNTER site per field, so each keeps its own cached
+  // registry lookup.
+#define OVC_RECORD_QUERY_COUNTER(field, help) \
+  OVC_METRIC_COUNTER("query." #field, help).Add(delta.field);
+  OVC_QUERY_COUNTER_FIELDS(OVC_RECORD_QUERY_COUNTER)
+#undef OVC_RECORD_QUERY_COUNTER
 }
-
-}  // namespace
 
 SqlSession::SqlSession(const Catalog* catalog, Options options)
     : catalog_(catalog), executor_(&counters_, &temp_, options) {}

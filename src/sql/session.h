@@ -31,6 +31,12 @@
 
 namespace ovc::sql {
 
+/// Adds a statement's counter delta to the process-wide query.<field>
+/// metrics, one per QueryCounters field. SqlSession::Run calls it once per
+/// executed statement, so ovcsql `.counters`, the JSON profile and
+/// `.metrics` agree field-for-field.
+void RecordQueryMetrics(const QueryCounters& delta);
+
 /// A prepared statement: the bound logical plan plus the physical plan the
 /// planner chose. Re-runnable; must not outlive its session or catalog.
 struct PreparedQuery {

@@ -26,7 +26,6 @@ using plan::BufferSource;
 using plan::CardEstimate;
 using plan::CostConstants;
 using plan::CostModel;
-using plan::CostPolicy;
 using plan::LogicalNode;
 using plan::NodeEstimate;
 using plan::PhysicalAlg;
@@ -49,14 +48,18 @@ double MeasuredCost(const QueryCounters& counters, const CostConstants& c) {
 class CostModelTest : public ::testing::Test {
  protected:
   /// An unsorted table with exact distinct-prefix statistics attached (the
-  /// same shape the SQL catalog provides for generated tables).
+  /// same shape the SQL catalog provides for generated tables). A nonzero
+  /// `claimed_rows` makes the statistics understate the table at that
+  /// many rows, so the planner prices hash operators over it as resident.
   TableSource StatsSource(const std::string& name, const Schema* schema,
-                          const RowBuffer* buffer, double distinct) {
+                          const RowBuffer* buffer, double distinct,
+                          uint64_t claimed_rows = 0) {
     TableSource source = BufferSource(name, schema, buffer);
+    if (claimed_rows != 0) source.stats.row_count = claimed_rows;
     double prefix = 1.0;
     for (uint32_t k = 0; k < schema->key_arity(); ++k) {
       prefix = std::min(prefix * distinct,
-                        static_cast<double>(buffer->size()));
+                        static_cast<double>(source.stats.row_count));
       source.stats.key_distinct.push_back(prefix);
     }
     return source;
@@ -232,8 +235,9 @@ TEST_F(CostModelTest, GroupsBeyondHashBudgetFlipToInSortAndMeasurementAgrees) {
   // way.
   Schema schema(1, 1);
   RowBuffer table = testing::MakeTable(schema, 40000, 5000, /*seed=*/12);
-  const auto build = [&] {
-    return PlanBuilder::Scan(StatsSource("mid", &schema, &table, 5000.0))
+  const auto build = [&](uint64_t claimed_rows) {
+    return PlanBuilder::Scan(
+               StatsSource("mid", &schema, &table, 5000.0, claimed_rows))
         .Aggregate(1, {{AggFn::kCount, 0}})
         .Build();
   };
@@ -249,20 +253,25 @@ TEST_F(CostModelTest, GroupsBeyondHashBudgetFlipToInSortAndMeasurementAgrees) {
   // Cost-based under the tiny budget: in-sort aggregation, no hashing.
   QueryCounters in_sort_counters;
   plan::PlanExecutor in_sort_exec(&in_sort_counters, &temp_, exec_options);
-  auto logical_a = build();
+  auto logical_a = build(/*claimed_rows=*/0);
   in_sort_exec.Run(logical_a.get());
   EXPECT_TRUE(in_sort_exec.last_plan()->Uses(PhysicalAlg::kInSortAggregate))
       << in_sort_exec.last_plan()->ToString();
   const double est_in_sort = in_sort_exec.last_plan()->root_estimate().cost;
 
-  // Rule-based ignores the budget and hashes (the pre-PR5 policy).
-  exec_options.planner.cost_policy = CostPolicy::kRuleBased;
+  // Statistics that claim 50 rows make the planner hash; the hash plan is
+  // priced on the true cardinalities.
   QueryCounters hash_counters;
   plan::PlanExecutor hash_exec(&hash_counters, &temp_, exec_options);
-  auto logical_b = build();
+  auto logical_b = build(/*claimed_rows=*/50);
   hash_exec.Run(logical_b.get());
   EXPECT_TRUE(hash_exec.last_plan()->Uses(PhysicalAlg::kHashAggregate));
-  const double est_hash = hash_exec.last_plan()->root_estimate().cost;
+  const CostModel model(exec_options.planner.cost_constants,
+                        exec_options.planner.sort_config,
+                        exec_options.planner.hash_memory_rows);
+  const double est_hash =
+      model.Scan(40000.0) +
+      model.HashAggregate(40000.0, 5000.0, logical_b->schema.total_columns());
   EXPECT_GT(hash_counters.bytes_spilled, 0u);
 
   EXPECT_LT(est_in_sort, est_hash);
@@ -317,9 +326,11 @@ TEST_F(CostModelTest, TinyHashBudgetFlipsJoinToSortMergeAndMeasurementAgrees) {
   Schema schema(1, 1);
   RowBuffer left = testing::MakeTable(schema, 20000, 20000, /*seed=*/15);
   RowBuffer right = testing::MakeTable(schema, 20000, 20000, /*seed=*/16);
-  const auto build = [&] {
-    return PlanBuilder::Scan(StatsSource("l", &schema, &left, 20000.0))
-        .Join(PlanBuilder::Scan(StatsSource("r", &schema, &right, 20000.0)),
+  const auto build = [&](uint64_t claimed_rows) {
+    return PlanBuilder::Scan(
+               StatsSource("l", &schema, &left, 20000.0, claimed_rows))
+        .Join(PlanBuilder::Scan(
+                  StatsSource("r", &schema, &right, 20000.0, claimed_rows)),
               JoinType::kInner)
         .Build();
   };
@@ -327,28 +338,36 @@ TEST_F(CostModelTest, TinyHashBudgetFlipsJoinToSortMergeAndMeasurementAgrees) {
   plan::PlanExecutor::Options exec_options;
   exec_options.validate = false;
   exec_options.planner.hash_memory_rows = 512;
-  // As above: the rule-based run must actually pay the grace partition
-  // round trip, not gracefully degrade into the competing sort plan.
+  // As above: the grace hash run must actually pay the partition round
+  // trip, not gracefully degrade into the competing sort plan.
   exec_options.planner.fallback = FallbackPolicy::kPartition;
 
   // Cost-based with the tiny budget: sort + merge join, no hash join.
   QueryCounters sort_counters;
   plan::PlanExecutor sort_exec(&sort_counters, &temp_, exec_options);
-  auto logical_a = build();
+  auto logical_a = build(/*claimed_rows=*/0);
   sort_exec.Run(logical_a.get());
   EXPECT_TRUE(sort_exec.last_plan()->Uses(PhysicalAlg::kMergeJoin))
       << sort_exec.last_plan()->ToString();
   EXPECT_FALSE(sort_exec.last_plan()->Uses(PhysicalAlg::kGraceHashJoin));
   const double est_sort_merge = sort_exec.last_plan()->root_estimate().cost;
 
-  // Rule-based ignores the budget and grace-hashes (the pre-PR5 policy).
-  exec_options.planner.cost_policy = CostPolicy::kRuleBased;
+  // Statistics that claim 50 rows per side make the planner grace-hash;
+  // the grace plan is priced on the true cardinalities.
   QueryCounters grace_counters;
   plan::PlanExecutor grace_exec(&grace_counters, &temp_, exec_options);
-  auto logical_b = build();
+  auto logical_b = build(/*claimed_rows=*/50);
   grace_exec.Run(logical_b.get());
   EXPECT_TRUE(grace_exec.last_plan()->Uses(PhysicalAlg::kGraceHashJoin));
-  const double est_grace = grace_exec.last_plan()->root_estimate().cost;
+  const CostModel model(exec_options.planner.cost_constants,
+                        exec_options.planner.sort_config,
+                        exec_options.planner.hash_memory_rows);
+  const double out_rows = logical_a->card.rows;
+  const double est_grace =
+      2 * model.Scan(20000.0) +
+      model.GraceHashJoin(20000.0, 20000.0, out_rows, schema.total_columns(),
+                          schema.total_columns()) +
+      model.Project(out_rows);
   EXPECT_GT(grace_counters.bytes_spilled, 0u);
 
   EXPECT_LT(est_sort_merge, est_grace);
@@ -450,41 +469,8 @@ TEST_F(CostModelTest, ProfiledScenariosRecordPerNodeQErrors) {
 }
 
 // ---------------------------------------------------------------------------
-// Policy pinning and overrides
+// Constant overrides
 // ---------------------------------------------------------------------------
-
-TEST_F(CostModelTest, RuleBasedPolicyReproducesPrePR5Choices) {
-  Schema schema(2, 1);
-  RowBuffer table = testing::MakeTable(schema, 500, 4, /*seed=*/18);
-  PlannerOptions rule;
-  rule.cost_policy = CostPolicy::kRuleBased;
-
-  {  // Unsorted join: grace hash, unconditionally.
-    auto logical =
-        PlanBuilder::Scan(BufferSource("l", &schema, &table))
-            .Join(PlanBuilder::Scan(BufferSource("r", &schema, &table)),
-                  JoinType::kInner)
-            .Build();
-    PhysicalPlan plan = Plan(logical.get(), rule);
-    EXPECT_TRUE(plan.Uses(PhysicalAlg::kGraceHashJoin));
-  }
-  {  // Unsorted aggregate without order interest: hash, unconditionally.
-    auto logical = PlanBuilder::Scan(BufferSource("t", &schema, &table))
-                       .Aggregate(1, {{AggFn::kCount, 0}})
-                       .Build();
-    PhysicalPlan plan = Plan(logical.get(), rule);
-    EXPECT_TRUE(plan.Uses(PhysicalAlg::kHashAggregate));
-  }
-  {  // Order-interested aggregate: in-sort, no standalone sort.
-    auto logical = PlanBuilder::Scan(BufferSource("t", &schema, &table))
-                       .Aggregate(1, {{AggFn::kCount, 0}})
-                       .Distinct()
-                       .Build();
-    PhysicalPlan plan = Plan(logical.get(), rule);
-    EXPECT_TRUE(plan.Uses(PhysicalAlg::kInSortAggregate));
-    EXPECT_EQ(plan.inserted_sorts(), 0u);
-  }
-}
 
 TEST_F(CostModelTest, ConstantsOverrideFlipsDecisions) {
   // Pricing hashing as catastrophically expensive flips an aggregation

@@ -22,6 +22,7 @@ namespace ovc {
 namespace {
 
 using ::ovc::testing::Canonicalize;
+using ::ovc::testing::ClaimTinyInputs;
 using ::ovc::testing::RowVec;
 using ::ovc::testing::ToRowVec;
 
@@ -142,10 +143,12 @@ TEST_F(FailpointTest, ForcedJoinOverflowFallsBackDeterministically) {
   // visible in the counters and the EXPLAIN ANALYZE rendering.
   sql::Catalog catalog;
   RegisterTables(&catalog);
+  // Claimed-tiny inputs make the planner pick the grace hash join, the
+  // operator that evaluates the forced-overflow site.
+  ClaimTinyInputs(&catalog, {"fact", "dim"});
   const std::string query =
       "SELECT f.k, f.v, d.p FROM fact f JOIN dim d ON f.k = d.k";
-  sql::SqlSession::Options options = SpillingOptions();
-  options.planner.cost_policy = plan::CostPolicy::kRuleBased;
+  const sql::SqlSession::Options options = SpillingOptions();
 
   sql::SqlSession oracle_session(&catalog, options);
   sql::SqlResult<sql::QueryResult> oracle = oracle_session.Run(query);
@@ -178,10 +181,10 @@ TEST_F(FailpointTest, ForcedAggregateOverflowFallsBackDeterministically) {
   SKIP_WITHOUT_FAILPOINTS();
   sql::Catalog catalog;
   RegisterTables(&catalog);
+  ClaimTinyInputs(&catalog, {"fact"});
   const std::string query =
       "SELECT k, COUNT(*) AS n, SUM(v) AS s FROM fact GROUP BY k";
-  sql::SqlSession::Options options = SpillingOptions();
-  options.planner.cost_policy = plan::CostPolicy::kRuleBased;
+  const sql::SqlSession::Options options = SpillingOptions();
 
   sql::SqlSession oracle_session(&catalog, options);
   sql::SqlResult<sql::QueryResult> oracle = oracle_session.Run(query);

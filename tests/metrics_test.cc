@@ -31,6 +31,7 @@ using metrics::Histogram;
 using metrics::MetricRegistry;
 using ovc::testing::JsonReader;
 using ovc::testing::JsonValue;
+using ovc::testing::QueryMetricSnapshot;
 using sql::Catalog;
 using sql::QueryResult;
 using sql::SqlSession;
@@ -202,26 +203,13 @@ class QueryObservabilityTest : public ::testing::Test {
            "GROUP BY l.orderkey ORDER BY l.orderkey";
   }
 
-  /// The ten query.* counters that mirror QueryCounters, in field order.
+  /// The query.* metrics one statement moves: the QueryCounters mirror
+  /// plus the statement, row and latency bookkeeping.
   struct QueryMetricSlice {
     static QueryMetricSlice Snapshot() {
       MetricRegistry& r = MetricRegistry::Instance();
       QueryMetricSlice s;
-      s.c.column_comparisons =
-          r.GetCounter("query.column_comparisons", "").value();
-      s.c.code_comparisons = r.GetCounter("query.code_comparisons", "").value();
-      s.c.row_comparisons = r.GetCounter("query.row_comparisons", "").value();
-      s.c.hash_computations =
-          r.GetCounter("query.hash_computations", "").value();
-      s.c.rows_spilled = r.GetCounter("query.rows_spilled", "").value();
-      s.c.bytes_spilled = r.GetCounter("query.bytes_spilled", "").value();
-      s.c.merge_bypass_rows =
-          r.GetCounter("query.merge_bypass_rows", "").value();
-      s.c.hash_join_fallbacks =
-          r.GetCounter("query.hash_join_fallbacks", "").value();
-      s.c.hash_agg_fallbacks =
-          r.GetCounter("query.hash_agg_fallbacks", "").value();
-      s.c.io_retries = r.GetCounter("query.io_retries", "").value();
+      s.c = QueryMetricSnapshot();
       s.statements = r.GetCounter("query.statements", "").value();
       s.rows_out = r.GetCounter("query.rows_out", "").value();
       s.latency_count = r.GetHistogram("query.latency_us", "").count();
@@ -232,20 +220,6 @@ class QueryObservabilityTest : public ::testing::Test {
     uint64_t rows_out = 0;
     uint64_t latency_count = 0;
   };
-
-  static void ExpectCountersEqual(const QueryCounters& a,
-                                  const QueryCounters& b) {
-    EXPECT_EQ(a.column_comparisons, b.column_comparisons);
-    EXPECT_EQ(a.code_comparisons, b.code_comparisons);
-    EXPECT_EQ(a.row_comparisons, b.row_comparisons);
-    EXPECT_EQ(a.hash_computations, b.hash_computations);
-    EXPECT_EQ(a.rows_spilled, b.rows_spilled);
-    EXPECT_EQ(a.bytes_spilled, b.bytes_spilled);
-    EXPECT_EQ(a.merge_bypass_rows, b.merge_bypass_rows);
-    EXPECT_EQ(a.hash_join_fallbacks, b.hash_join_fallbacks);
-    EXPECT_EQ(a.hash_agg_fallbacks, b.hash_agg_fallbacks);
-    EXPECT_EQ(a.io_retries, b.io_retries);
-  }
 
   Catalog catalog_;
 };
@@ -272,10 +246,9 @@ TEST_F(QueryObservabilityTest, MetricDeltasAgreeWithQueryCounters) {
     // counters_delta, and the session counter roll-up are field-for-field
     // identical.
     const QueryCounters metric_delta = QueryCounters::Delta(before.c, after.c);
-    ExpectCountersEqual(metric_delta, result.value().counters_delta);
-    ExpectCountersEqual(
-        QueryCounters::Delta(session_before, *session.counters()),
-        result.value().counters_delta);
+    EXPECT_EQ(metric_delta, result.value().counters_delta);
+    EXPECT_EQ(QueryCounters::Delta(session_before, *session.counters()),
+              result.value().counters_delta);
     // And the query did measurable work.
     EXPECT_GT(result.value().counters_delta.column_comparisons +
                   result.value().counters_delta.code_comparisons +

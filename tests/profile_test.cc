@@ -35,6 +35,7 @@ using plan::PhysicalPlan;
 using plan::PlanBuilder;
 using plan::PlanExecutor;
 
+using ovc::testing::ClaimTinyInputs;
 using ovc::testing::JsonReader;
 using ovc::testing::JsonValue;
 
@@ -462,13 +463,7 @@ TEST_F(SqlProfileTest, FeedbackFlipsJoinFromGraceHashToMergeAfterOneRun) {
                   .RegisterGenerated("orders", {"orderkey", "custkey"},
                                      Schema(1, 1), 500, spec)
                   .ok());
-  for (const char* name : {"lineitem", "orders"}) {
-    sql::CatalogTable* table = catalog.FindMutable(name);
-    ASSERT_NE(table, nullptr);
-    table->source.stats.row_count = 50;
-    table->source.stats.row_count_known = true;
-    table->source.stats.key_distinct.clear();
-  }
+  ClaimTinyInputs(&catalog, {"lineitem", "orders"});
 
   plan::PlanExecutor::Options options;
   options.validate = true;

@@ -24,6 +24,7 @@
 #include <gtest/gtest.h>
 
 #include "common/metrics.h"
+#include "common/profile.h"
 #include "common/status.h"
 #include "common/temp_file.h"
 #include "server/admission.h"
@@ -38,6 +39,9 @@
 namespace ovc::server {
 namespace {
 
+using ::ovc::testing::JsonReader;
+using ::ovc::testing::JsonValue;
+using ::ovc::testing::QueryMetricSnapshot;
 using ::ovc::testing::RowVec;
 using ::ovc::testing::ToRowVec;
 
@@ -144,7 +148,7 @@ TEST(WireCodec, PayloadRoundTrip) {
   EXPECT_EQ(s1, "hello");
   EXPECT_EQ(s2, "");
   for (int i = 0; i < 3; ++i) EXPECT_EQ(decoded_values[i], values[i]);
-  EXPECT_TRUE(decoded == counters);
+  EXPECT_EQ(decoded, counters);
 }
 
 TEST(WireCodec, FramesCoalesceUntilTheResponseEnds) {
@@ -219,6 +223,71 @@ TEST(WireCodec, StringLengthPastPayloadEndFails) {
   std::string s;
   EXPECT_FALSE(reader.GetString(&s));
   EXPECT_FALSE(reader.ok());
+}
+
+// ---------------------------------------------------------------------------
+// QueryCounters views
+// ---------------------------------------------------------------------------
+
+TEST(QueryCounterViews, EveryViewCarriesEveryField) {
+  // A distinct value per field: a view that drops or swaps a field shows
+  // up as a mismatch on that field.
+  QueryCounters values;
+  size_t fields = 0;
+  QueryCounters::ForEachField([&](const char*, uint64_t QueryCounters::*m) {
+    values.*m = 1000 * ++fields + 7;
+  });
+
+  // Merge and Delta.
+  QueryCounters doubled = values;
+  doubled.Merge(values);
+  QueryCounters::ForEachField(
+      [&](const char* name, uint64_t QueryCounters::*m) {
+        EXPECT_EQ(doubled.*m, 2 * (values.*m)) << name;
+        EXPECT_NE(values.ToString().find(std::string(name) + "=" +
+                                         std::to_string(values.*m)),
+                  std::string::npos)
+            << name;
+      });
+  EXPECT_EQ(QueryCounters::Delta(values, doubled), values);
+  EXPECT_NE(QueryCounters::Delta(values, doubled), QueryCounters());
+
+  // RESULT_DONE encoding: eight bytes per field, decoded back whole.
+  SocketPair pair;
+  FrameWriter writer(pair.fd[0]);
+  writer.BeginFrame(FrameType::kResultDone);
+  writer.PutCounters(values);
+  ASSERT_TRUE(writer.EndResponse().ok());
+  Frame frame;
+  ASSERT_TRUE(ReadFrame(pair.fd[1], &frame).ok());
+  EXPECT_EQ(frame.payload.size(), 8 * fields);
+  PayloadReader reader(frame.payload);
+  QueryCounters decoded;
+  ASSERT_TRUE(reader.GetCounters(&decoded));
+  EXPECT_TRUE(reader.AtEnd());
+  EXPECT_EQ(decoded, values);
+
+  // The JSON profile's per-node "counters" object.
+  QueryProfile profile;
+  const int node = profile.AddNode();
+  profile.SetLine(node, "scan(t)", 1, 1, {});
+  profile.AddSlice(node)->counters = values;
+  profile.SetRoot(node);
+  EXPECT_EQ(profile.FinishRun(nullptr, 0), values);
+  const std::string json = profile.ToJson();
+  const JsonValue root = JsonReader(json).Parse();
+  const JsonValue& counters = root.at("plan").at("counters");
+  EXPECT_EQ(counters.object.size(), fields);
+  QueryCounters::ForEachField(
+      [&](const char* name, uint64_t QueryCounters::*m) {
+        EXPECT_EQ(counters.at(name).number, static_cast<double>(values.*m))
+            << name;
+      });
+
+  // The query.<field> metrics.
+  const QueryCounters before = QueryMetricSnapshot();
+  sql::RecordQueryMetrics(values);
+  EXPECT_EQ(QueryCounters::Delta(before, QueryMetricSnapshot()), values);
 }
 
 // ---------------------------------------------------------------------------

@@ -31,6 +31,8 @@ namespace ovc::server {
 namespace {
 
 using ::ovc::testing::Canonicalize;
+using ::ovc::testing::ClaimTinyInputs;
+using ::ovc::testing::QueryMetricSnapshot;
 using ::ovc::testing::RowVec;
 using ::ovc::testing::ToRowVec;
 
@@ -40,32 +42,6 @@ using ::ovc::testing::ToRowVec;
 #define SKIP_WITHOUT_FAILPOINTS() \
   GTEST_SKIP() << "failpoints compiled out (NDEBUG without OVC_ENABLE_FAILPOINTS)"
 #endif
-
-/// The ten query.* counter metrics, read as a QueryCounters in field
-/// order. SqlSession::Run mirrors every served statement's delta into
-/// exactly these, so (snapshot after - snapshot before) must equal the
-/// sum of the deltas the clients received in RESULT_DONE frames -- any
-/// difference means one session's work leaked into another's accounting.
-QueryCounters QueryMetricSnapshot() {
-  metrics::MetricRegistry& registry = metrics::MetricRegistry::Instance();
-  QueryCounters c;
-  c.column_comparisons =
-      registry.GetCounter("query.column_comparisons", "").value();
-  c.code_comparisons = registry.GetCounter("query.code_comparisons", "").value();
-  c.row_comparisons = registry.GetCounter("query.row_comparisons", "").value();
-  c.hash_computations =
-      registry.GetCounter("query.hash_computations", "").value();
-  c.rows_spilled = registry.GetCounter("query.rows_spilled", "").value();
-  c.bytes_spilled = registry.GetCounter("query.bytes_spilled", "").value();
-  c.merge_bypass_rows =
-      registry.GetCounter("query.merge_bypass_rows", "").value();
-  c.hash_join_fallbacks =
-      registry.GetCounter("query.hash_join_fallbacks", "").value();
-  c.hash_agg_fallbacks =
-      registry.GetCounter("query.hash_agg_fallbacks", "").value();
-  c.io_retries = registry.GetCounter("query.io_retries", "").value();
-  return c;
-}
 
 class ServingStressTest : public ::testing::Test {
  protected:
@@ -187,7 +163,7 @@ TEST_F(ServingStressTest, MixedWorkloadCorrectWithZeroCounterBleed) {
   // Zero cross-session bleed: what the clients were told they consumed is
   // exactly what the process-wide accounting moved by.
   const QueryCounters delta = QueryCounters::Delta(before, QueryMetricSnapshot());
-  EXPECT_TRUE(delta == wire_sum)
+  EXPECT_EQ(delta, wire_sum)
       << "wire-reported counter sum diverged from the query.* metric delta";
 
   // The admission gate never overshot its slot limit, and every slot was
@@ -302,10 +278,10 @@ TEST_F(ServingStressTest, ForcedHashFallbacksStayCorrectUnderConcurrency) {
   SKIP_WITHOUT_FAILPOINTS();
   ServerOptions options;
   options.max_queries = 4;
-  // Rule-based planning picks the grace hash join for this unsorted join
-  // deterministically (the cost model might choose sort+merge and never
-  // evaluate the forced-overflow site).
-  options.executor.planner.cost_policy = plan::CostPolicy::kRuleBased;
+  // Claimed-tiny inputs make the planner pick the grace hash join for this
+  // unsorted join deterministically (with true statistics it might choose
+  // sort+merge and never evaluate the forced-overflow site).
+  ClaimTinyInputs(&catalog_, {"fact", "dim"});
   StartServer(options);
 
   const std::string join =

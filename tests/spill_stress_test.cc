@@ -22,6 +22,7 @@ namespace ovc {
 namespace {
 
 using ::ovc::testing::Canonicalize;
+using ::ovc::testing::ClaimTinyInputs;
 using ::ovc::testing::RowVec;
 using ::ovc::testing::ToRowVec;
 
@@ -54,13 +55,25 @@ class SpillStressTest : public ::testing::Test {
   }
 
   /// Runs `query` under `options`, returning the canonicalized rows and
-  /// (optionally) the session counters the run accumulated.
+  /// (optionally) the session counters the run accumulated. `hash_plan`
+  /// makes the catalog claim tiny inputs, so the planner picks the hash
+  /// join or hash aggregate and the real input overflows its budget.
   RowVec RunQuery(const sql::SqlSession::Options& options,
                   const std::string& query,
-                  QueryCounters* counters_out = nullptr) {
+                  QueryCounters* counters_out = nullptr,
+                  bool hash_plan = false) {
     sql::Catalog catalog;
     RegisterTables(&catalog);
     sql::SqlSession session(&catalog, options);
+    if (hash_plan) {
+      ClaimTinyInputs(&catalog, {"fact", "dim"});
+      sql::SqlResult<std::string> plan = session.Explain(query);
+      EXPECT_TRUE(plan.ok() && (plan.value().find("hash-aggregate") !=
+                                    std::string::npos ||
+                                plan.value().find("hash-join(grace)") !=
+                                    std::string::npos))
+          << (plan.ok() ? plan.value() : plan.error().message);
+    }
     sql::SqlResult<sql::QueryResult> got = session.Run(query);
     EXPECT_TRUE(got.ok()) << got.error().Render(query);
     if (!got.ok()) return {};
@@ -87,14 +100,14 @@ TEST_F(SpillStressTest, AggregateBudgetLadderMatchesOracle) {
 
     for (uint64_t budget : {64u, 512u, 4096u}) {
       SCOPED_TRACE("hash budget " + std::to_string(budget));
-      // Rule-based planning pins the hash-aggregate plan regardless of the
-      // budget -- the cost-based planner would sidestep the stress by
-      // flipping to in-sort aggregation at plan time.
+      // Claimed-tiny inputs pin the hash-aggregate plan regardless of the
+      // budget -- with true statistics the planner would sidestep the
+      // stress by flipping to in-sort aggregation at plan time.
       sql::SqlSession::Options options = BaseOptions(parallelism);
-      options.planner.cost_policy = plan::CostPolicy::kRuleBased;
       options.planner.hash_memory_rows = budget;
       QueryCounters counters;
-      const RowVec rows = RunQuery(options, kAggregateQuery, &counters);
+      const RowVec rows =
+          RunQuery(options, kAggregateQuery, &counters, /*hash_plan=*/true);
       EXPECT_EQ(rows, oracle);
       // Parallel plans split the groups across `parallelism` aggregate
       // instances; only when even a perfect split overflows every
@@ -117,10 +130,10 @@ TEST_F(SpillStressTest, JoinBudgetLadderMatchesOracle) {
     for (uint64_t budget : {64u, 512u, 4096u}) {
       SCOPED_TRACE("hash budget " + std::to_string(budget));
       sql::SqlSession::Options options = BaseOptions(parallelism);
-      options.planner.cost_policy = plan::CostPolicy::kRuleBased;
       options.planner.hash_memory_rows = budget;
       QueryCounters counters;
-      const RowVec rows = RunQuery(options, kJoinQuery, &counters);
+      const RowVec rows =
+          RunQuery(options, kJoinQuery, &counters, /*hash_plan=*/true);
       EXPECT_EQ(rows, oracle);
       // Same split-aware bound as the aggregate ladder, over the build
       // side's rows.
@@ -141,11 +154,11 @@ TEST_F(SpillStressTest, PartitionPolicyRacesSortMergeDownTheLadder) {
   for (uint64_t budget : {64u, 512u}) {
     SCOPED_TRACE("hash budget " + std::to_string(budget));
     sql::SqlSession::Options options = BaseOptions(1);
-    options.planner.cost_policy = plan::CostPolicy::kRuleBased;
     options.planner.hash_memory_rows = budget;
     options.planner.fallback = FallbackPolicy::kPartition;
     QueryCounters counters;
-    const RowVec rows = RunQuery(options, kJoinQuery, &counters);
+    const RowVec rows =
+        RunQuery(options, kJoinQuery, &counters, /*hash_plan=*/true);
     EXPECT_EQ(rows, oracle);
     EXPECT_EQ(counters.hash_join_fallbacks, 0u);
     EXPECT_GT(counters.bytes_spilled, 0u);
@@ -179,11 +192,11 @@ TEST_F(SpillStressTest, FallbackSortInheritsSortBudgetAndStillAgrees) {
   // fall back, and the fallback sorts themselves run under a tiny sort
   // workspace, so the continuation spills runs too.
   sql::SqlSession::Options options = BaseOptions(1);
-  options.planner.cost_policy = plan::CostPolicy::kRuleBased;
   options.planner.hash_memory_rows = 64;
   options.planner.sort_config.memory_rows = 256;
   QueryCounters counters;
-  const RowVec rows = RunQuery(options, kAggregateQuery, &counters);
+  const RowVec rows =
+      RunQuery(options, kAggregateQuery, &counters, /*hash_plan=*/true);
   const RowVec oracle = RunQuery(BaseOptions(1), kAggregateQuery);
   EXPECT_EQ(rows, oracle);
   EXPECT_GT(counters.hash_agg_fallbacks, 0u);

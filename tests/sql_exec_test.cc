@@ -428,61 +428,6 @@ TEST_F(SqlExecTest, ExplainShowsCostAnnotations) {
       << explain.value();
 }
 
-TEST_F(SqlExecTest, RuleBasedPolicyReproducesPrePR5PlanShapes) {
-  // CostPolicy::kRuleBased pins the pure property/policy planner of
-  // PR 1..4: every pre-PR5 scenario keeps its plan shape, and the rows
-  // match the default cost-based session's rows (plan choice never
-  // changes results).
-  plan::PlanExecutor::Options rule_options = MakeOptions(1);
-  rule_options.planner.cost_policy = plan::CostPolicy::kRuleBased;
-
-  struct Scenario {
-    const char* sql;
-    std::vector<plan::PhysicalAlg> uses;
-  };
-  const Scenario scenarios[] = {
-      {"SELECT * FROM events ORDER BY site, day",
-       {plan::PhysicalAlg::kElidedSort}},
-      {"SELECT * FROM orders o INNER JOIN lineitem l "
-       "ON o.orderkey = l.orderkey",
-       {plan::PhysicalAlg::kMergeJoin}},
-      {"SELECT orderkey, COUNT(*) AS n FROM lineitem GROUP BY orderkey",
-       {plan::PhysicalAlg::kHashAggregate}},
-      {"SELECT site, day, COUNT(DISTINCT visitor) AS v FROM hits "
-       "GROUP BY site, day",
-       {plan::PhysicalAlg::kInSortDistinct,
-        plan::PhysicalAlg::kInStreamAggregate}},
-      {"SELECT a, b FROM s1 INTERSECT SELECT a, b FROM s2",
-       {plan::PhysicalAlg::kSetOperation}},
-  };
-
-  for (const Scenario& scenario : scenarios) {
-    SCOPED_TRACE(scenario.sql);
-    SqlSession rule_session(&catalog_, rule_options);
-    SqlResult<QueryResult> rule_result = rule_session.Run(scenario.sql);
-    ASSERT_TRUE(rule_result.ok())
-        << rule_result.error().Render(scenario.sql);
-
-    SqlSession cost_session(&catalog_, MakeOptions(1));
-    SqlResult<QueryResult> cost_result = cost_session.Run(scenario.sql);
-    ASSERT_TRUE(cost_result.ok());
-
-    RowVec rule_rows = ToRowVec(rule_result.value().result.rows);
-    RowVec cost_rows = ToRowVec(cost_result.value().result.rows);
-    ovc::testing::Canonicalize(&rule_rows);
-    ovc::testing::Canonicalize(&cost_rows);
-    EXPECT_EQ(rule_rows, cost_rows);
-
-    SqlResult<std::unique_ptr<PreparedQuery>> prepared =
-        rule_session.Prepare(scenario.sql);
-    ASSERT_TRUE(prepared.ok());
-    for (plan::PhysicalAlg alg : scenario.uses) {
-      EXPECT_TRUE(prepared.value()->physical->Uses(alg))
-          << prepared.value()->explain_text();
-    }
-  }
-}
-
 // --- Binder errors ---------------------------------------------------------
 
 TEST_F(SqlExecTest, BinderErrors) {

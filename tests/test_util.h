@@ -8,11 +8,14 @@
 #include <cctype>
 #include <cstdint>
 #include <map>
+#include <ostream>
 #include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "common/counters.h"
+#include "common/metrics.h"
 #include "core/ovc_checker.h"
 #include "exec/operator.h"
 #include "row/comparator.h"
@@ -20,6 +23,7 @@
 #include "row/row_buffer.h"
 #include "row/schema.h"
 #include "sort/run.h"
+#include "sql/catalog.h"
 
 namespace ovc::testing {
 
@@ -305,6 +309,45 @@ class JsonReader {
   size_t pos_ = 0;
 };
 
+/// Makes `catalog` claim each of `tables` holds 50 rows with no key
+/// statistics. The cost-based planner then prices hash operators over
+/// them as resident and picks them, however large the real input is: the
+/// way to get a hash join or hash aggregate whose input overflows its
+/// memory budget at run time.
+inline void ClaimTinyInputs(sql::Catalog* catalog,
+                            std::initializer_list<const char*> tables) {
+  for (const char* name : tables) {
+    sql::CatalogTable* table = catalog->FindMutable(name);
+    ASSERT_NE(table, nullptr) << name;
+    table->source.stats.row_count = 50;
+    table->source.stats.row_count_known = true;
+    table->source.stats.key_distinct.clear();
+  }
+}
+
+/// The process-wide `query.<field>` counter metrics, read back as a
+/// QueryCounters. SqlSession::Run mirrors every statement's counter delta
+/// into exactly these, so the difference of two snapshots is the summed
+/// delta of the statements run in between.
+inline QueryCounters QueryMetricSnapshot() {
+  metrics::MetricRegistry& registry = metrics::MetricRegistry::Instance();
+  QueryCounters c;
+  QueryCounters::ForEachField(
+      [&](const char* name, uint64_t QueryCounters::*m) {
+        c.*m = registry.GetCounter(std::string("query.") + name, "").value();
+      });
+  return c;
+}
+
 }  // namespace ovc::testing
+
+namespace ovc {
+
+/// Lets a failed EXPECT_EQ on two QueryCounters show every field.
+inline void PrintTo(const QueryCounters& counters, std::ostream* os) {
+  *os << counters.ToString();
+}
+
+}  // namespace ovc
 
 #endif  // OVC_TESTS_TEST_UTIL_H_

@@ -403,7 +403,9 @@ std::vector<Finding> LintTree(const std::string& root) {
   {
     // Names used in src/: the first string literal inside each metric /
     // span macro argument list. Macro *definitions* carry no literal and
-    // are skipped naturally.
+    // are skipped naturally, and so are sites that stringize the rest of
+    // their name (`"query." #field`): the names those generate are read
+    // from the field list below.
     const char* const kObsMacros[] = {"OVC_METRIC_COUNTER", "OVC_METRIC_GAUGE",
                                       "OVC_METRIC_HISTOGRAM", "OVC_TRACE_SPAN",
                                       "OVC_TRACE_SPAN_VAR"};
@@ -423,9 +425,44 @@ std::vector<Finding> LintTree(const std::string& root) {
           if (q1 == std::string::npos) continue;  // the #define itself
           const size_t q2 = arg.find('"', q1 + 1);
           if (q2 == std::string::npos) continue;
+          const size_t after = arg.find_first_not_of(" \t\n", q2 + 1);
+          if (after != std::string::npos && arg[after] == '#') continue;
           const std::string name = arg.substr(q1 + 1, q2 - q1 - 1);
           if (!used.count(name)) used[name] = {&f, LineOf(f.code, pos)};
         }
+      }
+    }
+    // Every X(field, help) entry of the OVC_QUERY_COUNTER_FIELDS list in
+    // src/common/counters.h is the metric `query.<field>`.
+    for (const SourceFile& f : files) {
+      if (f.rel != "src/common/counters.h") continue;
+      const size_t def = f.code.find("#define OVC_QUERY_COUNTER_FIELDS(");
+      if (def == std::string::npos) continue;
+      // The definition runs to the first line not continued by '\'. Read
+      // that from the raw text (a '\' inside a comment still continues the
+      // line); code and raw share offsets.
+      size_t end = def;
+      for (;;) {
+        end = f.raw.find('\n', end);
+        if (end == std::string::npos) {
+          end = f.raw.size();
+          break;
+        }
+        if (f.raw[f.raw.find_last_not_of(" \t", end - 1)] != '\\') break;
+        ++end;
+      }
+      const size_t body = f.code.find(')', def) + 1;
+      for (size_t pos = body; (pos = f.code.find("X(", pos)) < end; ++pos) {
+        if (!TokenAt(f.code, pos, "X")) continue;
+        const size_t start = f.code.find_first_not_of(" \t\n\\", pos + 2);
+        size_t stop = start;
+        while (stop < end && (std::isalnum(static_cast<unsigned char>(
+                                  f.code[stop])) ||
+                              f.code[stop] == '_')) {
+          ++stop;
+        }
+        const std::string name = "query." + f.code.substr(start, stop - start);
+        if (!used.count(name)) used[name] = {&f, LineOf(f.code, pos)};
       }
     }
     // Names documented in the docs/OBSERVABILITY.md registry tables: rows

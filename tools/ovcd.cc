@@ -4,7 +4,7 @@
 //                [--host=ADDR] [--port=N] [--max-queries=N]
 //                [--workers-per-query=N] [--plan-cache=N]
 //                [--sort-memory-rows=N] [--hash-memory-rows=N]
-//                [--prefer-sort] [--rule-based] [--temp-dir=DIR]
+//                [--prefer-sort] [--temp-dir=DIR]
 //
 // Serves the wire protocol in src/server/wire.h over TCP, thread per
 // connection, until SIGINT/SIGTERM. The catalog is built from the --gen
@@ -54,8 +54,7 @@ void PrintUsage() {
       "usage: ovcd --gen=SPEC [--gen=SPEC ...] [--host=ADDR] [--port=N]\n"
       "            [--max-queries=N] [--workers-per-query=N]\n"
       "            [--plan-cache=N] [--sort-memory-rows=N]\n"
-      "            [--hash-memory-rows=N] [--prefer-sort] [--rule-based]\n"
-      "            [--temp-dir=DIR]\n"
+      "            [--hash-memory-rows=N] [--prefer-sort] [--temp-dir=DIR]\n"
       "gen spec: %s\n",
       sql::GenSpecUsage());
 }
@@ -89,8 +88,6 @@ int main(int argc, char** argv) {
           std::strtoull(arg + 19, nullptr, 10);
     } else if (std::strcmp(arg, "--prefer-sort") == 0) {
       options.executor.planner.prefer_sort_based = true;
-    } else if (std::strcmp(arg, "--rule-based") == 0) {
-      options.executor.planner.cost_policy = plan::CostPolicy::kRuleBased;
     } else if (std::strncmp(arg, "--temp-dir=", 11) == 0) {
       options.temp_dir = arg + 11;
     } else {

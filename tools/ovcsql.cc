@@ -2,8 +2,7 @@
 //
 //   ./build/ovcsql [--parallelism=N] [--prefer-sort] [--sort-memory-rows=N]
 //                  [--hash-memory-rows=N] [--fallback=sort-merge|partition]
-//                  [--rule-based] [--profile=FILE] [--trace=FILE]
-//                  [--metrics[=FILE]]
+//                  [--profile=FILE] [--trace=FILE] [--metrics[=FILE]]
 //
 // --trace=FILE records every statement as a Chrome trace_event span tree
 // (chrome://tracing / Perfetto) including exchange worker threads;
@@ -20,16 +19,14 @@
 // per-operator profiling and renders each line with actual rows, wall
 // time, and comparison/spill counters (docs/OBSERVABILITY.md).
 // --profile=FILE appends one JSON query profile per executed profiled
-// statement to FILE. --rule-based pins the pre-cost-model policy
-// planner; --hash-memory-rows shrinks the hash budget to watch the
-// cost-based planner flip join and aggregation strategies, and
+// statement to FILE. --hash-memory-rows shrinks the hash budget to watch
+// the cost-based planner flip join and aggregation strategies, and
 // --sort-memory-rows bounds the sort workspace the same way (spilled
-// runs beyond it). --fallback
-// picks what an overflowing hash operator does mid-query: sort-merge
-// (default; docs/ROBUSTNESS.md) or classic grace partitioning. A CI smoke
-// test pipes tools/smoke.sql through this binary and greps the plans, and
-// tools/check_docs.sh replays the EXPLAIN snippets embedded in docs/
-// (see .github/workflows/ci.yml).
+// runs beyond it). --fallback picks what an overflowing hash operator
+// does mid-query: sort-merge (default; docs/ROBUSTNESS.md) or classic
+// grace partitioning. A CI smoke test pipes tools/smoke.sql through this
+// binary and greps the plans, and tools/check_docs.sh replays the EXPLAIN
+// snippets embedded in docs/ (see .github/workflows/ci.yml).
 
 #include <cstdio>
 #include <cstdlib>
@@ -117,21 +114,11 @@ void PrintTables(const sql::Catalog& catalog) {
 void PrintCounters(const QueryCounters& counters) {
   // Every QueryCounters field, so .counters, the JSON profile, and the
   // query.* metrics report the same set field-for-field.
-  std::printf("column comparisons: %llu\ncode comparisons:   %llu\n"
-              "row comparisons:    %llu\nhash computations:  %llu\n"
-              "rows spilled:       %llu\nbytes spilled:      %llu\n"
-              "merge bypass rows:  %llu\nhash join fallbacks: %llu\n"
-              "hash agg fallbacks: %llu\nio retries:         %llu\n",
-              static_cast<unsigned long long>(counters.column_comparisons),
-              static_cast<unsigned long long>(counters.code_comparisons),
-              static_cast<unsigned long long>(counters.row_comparisons),
-              static_cast<unsigned long long>(counters.hash_computations),
-              static_cast<unsigned long long>(counters.rows_spilled),
-              static_cast<unsigned long long>(counters.bytes_spilled),
-              static_cast<unsigned long long>(counters.merge_bypass_rows),
-              static_cast<unsigned long long>(counters.hash_join_fallbacks),
-              static_cast<unsigned long long>(counters.hash_agg_fallbacks),
-              static_cast<unsigned long long>(counters.io_retries));
+  QueryCounters::ForEachField(
+      [&](const char* name, uint64_t QueryCounters::*m) {
+        std::printf("%-20s %llu\n", name,
+                    static_cast<unsigned long long>(counters.*m));
+      });
 }
 
 bool RunStatement(sql::SqlSession* session, sql::Catalog* catalog,
@@ -198,8 +185,6 @@ int main(int argc, char** argv) {
       options.planner.fallback = ovc::FallbackPolicy::kSortMerge;
     } else if (std::strcmp(arg, "--fallback=partition") == 0) {
       options.planner.fallback = ovc::FallbackPolicy::kPartition;
-    } else if (std::strcmp(arg, "--rule-based") == 0) {
-      options.planner.cost_policy = plan::CostPolicy::kRuleBased;
     } else if (std::strncmp(arg, "--profile=", 10) == 0) {
       profile_path = arg + 10;
     } else if (std::strncmp(arg, "--trace=", 8) == 0) {
@@ -213,7 +198,7 @@ int main(int argc, char** argv) {
                    "usage: ovcsql [--parallelism=N] [--prefer-sort] "
                    "[--sort-memory-rows=N] [--hash-memory-rows=N] "
                    "[--fallback=sort-merge|partition] "
-                   "[--rule-based] [--profile=FILE] [--trace=FILE] "
+                   "[--profile=FILE] [--trace=FILE] "
                    "[--metrics[=FILE]]\n");
       return 2;
     }
