@@ -77,8 +77,21 @@ CardEstimate EstimateCardinality(const LogicalNode& node,
     }
     case LogicalOp::kFilter: {
       const CardEstimate& child = child_cards[0];
-      est.rows = std::max(1.0, child.rows * c.filter_selectivity);
-      est.key_distinct = ClampDistinct(child.key_distinct, est.rows);
+      est.key_distinct = child.key_distinct;
+      if (node.key_range.has_value()) {
+        est.rows = KeyRangeRows(node, child, c);
+        if (!node.key_range->covers_predicate) {
+          est.rows *= c.filter_selectivity;
+        }
+        // The equality prefix is one value in the output.
+        const size_t p = std::min(node.key_range->equal.size(),
+                                  est.key_distinct.size());
+        std::fill(est.key_distinct.begin(), est.key_distinct.begin() + p, 1.0);
+      } else {
+        est.rows = child.rows * c.filter_selectivity;
+      }
+      est.rows = std::max(1.0, est.rows);
+      est.key_distinct = ClampDistinct(std::move(est.key_distinct), est.rows);
       break;
     }
     case LogicalOp::kProject: {
@@ -185,6 +198,33 @@ CardEstimate EstimateCardinality(const LogicalNode& node,
   return est;
 }
 
+double KeyRangeRows(const LogicalNode& filter, const CardEstimate& input,
+                    const CostConstants& c) {
+  OVC_CHECK(filter.key_range.has_value());
+  const KeyRange& range = *filter.key_range;
+  if (range.empty()) return 1.0;
+  const uint32_t p = static_cast<uint32_t>(range.equal.size());
+  double rows = input.rows / input.DistinctPrefix(p);
+  if (range.bounded) {
+    const LogicalNode& child = *filter.children[0];
+    const TableStats& stats = child.source.stats;
+    if (p == 0 && child.op == LogicalOp::kScan && stats.key_bounds_known) {
+      // Uniform keys between the first and last stored key (either may be
+      // the smaller one: column 0 may sort descending).
+      const double first =
+          static_cast<double>(std::min(stats.first_key, stats.last_key));
+      const double last =
+          static_cast<double>(std::max(stats.first_key, stats.last_key));
+      const double lo = std::max(static_cast<double>(range.lo), first);
+      const double hi = std::min(static_cast<double>(range.hi), last);
+      rows *= hi < lo ? 0.0 : (hi - lo + 1.0) / (last - first + 1.0);
+    } else {
+      rows *= c.filter_selectivity;
+    }
+  }
+  return std::max(1.0, rows);
+}
+
 void AnnotateCardinalities(LogicalNode* root, const CostConstants& c) {
   CardEstimate child_cards[2];
   for (size_t i = 0; i < root->children.size() && i < 2; ++i) {
@@ -212,6 +252,10 @@ double CostModel::Log2Clamped(double x) {
 }
 
 double CostModel::Scan(double rows) const { return rows * c_.row_move; }
+
+double CostModel::RangeScan(double table_rows, double rows) const {
+  return 2.0 * Log2Clamped(table_rows) * c_.column_compare + Scan(rows);
+}
 
 double CostModel::Filter(double rows, double out_rows) const {
   return rows * c_.column_compare + out_rows * c_.row_move;

@@ -68,7 +68,8 @@ struct CostConstants {
   double spill_byte = 1.5;
 
   // --- estimation defaults (cardinality, not work) ---
-  /// Selectivity assumed for an opaque filter predicate.
+  /// Selectivity assumed for an opaque filter predicate (and for a range
+  /// the statistics cannot place).
   double filter_selectivity = 0.33;
   /// Distinct values assumed for a column with no statistics:
   /// rows^ndv_exponent (capped by rows).
@@ -87,10 +88,15 @@ struct CostConstants {
 /// at all, which the cost model prices at its unknown-rows default.
 /// key_distinct may be empty (unknown) or hold, for each key-prefix
 /// length k in 1..key_arity, the estimated number of distinct prefixes.
+/// Sorted sources record the first key column of their first and last
+/// rows, which a range on that column interpolates between.
 struct TableStats {
   uint64_t row_count = 0;
   bool row_count_known = false;
   std::vector<double> key_distinct;
+  bool key_bounds_known = false;
+  uint64_t first_key = 0;
+  uint64_t last_key = 0;
 
   // --- runtime feedback (EXPLAIN ANALYZE / QueryProfile) ---
   /// Scan output rows observed by the most recent profiled run that fed
@@ -122,6 +128,14 @@ CardEstimate EstimateCardinality(const LogicalNode& node,
                                  const CardEstimate* child_cards,
                                  const CostConstants& constants);
 
+/// Rows of `input` inside `filter`'s key range (which must be set):
+/// equality on a p-column key prefix keeps rows / distinct(p); a range on
+/// key column 0 over a scan with known key bounds interpolates between the
+/// first and last key; a range on a later column takes filter_selectivity
+/// of the equality estimate.
+double KeyRangeRows(const LogicalNode& filter, const CardEstimate& input,
+                    const CostConstants& constants);
+
 /// `node`'s annotation when present, else the estimate recomputed on the
 /// fly (for decision rules running over un-annotated trees, e.g. the pure
 /// InferOrderProperty entry point).
@@ -146,6 +160,9 @@ class CostModel {
 
   /// Streaming a leaf of `rows` rows.
   double Scan(double rows) const;
+  /// Seeking a sorted leaf of `table_rows` rows: at most two binary
+  /// searches, then streaming the `rows` rows in range.
+  double RangeScan(double table_rows, double rows) const;
   /// Evaluating an opaque predicate over `rows` rows, keeping `out_rows`.
   double Filter(double rows, double out_rows) const;
   /// Copying `rows` rows through a projection.

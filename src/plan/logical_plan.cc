@@ -10,6 +10,21 @@
 
 namespace ovc::plan {
 
+void KeyRange::SortBounds(const Schema& schema, std::vector<uint64_t>* low,
+                          std::vector<uint64_t>* high) const {
+  OVC_CHECK(columns() <= schema.key_arity());
+  low->assign(schema.total_columns(), 0);
+  high->assign(schema.total_columns(), 0);
+  std::copy(equal.begin(), equal.end(), low->begin());
+  std::copy(equal.begin(), equal.end(), high->begin());
+  if (bounded) {
+    const uint32_t p = static_cast<uint32_t>(equal.size());
+    const bool ascending = schema.direction(p) == SortDirection::kAscending;
+    (*low)[p] = ascending ? lo : hi;
+    (*high)[p] = ascending ? hi : lo;
+  }
+}
+
 TableSource BufferSource(std::string name, const Schema* schema,
                          const RowBuffer* buffer) {
   OVC_CHECK(buffer->width() == schema->total_columns());
@@ -34,8 +49,21 @@ TableSource RunSource(std::string name, const Schema* schema,
   source.order = OrderProperty::Sorted(schema->key_arity(), /*ovc=*/true);
   source.stats.row_count = run->size();
   source.stats.row_count_known = true;
+  if (!run->empty()) {
+    source.stats.key_bounds_known = true;
+    source.stats.first_key = run->row(0)[0];
+    source.stats.last_key = run->row(run->size() - 1)[0];
+  }
   source.factory = [schema, run] {
     return std::make_unique<RunScan>(schema, run);
+  };
+  source.range_factory = [schema, run](const KeyRange& range,
+                                       QueryCounters* counters) {
+    std::vector<uint64_t> low, high;
+    range.SortBounds(*schema, &low, &high);
+    return std::make_unique<RunScan>(schema, run, range.columns(),
+                                     std::move(low), std::move(high),
+                                     counters);
   };
   return source;
 }
@@ -48,7 +76,19 @@ TableSource BTreeSource(std::string name, const BTree* tree) {
       OrderProperty::Sorted(tree->schema().key_arity(), /*ovc=*/true);
   source.stats.row_count = tree->size();
   source.stats.row_count_known = true;
+  if (tree->size() > 0) {
+    source.stats.key_bounds_known = true;
+    source.stats.first_key = tree->FirstRow()[0];
+    source.stats.last_key = tree->LastRow()[0];
+  }
   source.factory = [tree] { return tree->Scan(); };
+  source.range_factory = [tree](const KeyRange& range,
+                                QueryCounters* counters) {
+    std::vector<uint64_t> low, high;
+    range.SortBounds(tree->schema(), &low, &high);
+    return tree->RangeScan(range.columns(), low.data(), high.data(),
+                           counters);
+  };
   return source;
 }
 
@@ -111,12 +151,16 @@ PlanBuilder PlanBuilder::Scan(TableSource source) {
 }
 
 PlanBuilder& PlanBuilder::Filter(RowPredicate predicate,
-                                 BlockPredicate block_predicate) {
+                                 BlockPredicate block_predicate,
+                                 std::string text,
+                                 std::optional<KeyRange> key_range) {
   OVC_CHECK(root_ != nullptr);
   OVC_CHECK(predicate != nullptr);
   auto node = std::make_unique<LogicalNode>(LogicalOp::kFilter, root_->schema);
   node->predicate = std::move(predicate);
   node->block_predicate = std::move(block_predicate);
+  node->predicate_text = std::move(text);
+  node->key_range = std::move(key_range);
   node->children.push_back(std::move(root_));
   root_ = std::move(node);
   return *this;

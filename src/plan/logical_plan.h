@@ -16,11 +16,14 @@
 #ifndef OVC_PLAN_LOGICAL_PLAN_H_
 #define OVC_PLAN_LOGICAL_PLAN_H_
 
+#include <cstdint>
 #include <functional>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
+#include "common/counters.h"
 #include "exec/aggregate.h"
 #include "exec/filter.h"
 #include "exec/merge_join.h"
@@ -40,6 +43,39 @@ class LsmForest;
 
 namespace ovc::plan {
 
+/// The part of a filter's conjunction that bounds the leading key columns
+/// of the scan below it: equality on key columns [0, p) and, optionally,
+/// inclusive value bounds [lo, hi] on key column p. Over sorted storage
+/// these rows form one contiguous span, which a seekable source finds by
+/// binary search instead of scanning the table (the filter stays on top
+/// and still evaluates the whole predicate).
+struct KeyRange {
+  /// Values of key columns 0..p-1 (p = equal.size()).
+  std::vector<uint64_t> equal;
+  /// True when key column p carries [lo, hi].
+  bool bounded = false;
+  /// Inclusive bounds on key column p, in value order (not sort order);
+  /// lo > hi marks a contradiction that no row satisfies.
+  uint64_t lo = 0;
+  uint64_t hi = UINT64_MAX;
+  /// True when the range is the whole predicate (no other conjunct).
+  bool covers_predicate = false;
+  /// EXPLAIN rendering, e.g. "k = 17" or "3 <= b <= 9".
+  std::string text;
+
+  bool empty() const { return bounded && lo > hi; }
+  /// Key columns the range constrains: p, plus one when bounded.
+  uint32_t columns() const {
+    return static_cast<uint32_t>(equal.size()) + (bounded ? 1 : 0);
+  }
+  /// Fills `low` and `high` (schema.total_columns() values each, only the
+  /// first columns() meaningful) with the first and last key prefix of the
+  /// range in `schema`'s sort order: a descending bounded column swaps lo
+  /// and hi. An empty range yields low sorting after high.
+  void SortBounds(const Schema& schema, std::vector<uint64_t>* low,
+                  std::vector<uint64_t>* high) const;
+};
+
 /// A leaf table: how to create a scan over it, its row layout, and the
 /// order property the scan guarantees. The referenced storage must outlive
 /// every plan and execution that uses the source.
@@ -54,15 +90,25 @@ struct TableSource {
   TableStats stats;
   /// Creates a fresh scan operator (called once per physical plan).
   std::function<std::unique_ptr<Operator>()> factory;
+  /// Seekable sources only (null otherwise): creates a scan of the rows
+  /// whose key prefix lies inside `range`, with the source's order and
+  /// codes (the first row's code rebased to offset 0). The scan locates
+  /// the range when it opens, counting its search comparisons into
+  /// `counters` (may be null).
+  std::function<std::unique_ptr<Operator>(const KeyRange& range,
+                                          QueryCounters* counters)>
+      range_factory;
 };
 
 /// Unsorted scan over a RowBuffer.
 TableSource BufferSource(std::string name, const Schema* schema,
                          const RowBuffer* buffer);
-/// Sorted, coded scan over an in-memory run (zero comparison cost).
+/// Sorted, coded scan over an in-memory run (zero comparison cost);
+/// seekable by binary search over the run.
 TableSource RunSource(std::string name, const Schema* schema,
                       const InMemoryRun* run);
-/// Sorted, coded scan over a B-tree (codes straight from the leaves).
+/// Sorted, coded scan over a B-tree (codes straight from the leaves);
+/// seekable through BTree::RangeScan.
 TableSource BTreeSource(std::string name, const BTree* tree);
 /// Sorted, coded scan over the RLE column store (codes from RLE segment
 /// arithmetic alone).
@@ -103,6 +149,8 @@ struct LogicalNode {
   TableSource source;                    // kScan
   RowPredicate predicate;                // kFilter
   BlockPredicate block_predicate;        // kFilter (optional fast path)
+  std::string predicate_text;            // kFilter (EXPLAIN, may be empty)
+  std::optional<KeyRange> key_range;     // kFilter (seekable part)
   std::vector<uint32_t> mapping;         // kProject
   JoinType join_type = JoinType::kInner; // kJoin (key = children's key prefix)
   uint32_t group_prefix = 0;             // kAggregate
@@ -141,9 +189,15 @@ class PlanBuilder {
 
   /// Keeps rows satisfying `predicate` (order- and code-preserving).
   /// `block_predicate`, when supplied, must agree with `predicate` row for
-  /// row; batched execution then evaluates it once per block.
+  /// row; batched execution then evaluates it once per block. `text`
+  /// names the predicate in EXPLAIN. `key_range`, when supplied, must be
+  /// implied by `predicate` and bound the key columns of the filter's
+  /// input: over a seekable scan the planner then scans only that range
+  /// (the filter stays on top with the full predicate).
   PlanBuilder& Filter(RowPredicate predicate,
-                      BlockPredicate block_predicate = nullptr);
+                      BlockPredicate block_predicate = nullptr,
+                      std::string text = std::string(),
+                      std::optional<KeyRange> key_range = std::nullopt);
 
   /// Projects to `output_schema`; output column i takes input column
   /// `mapping[i]`. Order survives when the mapping keeps a key prefix in

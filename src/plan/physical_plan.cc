@@ -533,6 +533,33 @@ void Planner::SetProfileLine(PhysicalPlan* plan, const Meter& m,
                            est.cost, children, table);
 }
 
+Planner::Built Planner::BuildRangeScan(const LogicalNode& filter,
+                                       PhysicalPlan* plan,
+                                       QueryCounters* ctrs) {
+  const LogicalNode& scan = *filter.children[0];
+  const Meter m = NewMeter(plan, ctrs);
+  Built built;
+  built.op = Wrap(plan,
+                  plan->Own(scan.source.range_factory(*filter.key_range,
+                                                      m.ctrs)),
+                  m);
+  built.prop = scan.source.order;
+  const CardEstimate table = CardOf(scan, options_.cost_constants);
+  const double rows = KeyRangeRows(filter, table, options_.cost_constants);
+  built.est = {rows, cost_model_.RangeScan(table.rows, rows)};
+  plan->RecordAlg(PhysicalAlg::kScan, built.est);
+  const std::string detail = scan.source.name + " range " +
+                             filter.key_range->text;
+  built.explain = ExplainLine(PhysicalAlg::kScan, built.prop, detail,
+                              built.est);
+  // No feedback table: the rows a range returns say nothing about the
+  // table's size.
+  SetProfileLine(plan, m, PhysicalAlg::kScan, detail, built.prop, built.est,
+                 {});
+  built.pnode = m.node;
+  return built;
+}
+
 Planner::Built Planner::InsertSort(Built child,
                                    const LogicalNode* logical_child,
                                    PhysicalPlan* plan, int depth,
@@ -716,7 +743,14 @@ Planner::Built Planner::BuildNode(LogicalNode* node, PhysicalPlan* plan,
     }
 
     case LogicalOp::kFilter: {
-      Built child = BuildNode(node->children[0].get(), plan, depth + 1, ctrs);
+      LogicalNode* input = node->children[0].get();
+      // A key range over a seekable scan always seeks: the filter stays on
+      // top with the whole predicate, so no residual is split off.
+      Built child = node->key_range.has_value() &&
+                            input->op == LogicalOp::kScan &&
+                            input->source.range_factory != nullptr
+                        ? BuildRangeScan(*node, plan, ctrs)
+                        : BuildNode(input, plan, depth + 1, ctrs);
       const Meter m = NewMeter(plan, ctrs);
       result.op = Wrap(plan,
                        plan->Own(std::make_unique<FilterOperator>(
@@ -726,11 +760,11 @@ Planner::Built Planner::BuildNode(LogicalNode* node, PhysicalPlan* plan,
       result.est = {out_rows, child.est.cost +
                                   model.Filter(child.est.rows, out_rows)};
       plan->RecordAlg(PhysicalAlg::kFilter, result.est);
-      explain = ExplainLine(PhysicalAlg::kFilter, result.prop, "",
-                            result.est) +
+      explain = ExplainLine(PhysicalAlg::kFilter, result.prop,
+                            node->predicate_text, result.est) +
                 IndentBlock(child.explain);
-      SetProfileLine(plan, m, PhysicalAlg::kFilter, "", result.prop,
-                     result.est, {child.pnode});
+      SetProfileLine(plan, m, PhysicalAlg::kFilter, node->predicate_text,
+                     result.prop, result.est, {child.pnode});
       result.pnode = m.node;
       break;
     }

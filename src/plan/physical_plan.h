@@ -351,6 +351,10 @@ class Planner {
   /// consumer thread's counters).
   Built BuildNode(LogicalNode* node, PhysicalPlan* plan, int depth,
                   QueryCounters* ctrs);
+  /// The seek below `filter` (a filter with a key range over a seekable
+  /// scan): a scan of the range only, estimated at the range's rows.
+  Built BuildRangeScan(const LogicalNode& filter, PhysicalPlan* plan,
+                       QueryCounters* ctrs);
   /// Wraps `child` in a planner-inserted SortOperator metered by `ctrs`.
   /// `logical_child` provides the cardinality estimate for the sort's
   /// cost annotation.

@@ -90,6 +90,15 @@ class Schema {
            directions_ == other.directions_;
   }
 
+  /// The same row layout keyed on the first `n` key columns only (the
+  /// rest become payload): comparators over it compare key prefixes.
+  Schema KeyPrefix(uint32_t n) const {
+    OVC_CHECK(n >= 1 && n <= key_arity_);
+    return Schema(std::vector<SortDirection>(directions_.begin(),
+                                             directions_.begin() + n),
+                  total_columns() - n);
+  }
+
   /// Short layout description, e.g. "key(asc,asc,desc)+payload(2)".
   std::string ToString() const;
 

@@ -91,9 +91,6 @@ class InMemoryRunSource final : public MergeSource {
     return n;
   }
 
-  /// Restarts the scan from the beginning.
-  void Rewind() { pos_ = 0; }
-
  private:
   const InMemoryRun* run_;
   size_t pos_ = 0;

@@ -193,6 +193,112 @@ bool EvalAll(const std::vector<CompiledCmp>& cmps, const uint64_t* row) {
   return true;
 }
 
+/// `op` with its operands swapped: `c op k` holds iff `k Mirror(op) c`.
+CompareOp Mirror(CompareOp op) {
+  switch (op) {
+    case CompareOp::kLt:
+      return CompareOp::kGt;
+    case CompareOp::kLe:
+      return CompareOp::kGe;
+    case CompareOp::kGt:
+      return CompareOp::kLt;
+    case CompareOp::kGe:
+      return CompareOp::kLe;
+    default:
+      return op;
+  }
+}
+
+/// Narrows the inclusive value interval [*lo, *hi] by `column op value`.
+/// Returns false for `!=`, which no interval expresses.
+bool Narrow(CompareOp op, uint64_t value, uint64_t* lo, uint64_t* hi) {
+  switch (op) {
+    case CompareOp::kEq:
+      *lo = std::max(*lo, value);
+      *hi = std::min(*hi, value);
+      return true;
+    case CompareOp::kLe:
+      *hi = std::min(*hi, value);
+      return true;
+    case CompareOp::kGe:
+      *lo = std::max(*lo, value);
+      return true;
+    case CompareOp::kLt:
+      if (value > 0) {
+        *hi = std::min(*hi, value - 1);
+        return true;
+      }
+      break;
+    case CompareOp::kGt:
+      if (value < UINT64_MAX) {
+        *lo = std::max(*lo, value + 1);
+        return true;
+      }
+      break;
+    case CompareOp::kNe:
+      return false;
+  }
+  // `< 0` or `> UINT64_MAX`: no value qualifies. The interval inverts, and
+  // later conjuncts only tighten it, so it stays inverted.
+  *lo = 1;
+  *hi = 0;
+  return true;
+}
+
+/// The key range the column-versus-literal conjuncts in `cmps` put on the
+/// leading key columns of `schema`: equality on a prefix, then at most one
+/// bounded column. `names` names the columns for EXPLAIN. Returns nullopt
+/// when the conjuncts bound no leading key column.
+std::optional<plan::KeyRange> ExtractKeyRange(
+    const Schema& schema, const std::vector<CompiledCmp>& cmps,
+    const std::vector<std::string>& names) {
+  const uint32_t arity = schema.key_arity();
+  std::vector<uint64_t> lo(arity, 0), hi(arity, UINT64_MAX);
+  // Key column each conjunct narrowed, or arity when it narrowed none.
+  std::vector<uint32_t> narrowed;
+  for (const CompiledCmp& c : cmps) {
+    uint32_t col = arity;
+    if (c.lhs_lit != c.rhs_lit) {
+      const uint32_t cand = c.lhs_lit ? c.rhs_col : c.lhs_col;
+      const CompareOp op = c.lhs_lit ? Mirror(c.op) : c.op;
+      const uint64_t value = c.lhs_lit ? c.lhs_val : c.rhs_val;
+      if (cand < arity && Narrow(op, value, &lo[cand], &hi[cand])) col = cand;
+    }
+    narrowed.push_back(col);
+  }
+  plan::KeyRange range;
+  uint32_t p = 0;
+  while (p < arity && lo[p] == hi[p]) range.equal.push_back(lo[p++]);
+  if (p < arity && (lo[p] != 0 || hi[p] != UINT64_MAX)) {
+    range.bounded = true;
+    range.lo = lo[p];
+    range.hi = hi[p];
+  }
+  if (p == 0 && !range.bounded) return std::nullopt;
+  const uint32_t last = range.bounded ? p : p - 1;
+  range.covers_predicate =
+      std::all_of(narrowed.begin(), narrowed.end(),
+                  [last](uint32_t col) { return col <= last; });
+  for (uint32_t c = 0; c < p; ++c) {
+    if (c > 0) range.text += " and ";
+    range.text += names[c] + " = " + std::to_string(range.equal[c]);
+  }
+  if (range.bounded) {
+    if (p > 0) range.text += " and ";
+    if (range.empty()) {
+      range.text += names[p] + " empty";
+    } else if (range.hi == UINT64_MAX) {
+      range.text += names[p] + " >= " + std::to_string(range.lo);
+    } else if (range.lo == 0) {
+      range.text += names[p] + " <= " + std::to_string(range.hi);
+    } else {
+      range.text += std::to_string(range.lo) + " <= " + names[p] +
+                    " <= " + std::to_string(range.hi);
+    }
+  }
+  return range;
+}
+
 }  // namespace
 
 // ---------------------------------------------------------------------------
@@ -436,7 +542,19 @@ class CoreBinder {
         keep[i] = EvalAll(*cmps, block.row(i)) ? 1 : 0;
       }
     };
-    rel->builder->Filter(std::move(row_pred), std::move(block_pred));
+    std::string text;
+    for (const Comparison& cmp : where) {
+      if (!text.empty()) text += " and ";
+      text += cmp.ToString();
+    }
+    // Only a WHERE directly over a table scan bounds stored keys; above a
+    // join the filter's input is no longer a seekable source.
+    std::optional<plan::KeyRange> range;
+    if (rel->builder->root().op == plan::LogicalOp::kScan) {
+      range = ExtractKeyRange(rel->schema(), *cmps, rel->display);
+    }
+    rel->builder->Filter(std::move(row_pred), std::move(block_pred),
+                         std::move(text), std::move(range));
     return std::nullopt;
   }
 

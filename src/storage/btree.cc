@@ -52,15 +52,26 @@ BTree::Node* BTree::LeftmostLeaf() const {
   return n;
 }
 
-void BTree::FindLowerBound(const uint64_t* key_row, Node** leaf,
-                           uint32_t* pos) const {
+void BTree::FindBound(const uint64_t* key_row, bool strict,
+                      const KeyComparator& cmp, Node** leaf, uint32_t* pos,
+                      bool* at_key) const {
+  // An entry sorts "before" the bound when it is < key_row (<= if strict).
+  // `equal` remembers whether the entry at `hi` compared equal.
+  bool equal = false;
+  const auto before = [&](const uint64_t* row) {
+    const int c = cmp.Compare(row, key_row);
+    equal = c == 0;
+    return c < 0 || (strict && c == 0);
+  };
   Node* n = root_;
   while (!n->leaf) {
-    // Largest child whose separator sorts strictly before the key.
+    // Largest child whose separator sorts before the bound. Insert routes
+    // equal keys right, so every entry of an earlier child sorts at or
+    // before that separator.
     uint32_t lo = 1, hi = static_cast<uint32_t>(n->children.size());
     while (lo < hi) {
       const uint32_t mid = lo + (hi - lo) / 2;
-      if (comparator_.Compare(n->separators.row(mid), key_row) < 0) {
+      if (before(n->separators.row(mid))) {
         lo = mid + 1;
       } else {
         hi = mid;
@@ -68,24 +79,45 @@ void BTree::FindLowerBound(const uint64_t* key_row, Node** leaf,
     }
     n = n->children[lo - 1];
   }
-  // In-leaf lower bound.
+  // In-leaf bound.
   uint32_t lo = 0, hi = static_cast<uint32_t>(n->rows.size());
+  bool hi_equal = false;
   while (lo < hi) {
     const uint32_t mid = lo + (hi - lo) / 2;
-    if (comparator_.Compare(n->rows.row(mid), key_row) < 0) {
+    if (before(n->rows.row(mid))) {
       lo = mid + 1;
     } else {
       hi = mid;
+      hi_equal = equal;
     }
   }
-  // The lower bound may live in a following leaf (conservative separators,
-  // empty leaves).
+  // The bound may live in a following leaf (conservative separators,
+  // empty leaves); its entry there was never probed.
+  const bool moved = lo >= n->rows.size();
   while (lo >= n->rows.size() && n->next != nullptr) {
     n = n->next;
     lo = 0;
   }
   *leaf = n;
   *pos = lo;
+  if (at_key != nullptr) {
+    *at_key = moved ? lo < n->rows.size() &&
+                          cmp.Compare(n->rows.row(lo), key_row) == 0
+                    : hi_equal;
+  }
+}
+
+const uint64_t* BTree::FirstRow() const {
+  Node* n = LeftmostLeaf();
+  while (n != nullptr && n->rows.empty()) n = n->next;
+  return n == nullptr ? nullptr : n->rows.row(0);
+}
+
+const uint64_t* BTree::LastRow() const {
+  Node* n = root_;
+  while (!n->leaf) n = n->children.back();
+  while (n != nullptr && n->rows.empty()) n = n->prev;
+  return n == nullptr ? nullptr : n->rows.row(n->rows.size() - 1);
 }
 
 bool BTree::NextEntry(Node* leaf, uint32_t pos, Node** out_leaf,
@@ -280,7 +312,7 @@ void BTree::Insert(const uint64_t* row) {
 bool BTree::Delete(const uint64_t* key_row) {
   Node* leaf = nullptr;
   uint32_t pos = 0;
-  FindLowerBound(key_row, &leaf, &pos);
+  FindBound(key_row, /*strict=*/false, comparator_, &leaf, &pos, nullptr);
   if (pos >= leaf->rows.size() ||
       comparator_.Compare(leaf->rows.row(pos), key_row) != 0) {
     return false;
@@ -305,23 +337,63 @@ bool BTree::Delete(const uint64_t* key_row) {
 }
 
 /// Ordered scan over the leaf chain; codes come straight from storage.
+/// A range scan descends to both ends of its range on every Open().
 class BTreeScanImpl : public Operator {
  public:
-  BTreeScanImpl(const Schema* schema, const OvcCodec* codec,
-                BTree::Node* start_leaf, uint32_t start_pos,
-                BTree::Node* end_leaf, uint32_t end_pos, bool rebase_first)
-      : schema_(schema),
-        codec_(codec),
-        start_leaf_(start_leaf),
-        start_pos_(start_pos),
-        end_leaf_(end_leaf),
-        end_pos_(end_pos),
-        rebase_first_(rebase_first) {}
+  /// Full scan.
+  explicit BTreeScanImpl(const BTree* tree)
+      : tree_(tree), prefix_(tree->schema()) {}
+
+  /// Range scan of `low` <= key prefix <= `high`.
+  BTreeScanImpl(const BTree* tree, uint32_t key_columns, const uint64_t* low,
+                const uint64_t* high, QueryCounters* counters)
+      : tree_(tree),
+        ranged_(true),
+        prefix_(tree->schema().KeyPrefix(key_columns)),
+        low_(low, low + tree->schema().total_columns()),
+        high_(high, high + tree->schema().total_columns()),
+        counters_(counters) {}
 
   void Open() override {
-    leaf_ = start_leaf_;
-    pos_ = start_pos_;
     first_ = true;
+    if (!ranged_) {
+      leaf_ = tree_->LeftmostLeaf();
+      pos_ = 0;
+      end_leaf_ = nullptr;
+      return;
+    }
+    // The bounds are query constants: comparing them with each other is
+    // not a comparison against stored data, so it is not counted.
+    const int order =
+        KeyComparator(&prefix_, nullptr).Compare(low_.data(), high_.data());
+    if (order > 0) {
+      leaf_ = nullptr;
+      return;
+    }
+    const KeyComparator cmp(&prefix_, counters_);
+    bool found = false;
+    tree_->FindBound(low_.data(), /*strict=*/false, cmp, &leaf_, &pos_,
+                     &found);
+    if (order < 0) {
+      tree_->FindBound(high_.data(), /*strict=*/true, cmp, &end_leaf_,
+                       &end_pos_, nullptr);
+      return;
+    }
+    // An equality range ends at the first entry whose stored code marks a
+    // change within the range's key columns: no column comparison.
+    if (!found) {
+      leaf_ = nullptr;
+      return;
+    }
+    end_leaf_ = leaf_;
+    end_pos_ = pos_;
+    while (tree_->NextEntry(end_leaf_, end_pos_, &end_leaf_, &end_pos_)) {
+      if (tree_->codec_.IsBoundary(end_leaf_->codes[end_pos_],
+                                   prefix_.key_arity())) {
+        return;
+      }
+    }
+    end_leaf_ = nullptr;  // the range runs to the last entry
   }
 
   uint32_t NextBatch(RowBlock* out) override {
@@ -348,8 +420,8 @@ class BTreeScanImpl : public Operator {
                             n);
       pos_ += n;
       if (first_) {
-        if (rebase_first_) {
-          out->set_code(0, codec_->MakeInitial(out->row(0)));
+        if (ranged_) {
+          out->set_code(0, tree_->codec_.MakeInitial(out->row(0)));
         }
         first_ = false;
       }
@@ -358,51 +430,35 @@ class BTreeScanImpl : public Operator {
   }
 
   void Close() override {}
-  const Schema& schema() const override { return *schema_; }
+  const Schema& schema() const override { return tree_->schema(); }
   bool sorted() const override { return true; }
   bool has_ovc() const override { return true; }
 
  private:
-  const Schema* schema_;
-  const OvcCodec* codec_;
-  BTree::Node* start_leaf_;
-  uint32_t start_pos_;
-  BTree::Node* end_leaf_;
-  uint32_t end_pos_;
-  bool rebase_first_;
+  const BTree* tree_;
+  bool ranged_ = false;
+  Schema prefix_;  // compares the range's key prefix
+  std::vector<uint64_t> low_;
+  std::vector<uint64_t> high_;
+  QueryCounters* counters_ = nullptr;
 
   BTree::Node* leaf_ = nullptr;
   uint32_t pos_ = 0;
+  BTree::Node* end_leaf_ = nullptr;
+  uint32_t end_pos_ = 0;
   bool first_ = true;
 };
 
 std::unique_ptr<Operator> BTree::Scan() const {
-  return std::make_unique<BTreeScanImpl>(schema_, &codec_, LeftmostLeaf(), 0,
-                                         nullptr, 0, /*rebase_first=*/false);
+  return std::make_unique<BTreeScanImpl>(this);
 }
 
-std::unique_ptr<Operator> BTree::RangeScan(const uint64_t* low_key,
-                                           const uint64_t* high_key) const {
-  Node* start_leaf = nullptr;
-  uint32_t start_pos = 0;
-  FindLowerBound(low_key, &start_leaf, &start_pos);
-
-  // End bound: the first entry strictly greater than high_key. Reuse
-  // FindLowerBound and advance over equal keys.
-  Node* end_leaf = nullptr;
-  uint32_t end_pos = 0;
-  FindLowerBound(high_key, &end_leaf, &end_pos);
-  while (end_leaf != nullptr && end_pos < end_leaf->rows.size() &&
-         comparator_.Compare(end_leaf->rows.row(end_pos), high_key) == 0) {
-    ++end_pos;
-    while (end_pos >= end_leaf->rows.size() && end_leaf->next != nullptr) {
-      end_leaf = end_leaf->next;
-      end_pos = 0;
-    }
-  }
-  return std::make_unique<BTreeScanImpl>(schema_, &codec_, start_leaf,
-                                         start_pos, end_leaf, end_pos,
-                                         /*rebase_first=*/true);
+std::unique_ptr<Operator> BTree::RangeScan(uint32_t key_columns,
+                                           const uint64_t* low_key,
+                                           const uint64_t* high_key,
+                                           QueryCounters* counters) const {
+  return std::make_unique<BTreeScanImpl>(this, key_columns, low_key, high_key,
+                                         counters);
 }
 
 }  // namespace ovc

@@ -64,11 +64,22 @@ class BTree {
   /// The returned operator borrows the tree; do not mutate during a scan.
   std::unique_ptr<Operator> Scan() const;
 
-  /// Ordered scan of rows with key >= `low_key` (full-key comparison),
-  /// ending at keys > `high_key`. The first emitted row's code is re-based
-  /// to offset 0; all further codes come straight from storage.
-  std::unique_ptr<Operator> RangeScan(const uint64_t* low_key,
-                                      const uint64_t* high_key) const;
+  /// Ordered scan of the rows whose first `key_columns` key columns lie
+  /// between `low_key` and `high_key` (inclusive; rows of the tree's width,
+  /// copied). The scan descends to the range when it opens, counting its
+  /// comparisons into `counters` (may be null); when the two keys are
+  /// equal the stored codes mark the range's end, otherwise a second
+  /// descent finds it. `low_key` sorting after `high_key` is an empty
+  /// range. The first emitted row's code is re-based to offset 0; all
+  /// further codes come straight from storage.
+  std::unique_ptr<Operator> RangeScan(uint32_t key_columns,
+                                      const uint64_t* low_key,
+                                      const uint64_t* high_key,
+                                      QueryCounters* counters) const;
+
+  /// First and last row in key order (null when the tree is empty).
+  const uint64_t* FirstRow() const;
+  const uint64_t* LastRow() const;
 
   /// Number of successor-code fixups on insert/delete that the theorem
   /// resolved without any column comparison.
@@ -89,9 +100,11 @@ class BTree {
   static void DestroyRecursive(Node* node);
   Node* LeftmostLeaf() const;
   /// Finds the leaf and in-leaf position of the first entry with key >=
-  /// `key_row` (comparisons counted).
-  void FindLowerBound(const uint64_t* key_row, Node** leaf,
-                      uint32_t* pos) const;
+  /// `key_row` (`strict`: key > `key_row`), comparing through `cmp`. When
+  /// `at_key` is given, it reports whether that entry equals `key_row`.
+  void FindBound(const uint64_t* key_row, bool strict,
+                 const KeyComparator& cmp, Node** leaf, uint32_t* pos,
+                 bool* at_key) const;
   SplitResult InsertInto(Node* node, const uint64_t* row);
   void FixupSuccessorAfterInsert(Node* leaf, uint32_t new_pos);
   void FixupSuccessorAfterDelete(Node* leaf, uint32_t del_pos,

@@ -16,6 +16,9 @@
 #include "plan/logical_plan.h"
 #include "plan/physical_plan.h"
 #include "plan/plan_executor.h"
+#include "sql/binder.h"
+#include "sql/catalog.h"
+#include "sql/parser.h"
 #include "tests/test_util.h"
 
 namespace ovc {
@@ -135,6 +138,86 @@ TEST_F(CostModelTest, LimitCapsCardinality) {
                      .Build();
   AnnotateCardinalities(logical.get(), CostConstants::Calibrated());
   EXPECT_DOUBLE_EQ(logical->card.rows, 7.0);
+}
+
+/// The served point-lookup table: 50,000 rows sorted on k, 5,000 distinct
+/// keys 0..4,999, statistics as the catalog records them.
+class KeyRangeEstimateTest : public CostModelTest {
+ protected:
+  KeyRangeEstimateTest() {
+    sql::Catalog::GeneratedSpec spec;
+    spec.distinct_per_column = 5000;
+    spec.seed = 1;
+    spec.sorted = true;
+    OVC_CHECK(catalog_
+                  .RegisterGenerated("events", {"k", "v", "w"}, Schema(1, 2),
+                                     50000, spec)
+                  .ok());
+  }
+
+  /// The bound plan of `sql` with cardinalities annotated.
+  std::unique_ptr<LogicalNode> Bind(const std::string& sql) {
+    auto stmt = sql::ParseStatement(sql);
+    EXPECT_TRUE(stmt.ok()) << sql;
+    auto bound = sql::Binder(&catalog_).Bind(stmt.value().select);
+    EXPECT_TRUE(bound.ok()) << sql;
+    std::unique_ptr<LogicalNode> root = std::move(bound.value().plan);
+    AnnotateCardinalities(root.get(), CostConstants::Calibrated());
+    return root;
+  }
+
+  sql::Catalog catalog_;
+};
+
+TEST_F(KeyRangeEstimateTest, EqualityOnTheKeyUsesKeyDistinct) {
+  // rows / key_distinct[0] = 50,000 / 5,000 -- not 50,000 x 0.33.
+  auto logical = Bind("SELECT * FROM events WHERE k = 17");
+  ASSERT_EQ(logical->op, plan::LogicalOp::kFilter);
+  EXPECT_NEAR(logical->card.rows, 10.0, 0.01);
+  EXPECT_DOUBLE_EQ(logical->card.DistinctPrefix(1), 1.0);
+  // The range scan's EXPLAIN line carries the range estimate.
+  PhysicalPlan plan = Plan(logical.get());
+  const std::string text = plan.ToString();
+  EXPECT_NE(text.find("scan(events range k = 17) [sorted(1)+ovc] {rows=10 "),
+            std::string::npos)
+      << text;
+}
+
+TEST_F(KeyRangeEstimateTest, RangeOnColumnZeroInterpolatesBetweenKeyBounds) {
+  // 500 of 5,000 key values: a tenth of the table.
+  EXPECT_NEAR(Bind("SELECT * FROM events WHERE k < 500")->card.rows, 5000.0,
+              0.01);
+  EXPECT_NEAR(
+      Bind("SELECT * FROM events WHERE k >= 4000 AND k <= 4999")->card.rows,
+      10000.0, 0.01);
+  // Past the last key: nothing to interpolate, the one-row floor.
+  EXPECT_DOUBLE_EQ(Bind("SELECT * FROM events WHERE k > 9000")->card.rows,
+                   1.0);
+}
+
+TEST_F(KeyRangeEstimateTest, OpaqueConjunctsKeepFilterSelectivity) {
+  const CostConstants c = CostConstants::Calibrated();
+  EXPECT_NEAR(Bind("SELECT * FROM events WHERE v = 17")->card.rows,
+              50000.0 * c.filter_selectivity, 1e-6);
+  // A residual conjunct beside the range multiplies in the default.
+  EXPECT_NEAR(Bind("SELECT * FROM events WHERE k = 17 AND v > 3")->card.rows,
+              10.0 * c.filter_selectivity, 0.01);
+}
+
+TEST_F(KeyRangeEstimateTest, PointLookupQErrorStaysWithinTwo) {
+  plan::PlanExecutor::Options options;
+  options.planner.profile = true;
+  for (const uint64_t key : {0u, 17u, 2500u, 4999u}) {
+    auto logical =
+        Bind("SELECT k, v, w FROM events WHERE k = " + std::to_string(key));
+    QueryCounters counters;
+    plan::PlanExecutor executor(&counters, &temp_, options);
+    executor.Run(logical.get());
+    const QueryProfile* profile = executor.last_plan()->profile();
+    ASSERT_NE(profile, nullptr);
+    EXPECT_LE(profile->WorstQError(), 2.0)
+        << executor.last_plan()->ExplainAnalyze();
+  }
 }
 
 // ---------------------------------------------------------------------------

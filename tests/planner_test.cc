@@ -3,6 +3,9 @@
 // hash fallback when they are not).
 
 #include <memory>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -27,6 +30,7 @@ using plan::PhysicalPlan;
 using plan::PlanBuilder;
 using plan::Planner;
 using plan::PlannerOptions;
+using testing::RowVec;
 
 class PlannerTest : public ::testing::Test {
  protected:
@@ -279,6 +283,87 @@ TEST_F(PlannerTest, SetOpInsertsSortsOnlyWhereNeeded) {
   EXPECT_TRUE(plan.Uses(PhysicalAlg::kSetOperation));
   EXPECT_EQ(plan.inserted_sorts(), 1u);  // only the buffer side
   EXPECT_TRUE(plan.root_order().SortedWithCodes(2));
+}
+
+/// `a = value` on the first key column, as the SQL binder extracts it.
+plan::KeyRange EqualityOnA(uint64_t value) {
+  plan::KeyRange range;
+  range.equal = {value};
+  range.covers_predicate = true;
+  range.text = "a = " + std::to_string(value);
+  return range;
+}
+
+PlanBuilder FilterAEquals(PlanBuilder input, uint64_t value) {
+  input.Filter([value](const uint64_t* row) { return row[0] == value; },
+               nullptr, "a = " + std::to_string(value), EqualityOnA(value));
+  return input;
+}
+
+TEST_F(PlannerTest, KeyRangeOverSortedScanSeeks) {
+  plan::TableSource source = BTreeSource("bt", &tree_);
+  source.stats.key_distinct = {4.0, 16.0};
+  auto logical = FilterAEquals(PlanBuilder::Scan(source), 2).Build();
+  PhysicalPlan plan = Plan(logical.get());
+
+  const std::vector<PhysicalAlg> want = {PhysicalAlg::kScan,
+                                         PhysicalAlg::kFilter};
+  EXPECT_EQ(plan.algorithms(), want);
+  EXPECT_EQ(plan.root_order(), OrderProperty::Sorted(2, /*ovc=*/true));
+  const std::string text = plan.ToString();
+  EXPECT_EQ(text.rfind("filter(a = 2) [sorted(2)+ovc]", 0), 0u) << text;
+  EXPECT_NE(text.find("\n  scan(bt range a = 2) [sorted(2)+ovc]"),
+            std::string::npos)
+      << text;
+  // The seek estimates rows / distinct(a) = 500 / 4, not the table size.
+  EXPECT_NEAR(plan.node_estimates()[0].rows, 125.0, 1.0);
+
+  RowVec got = testing::DrainValidated(plan.root());
+  EXPECT_FALSE(got.empty());
+  for (const auto& row : got) EXPECT_EQ(row[0], 2u);
+}
+
+TEST_F(PlannerTest, KeyRangeWithoutSeekableScanKeepsFullScan) {
+  // Unsorted storage has no range factory.
+  auto unsorted =
+      FilterAEquals(PlanBuilder::Scan(BufferSource("t", &schema_, &table_)), 2)
+          .Build();
+  PhysicalPlan scan_plan = Plan(unsorted.get());
+  EXPECT_EQ(scan_plan.ToString().find(" range "), std::string::npos)
+      << scan_plan.ToString();
+  EXPECT_NE(scan_plan.ToString().find("scan(t) [unsorted]"),
+            std::string::npos);
+
+  // Above a join the filter's input is not a scan.
+  PlanBuilder join = PlanBuilder::Scan(BTreeSource("l", &tree_));
+  join.Join(PlanBuilder::Scan(BTreeSource("r", &tree_)), JoinType::kInner);
+  auto joined = FilterAEquals(std::move(join), 2).Build();
+  PhysicalPlan join_plan = Plan(joined.get());
+  EXPECT_TRUE(join_plan.Uses(PhysicalAlg::kMergeJoin));
+  EXPECT_EQ(join_plan.ToString().find(" range "), std::string::npos)
+      << join_plan.ToString();
+}
+
+TEST_F(PlannerTest, SeekKeepsOrderAndCodesForSortAndAggregate) {
+  auto sorted =
+      FilterAEquals(PlanBuilder::Scan(BTreeSource("bt", &tree_)), 1)
+          .Sort()
+          .Build();
+  PhysicalPlan sort_plan = Plan(sorted.get());
+  EXPECT_TRUE(sort_plan.Uses(PhysicalAlg::kElidedSort));
+  EXPECT_FALSE(sort_plan.Uses(PhysicalAlg::kSort));
+  EXPECT_NE(sort_plan.ToString().find(" range "), std::string::npos);
+
+  auto grouped =
+      FilterAEquals(PlanBuilder::Scan(BTreeSource("bt", &tree_)), 1)
+          .Aggregate(2, {{AggFn::kCount, 0}})
+          .Build();
+  PhysicalPlan agg_plan = Plan(grouped.get());
+  EXPECT_TRUE(agg_plan.Uses(PhysicalAlg::kInStreamAggregate))
+      << agg_plan.ToString();
+  EXPECT_EQ(agg_plan.inserted_sorts(), 0u);
+  EXPECT_NE(agg_plan.ToString().find(" range "), std::string::npos);
+  testing::DrainValidated(agg_plan.root());
 }
 
 TEST_F(PlannerTest, RequirementAnnotationsFollowInterestingOrders) {

@@ -7,6 +7,7 @@
 #include <functional>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -368,6 +369,99 @@ TEST_F(SqlExecTest, JoinWhereGroupOrderLimit) {
             .Limit(20)
             .Build();
       });
+}
+
+TEST_F(SqlExecTest, KeyPredicateOverSortedTableSeeks) {
+  // A WHERE on the leading key of a sorted, coded table scans only the
+  // key range; the filter above keeps the whole predicate.
+  CheckSql("SELECT * FROM orders WHERE orderkey = 17 AND custkey > 100", [&] {
+    return PlanBuilder::Scan(Source("orders"))
+        .Filter([](const uint64_t* row) {
+          return row[0] == 17 && row[1] > 100;
+        })
+        .Build();
+  });
+  CheckSql("SELECT * FROM events WHERE site = 3 AND day < 4", [&] {
+    return PlanBuilder::Scan(Source("events"))
+        .Filter([](const uint64_t* row) { return row[0] == 3 && row[1] < 4; })
+        .Build();
+  });
+
+  SqlSession session(&catalog_, MakeOptions(1));
+  const auto explain = [&](const std::string& sql) {
+    SqlResult<std::string> text = session.Explain(sql);
+    EXPECT_TRUE(text.ok()) << sql;
+    return text.ok() ? text.value() : std::string();
+  };
+  const std::string seek =
+      explain("SELECT * FROM orders WHERE orderkey = 17 AND custkey > 100");
+  EXPECT_NE(seek.find("filter(orderkey = 17 and custkey > 100) "),
+            std::string::npos)
+      << seek;
+  EXPECT_NE(seek.find("  scan(orders range orderkey = 17) [sorted(1)+ovc]"),
+            std::string::npos)
+      << seek;
+  EXPECT_NE(explain("SELECT * FROM events WHERE site = 3 AND day < 4")
+                .find("scan(events range site = 3 and day <= 3)"),
+            std::string::npos);
+
+  // No seek: a payload column, an unsorted table, a WHERE above a join.
+  const std::pair<const char*, const char*> full_scans[] = {
+      {"SELECT * FROM orders WHERE custkey = 17", "scan(orders) "},
+      {"SELECT * FROM lineitem WHERE orderkey = 17", "scan(lineitem) "},
+      {"SELECT * FROM orders o INNER JOIN lineitem l "
+       "ON o.orderkey = l.orderkey WHERE o.orderkey = 17",
+       "scan(orders) "}};
+  for (const auto& [sql, scan] : full_scans) {
+    const std::string text = explain(sql);
+    EXPECT_EQ(text.find(" range "), std::string::npos) << text;
+    EXPECT_NE(text.find(scan), std::string::npos) << text;
+  }
+}
+
+TEST_F(SqlExecTest, OrderByOverSeekKeepsElidedSort) {
+  const char* sql =
+      "SELECT orderkey, custkey FROM orders "
+      "WHERE orderkey >= 10 AND orderkey < 20 ORDER BY orderkey";
+  CheckSql(sql, [&] {
+    return PlanBuilder::Scan(Source("orders"))
+        .Filter([](const uint64_t* row) { return row[0] >= 10 && row[0] < 20; })
+        .Sort()
+        .Build();
+  });
+  SqlSession session(&catalog_, MakeOptions(1));
+  SqlResult<std::unique_ptr<PreparedQuery>> prepared = session.Prepare(sql);
+  ASSERT_TRUE(prepared.ok());
+  EXPECT_TRUE(prepared.value()->physical->Uses(plan::PhysicalAlg::kElidedSort));
+  EXPECT_FALSE(prepared.value()->physical->Uses(plan::PhysicalAlg::kSort));
+  EXPECT_NE(prepared.value()->explain_text().find(
+                "scan(orders range 10 <= orderkey <= 19)"),
+            std::string::npos)
+      << prepared.value()->explain_text();
+}
+
+TEST_F(SqlExecTest, GroupByOverSeekStreamsAggregate) {
+  // The in-stream aggregate reads group boundaries from codes, so it is
+  // only planned when the seek kept order and codes.
+  const char* sql =
+      "SELECT orderkey, COUNT(*) AS n FROM orders WHERE orderkey < 40 "
+      "GROUP BY orderkey";
+  CheckSql(sql, [&] {
+    return PlanBuilder::Scan(Source("orders"))
+        .Filter([](const uint64_t* row) { return row[0] < 40; })
+        .Aggregate(1, {{AggFn::kCount, 0}})
+        .Build();
+  });
+  SqlSession session(&catalog_, MakeOptions(1));
+  SqlResult<std::unique_ptr<PreparedQuery>> prepared = session.Prepare(sql);
+  ASSERT_TRUE(prepared.ok());
+  const plan::PhysicalPlan& physical = *prepared.value()->physical;
+  EXPECT_TRUE(physical.Uses(plan::PhysicalAlg::kInStreamAggregate));
+  EXPECT_EQ(physical.inserted_sorts(), 0u);
+  EXPECT_NE(prepared.value()->explain_text().find(
+                "scan(orders range orderkey <= 39) [sorted(1)+ovc]"),
+            std::string::npos)
+      << prepared.value()->explain_text();
 }
 
 TEST_F(SqlExecTest, ParallelPlansUseExchanges) {

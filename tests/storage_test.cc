@@ -116,7 +116,7 @@ TEST(BTree, RangeScanRebasesFirstCode) {
   }
   const uint64_t low[3] = {3, 0, 0};
   const uint64_t high[3] = {6, 29, 0};
-  auto scan = tree.RangeScan(low, high);
+  auto scan = tree.RangeScan(schema.key_arity(), low, high, nullptr);
   RowVec out = DrainValidated(scan.get());
   EXPECT_EQ(out.size(), 4 * 30u);  // first columns 3..6
   for (const auto& row : out) {

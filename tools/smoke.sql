@@ -2,8 +2,8 @@
 -- .github/workflows/ci.yml). Exercises table generation, EXPLAIN, and a
 -- few executed statements; CI greps the output for the planner shapes
 -- the SQL front end is supposed to surface: an elided sort over a
--- pre-sorted coded table, a merge join, and (at --parallelism > 1) the
--- exchange-parallel shapes.
+-- pre-sorted coded table, a merge join, a key-range seek, and (at
+-- --parallelism > 1) the exchange-parallel shapes.
 .gen lineitem(orderkey,qty,price) rows=20000 keys=1 distinct=500 seed=1
 .gen orders(orderkey,custkey) rows=5000 keys=1 distinct=500 seed=2 sorted
 .gen events(site,day,visitor) rows=10000 keys=3 distinct=16 seed=3 sorted
@@ -11,6 +11,12 @@
 
 -- Pre-sorted coded table + ORDER BY on its key prefix: the sort is elided.
 EXPLAIN SELECT site, day, visitor FROM events ORDER BY site, day;
+
+-- Point query on the sorted orders table's key: the scan seeks to the
+-- key's rows instead of reading the table, under a filter that names its
+-- predicate. Executed too, so the seek runs in every smoke config.
+EXPLAIN SELECT orderkey, custkey FROM orders WHERE orderkey = 17;
+SELECT orderkey, custkey FROM orders WHERE orderkey = 17;
 
 -- Join with the sorted orders table as the probe: the planner sorts the
 -- unsorted lineitem side once and merge joins, reusing the probe's order;
