@@ -492,8 +492,9 @@ PhysicalPlan Planner::Plan(LogicalNode* root) {
   AnnotateInferred(root, options_);
   PhysicalPlan plan;
   if (options_.profile) plan.profile_ = std::make_unique<QueryProfile>();
-  Built built = BuildNode(root, &plan, 0, counters_);
+  Built built = BuildNode(root, &plan, counters_);
   plan.root_ = built.op;
+  plan.explain_ = built.explain;
   plan.root_order_ = built.prop;
   plan.root_estimate_ = built.est;
   if (plan.profile_) plan.profile_->SetRoot(built.pnode);
@@ -562,166 +563,191 @@ Planner::Built Planner::BuildRangeScan(const LogicalNode& filter,
 
 Planner::Built Planner::InsertSort(Built child,
                                    const LogicalNode* logical_child,
-                                   PhysicalPlan* plan, int depth,
-                                   QueryCounters* ctrs) {
-  (void)depth;
+                                   PhysicalPlan* plan, QueryCounters* ctrs) {
   // Planner-inserted sorts always feed code-consuming operators (merge
   // join, dedup, set operation), so the configured sort must deliver
   // codes; catch a code-free ablation config here, at plan time, instead
   // of deep inside a downstream operator's precondition check.
   OVC_CHECK(options_.sort_config.use_ovc ||
             options_.sort_config.naive_output_codes);
-  const Meter m = NewMeter(plan, ctrs);
-  auto sort = std::make_unique<SortOperator>(child.op, m.ctrs, temp_,
-                                             options_.sort_config);
-  const Schema& schema = child.op->schema();
+  const Schema& schema = logical_child->schema;
   const CardEstimate cc = CardOf(*logical_child, options_.cost_constants);
+  const OrderProperty prop = SortOutput(schema, options_.sort_config);
+  const NodeEstimate est = {
+      child.est.rows, child.est.cost + SortCostFor(cost_model_, cc, schema)};
+  ++plan->inserted_sorts_;
+  if (child.open()) {
+    // One sort per worker above its partition stream, each the sole
+    // producer of its partition's codes (the parallel ORDER BY shape).
+    TempFileManager* temp = temp_;
+    const SortConfig& sort_config = options_.sort_config;
+    return AppendToRegion(
+        {std::move(child)}, PhysicalAlg::kSort, "inserted, per worker", prop,
+        est, plan,
+        [temp, &sort_config](const std::vector<Operator*>& in,
+                             QueryCounters* wc) {
+          return std::make_unique<SortOperator>(in[0], wc, temp, sort_config);
+        });
+  }
+  const Meter m = NewMeter(plan, ctrs);
   Built built;
-  built.prop = SortOutput(schema, options_.sort_config);
-  built.est.rows = child.est.rows;
-  built.est.cost = child.est.cost + SortCostFor(cost_model_, cc, schema);
-  built.op = Wrap(plan, plan->Own(std::move(sort)), m);
+  built.prop = prop;
+  built.est = est;
+  built.op = Wrap(plan,
+                  plan->Own(std::make_unique<SortOperator>(
+                      child.op, m.ctrs, temp_, options_.sort_config)),
+                  m);
   built.explain = ExplainLine(PhysicalAlg::kSort, built.prop, "inserted",
                               built.est) +
                   IndentBlock(child.explain);
   SetProfileLine(plan, m, PhysicalAlg::kSort, "inserted", built.prop,
                  built.est, {child.pnode});
   built.pnode = m.node;
-  ++plan->inserted_sorts_;
   plan->RecordAlg(PhysicalAlg::kSort, built.est);
   return built;
 }
 
-Operator* Planner::BuildExchangeRegion(
-    const std::vector<Operator*>& children,
-    const std::vector<QueryCounters*>& child_counters,
-    const std::vector<NodeEstimate>& child_ests,
-    const NodeEstimate& region_est, SplitExchange::Policy policy,
-    uint32_t hash_prefix, QueryCounters* merge_counters, PhysicalPlan* plan,
-    const std::function<std::unique_ptr<Operator>(
-        const std::vector<Operator*>& parts, QueryCounters* wc)>&
-        make_worker,
-    const RegionProfile& rp, Meter* merge_meter) {
-  OVC_CHECK(children.size() == child_counters.size());
-  OVC_CHECK(children.size() == child_ests.size());
-  QueryProfile* profile = plan->profile();
+std::vector<QueryCounters*> Planner::RegionWorkerCounters(
+    PhysicalPlan* plan) {
+  std::vector<QueryCounters*> wcs;
+  if (plan->profile() != nullptr) return wcs;
+  for (uint32_t w = 0; w < options_.parallelism; ++w) {
+    wcs.push_back(plan->NewWorkerCounters());
+  }
+  return wcs;
+}
+
+Planner::Built Planner::SplitRegion(Built child, QueryCounters* child_ctrs,
+                                    SplitExchange::Policy policy,
+                                    uint32_t hash_prefix,
+                                    std::vector<QueryCounters*> worker_ctrs,
+                                    PhysicalPlan* plan) {
+  OVC_CHECK(!child.open());
   const uint32_t workers = options_.parallelism;
+  const bool hash = policy == SplitExchange::Policy::kHashKey;
+  Built region;
+  region.prop = child.prop;
+  region.est = {child.est.rows,
+                child.est.cost + cost_model_.SplitExchange(child.est.rows,
+                                                           hash)};
+  region.worker_ctrs = std::move(worker_ctrs);
+  region.partition_prefix = hash_prefix;  // 0 for a round-robin split
+  plan->RecordAlg(PhysicalAlg::kSplitExchange, region.est);
+  region.explain = ExplainLine(PhysicalAlg::kSplitExchange, region.prop,
+                               SplitPolicyName(policy), region.est) +
+                   IndentBlock(child.explain);
   // A split pumps the shared child from whichever worker thread pulls
   // first, all under its pump mutex -- so it shares the region counters
-  // its child subtree was built with (one instance per split, rolled up
-  // after the run, never the consumer-side counters). Under profiling the
-  // routing work is charged to the split's own profile node instead.
-  std::vector<SplitExchange*> splits;
-  std::vector<int> split_nodes;
-  for (size_t c = 0; c < children.size(); ++c) {
-    plan->RecordAlg(PhysicalAlg::kSplitExchange, child_ests[c]);
-    QueryCounters* split_ctrs = child_counters[c];
-    int snode = -1;
-    if (profile != nullptr) {
-      snode = profile->AddNode();
-      // Slice 0 meters the routing work (hash computations, under the pump
-      // mutex); the per-partition pull slices added below meter rows and
-      // pull time, one per consuming thread.
-      split_ctrs = &profile->AddSlice(snode)->counters;
-      profile->SetLine(snode,
-                       ProfileLabel(PhysicalAlg::kSplitExchange, rp.part_prop,
-                                    SplitPolicyName(policy)),
-                       child_ests[c].rows, child_ests[c].cost,
-                       {rp.child_pnodes[c]});
-    }
-    split_nodes.push_back(snode);
-    splits.push_back(plan->OwnSplit(std::make_unique<SplitExchange>(
-        children[c], workers, policy, split_ctrs,
-        std::vector<uint64_t>{}, hash_prefix)));
-  }
-  int wnode = -1;
+  // its child subtree was built with (rolled up after the run, never the
+  // consumer-side counters). Under profiling the routing work is charged
+  // to the split's own profile node instead: slice 0 meters the routing
+  // (hash computations, under the pump mutex), and one pull slice per
+  // partition stream meters rows and pull time -- each stream is pulled
+  // by exactly one worker, and their row counts sum to the split's output.
+  QueryProfile* profile = plan->profile();
+  QueryCounters* split_ctrs = child_ctrs;
   if (profile != nullptr) {
-    wnode = profile->AddNode();
-    profile->SetLine(
-        wnode, ProfileLabel(rp.worker_alg, rp.worker_prop, rp.worker_detail),
-        rp.worker_est.rows, rp.worker_est.cost, split_nodes);
+    region.pnode = profile->AddNode();
+    split_ctrs = &profile->AddSlice(region.pnode)->counters;
+    profile->SetLine(region.pnode,
+                     ProfileLabel(PhysicalAlg::kSplitExchange, region.prop,
+                                  SplitPolicyName(policy)),
+                     region.est.rows, region.est.cost, {child.pnode});
   }
-  std::vector<Operator*> worker_ops;
+  SplitExchange* split = plan->OwnSplit(std::make_unique<SplitExchange>(
+      child.op, workers, policy, split_ctrs, std::vector<uint64_t>{},
+      hash_prefix));
   for (uint32_t w = 0; w < workers; ++w) {
-    std::vector<Operator*> parts;
-    parts.reserve(splits.size());
-    for (size_t c = 0; c < splits.size(); ++c) {
-      Operator* part = splits[c]->partition(w);
-      if (profile != nullptr) {
-        // One slice per partition stream: each stream is pulled by exactly
-        // one worker, and their row counts sum to the split's output.
-        part = plan->Own(std::make_unique<ProfiledOperator>(
-            part, profile->AddSlice(split_nodes[c])));
-      }
-      parts.push_back(part);
-    }
-    QueryCounters* wc = nullptr;
-    OperatorStats* wslice = nullptr;
+    Operator* part = split->partition(w);
     if (profile != nullptr) {
-      // The worker's stats slice doubles as its counters instance,
-      // preserving the one-instance-per-producer-thread contract.
-      wslice = profile->AddSlice(wnode);
-      wc = &wslice->counters;
-    } else {
-      wc = plan->NewWorkerCounters();
+      part = plan->Own(std::make_unique<ProfiledOperator>(
+          part, profile->AddSlice(region.pnode)));
     }
-    Operator* worker = plan->Own(make_worker(parts, wc));
-    if (wslice != nullptr) {
-      worker = plan->Own(std::make_unique<ProfiledOperator>(worker, wslice));
-    }
-    worker_ops.push_back(worker);
+    region.workers.push_back(part);
   }
-  plan->RecordAlg(PhysicalAlg::kMergeExchange, region_est);
   if (workers > plan->parallel_workers_) plan->parallel_workers_ = workers;
-  Meter mm;
-  mm.ctrs = merge_counters;
+  return region;
+}
+
+Planner::Built Planner::AppendToRegion(std::vector<Built> inputs,
+                                       PhysicalAlg alg,
+                                       const std::string& detail,
+                                       const OrderProperty& prop,
+                                       const NodeEstimate& est,
+                                       PhysicalPlan* plan,
+                                       const WorkerFactory& make) {
+  QueryProfile* profile = plan->profile();
+  Built region;
+  region.prop = prop;
+  region.est = est;
+  region.worker_ctrs = inputs[0].worker_ctrs;
+  region.partition_prefix = inputs[0].partition_prefix;
+  plan->RecordAlg(alg, est);
+  region.explain = ExplainLine(alg, prop, detail, est);
+  std::vector<int> children;
+  for (const Built& in : inputs) {
+    OVC_CHECK(in.open() && in.workers.size() == inputs[0].workers.size());
+    region.explain += IndentBlock(in.explain);
+    children.push_back(in.pnode);
+  }
   if (profile != nullptr) {
-    mm.node = profile->AddNode();
-    mm.slice = profile->AddSlice(mm.node);
-    mm.ctrs = &mm.slice->counters;
-    profile->SetLine(mm.node,
-                     ProfileLabel(PhysicalAlg::kMergeExchange, rp.worker_prop,
-                                  std::to_string(workers) + " workers"),
-                     region_est.rows, region_est.cost, {wnode});
+    region.pnode = profile->AddNode();
+    profile->SetLine(region.pnode, ProfileLabel(alg, prop, detail), est.rows,
+                     est.cost, children);
   }
-  // The caller wraps the returned exchange with this meter (after any
-  // normalizing projection), so consumer-side pull time and output rows
-  // land on the merge node.
-  *merge_meter = mm;
-  return plan->Own(std::make_unique<MergeExchange>(worker_ops, mm.ctrs,
-                                                   options_.exchange));
+  for (size_t w = 0; w < inputs[0].workers.size(); ++w) {
+    std::vector<Operator*> in;
+    for (const Built& input : inputs) in.push_back(input.workers[w]);
+    // Under profiling each worker's stats slice doubles as its counters
+    // instance, preserving the one-instance-per-producer-thread contract.
+    OperatorStats* slice =
+        profile != nullptr ? profile->AddSlice(region.pnode) : nullptr;
+    QueryCounters* wc =
+        slice != nullptr ? &slice->counters : region.worker_ctrs[w];
+    Operator* worker = plan->Own(make(in, wc));
+    if (slice != nullptr) {
+      worker = plan->Own(std::make_unique<ProfiledOperator>(worker, slice));
+    }
+    OVC_DCHECK(worker->sorted() == prop.sorted());
+    OVC_DCHECK(worker->has_ovc() == prop.has_ovc);
+    region.workers.push_back(worker);
+  }
+  return region;
 }
 
-namespace {
-
-/// Explain block for an exchange-parallel region: merge-exchange over
-/// `workers` copies of the worker operator (`worker_line`), fed by one
-/// splitting exchange per input subtree. `part_prop` is the per-partition
-/// property the split preserves (the filter theorem keeps a sorted coded
-/// child sorted and coded within every partition).
-std::string ExplainParallelRegion(uint32_t workers,
-                                  const OrderProperty& out_prop,
-                                  const NodeEstimate& region_est,
-                                  const std::string& worker_line,
-                                  SplitExchange::Policy policy,
-                                  const OrderProperty& part_prop,
-                                  const std::vector<std::string>& inputs,
-                                  const std::vector<NodeEstimate>& in_ests) {
-  std::string split_block;
-  for (size_t i = 0; i < inputs.size(); ++i) {
-    split_block += ExplainLine(PhysicalAlg::kSplitExchange, part_prop,
-                               SplitPolicyName(policy), in_ests[i]) +
-                   IndentBlock(inputs[i]);
-  }
-  return ExplainLine(PhysicalAlg::kMergeExchange, out_prop,
-                     std::to_string(workers) + " workers", region_est) +
-         IndentBlock(worker_line + IndentBlock(split_block));
+Planner::Built Planner::CloseRegion(Built region, QueryCounters* ctrs,
+                                    PhysicalPlan* plan) {
+  const uint32_t workers = static_cast<uint32_t>(region.workers.size());
+  const std::string detail = std::to_string(workers) + " workers";
+  Built built;
+  built.prop = region.prop;
+  built.est = {region.est.rows,
+               region.est.cost +
+                   cost_model_.MergeExchange(region.est.rows, workers)};
+  plan->RecordAlg(PhysicalAlg::kMergeExchange, built.est);
+  const Meter m = NewMeter(plan, ctrs);
+  built.op = Wrap(plan,
+                  plan->Own(std::make_unique<MergeExchange>(
+                      region.workers, m.ctrs, options_.exchange)),
+                  m);
+  built.explain = ExplainLine(PhysicalAlg::kMergeExchange, built.prop, detail,
+                              built.est) +
+                  IndentBlock(region.explain);
+  SetProfileLine(plan, m, PhysicalAlg::kMergeExchange, detail, built.prop,
+                 built.est, {region.pnode});
+  built.pnode = m.node;
+  return built;
 }
-
-}  // namespace
 
 Planner::Built Planner::BuildNode(LogicalNode* node, PhysicalPlan* plan,
-                                  int depth, QueryCounters* ctrs) {
+                                  QueryCounters* ctrs) {
+  Built built = BuildOpen(node, plan, ctrs);
+  if (!built.open()) return built;
+  return CloseRegion(std::move(built), ctrs, plan);
+}
+
+Planner::Built Planner::BuildOpen(LogicalNode* node, PhysicalPlan* plan,
+                                  QueryCounters* ctrs) {
   Built result;
   std::string explain;
   const CostModel& model = cost_model_;
@@ -750,7 +776,7 @@ Planner::Built Planner::BuildNode(LogicalNode* node, PhysicalPlan* plan,
                             input->op == LogicalOp::kScan &&
                             input->source.range_factory != nullptr
                         ? BuildRangeScan(*node, plan, ctrs)
-                        : BuildNode(input, plan, depth + 1, ctrs);
+                        : BuildNode(input, plan, ctrs);
       const Meter m = NewMeter(plan, ctrs);
       result.op = Wrap(plan,
                        plan->Own(std::make_unique<FilterOperator>(
@@ -770,7 +796,7 @@ Planner::Built Planner::BuildNode(LogicalNode* node, PhysicalPlan* plan,
     }
 
     case LogicalOp::kProject: {
-      Built child = BuildNode(node->children[0].get(), plan, depth + 1, ctrs);
+      Built child = BuildNode(node->children[0].get(), plan, ctrs);
       const Meter m = NewMeter(plan, ctrs);
       result.op = Wrap(plan,
                        plan->Own(std::make_unique<ProjectOperator>(
@@ -791,10 +817,9 @@ Planner::Built Planner::BuildNode(LogicalNode* node, PhysicalPlan* plan,
     case LogicalOp::kJoin: {
       // Pre-decide on the *inferred* child properties (inference runs the
       // same decision rules, so it agrees with the post-build decision):
-      // a parallel merge join's input subtrees -- including any inserted
-      // sorts -- execute on producer threads under their split's pump
-      // mutex, so each side must be built with its own region counters
-      // rather than the consumer thread's.
+      // a parallel merge join's input subtrees execute on producer threads
+      // under their split's pump mutex, so each side must be built with
+      // its own region counters rather than the consumer thread's.
       const bool pre_parallel_join =
           ParallelEnabled() &&
           DecideJoin(*node, node->children[0]->inferred,
@@ -804,18 +829,52 @@ Planner::Built Planner::BuildNode(LogicalNode* node, PhysicalPlan* plan,
           pre_parallel_join ? plan->NewWorkerCounters() : ctrs;
       QueryCounters* right_ctrs =
           pre_parallel_join ? plan->NewWorkerCounters() : ctrs;
-      Built left = BuildNode(node->children[0].get(), plan, depth + 1,
-                             left_ctrs);
-      Built right = BuildNode(node->children[1].get(), plan, depth + 1,
-                              right_ctrs);
+      Built left = BuildNode(node->children[0].get(), plan, left_ctrs);
+      Built right = BuildNode(node->children[1].get(), plan, right_ctrs);
       JoinDecision d = DecideJoin(*node, left.prop, right.prop, options_);
+      if (pre_parallel_join && d.alg == PhysicalAlg::kMergeJoin) {
+        // Co-partitioned parallel merge join: hash-split both raw inputs
+        // on the join key with the same hash, so each key lands in the
+        // same partition index on both sides; sort per worker where an
+        // input lacks order or codes (a sorted coded input keeps its codes
+        // through the split by the filter theorem); one merge join per
+        // partition pair. The region stays open for a co-partitioned
+        // consumer; BuildNode closes it with one merging exchange.
+        const uint32_t key = node->children[0]->schema.key_arity();
+        const std::vector<QueryCounters*> wcs = RegionWorkerCounters(plan);
+        // Per-worker sorts charge their workers' counters, not `ctrs`.
+        left = SplitRegion(std::move(left), left_ctrs,
+                           SplitExchange::Policy::kHashKey, key, wcs, plan);
+        if (d.sort_left) {
+          left = InsertSort(std::move(left), node->children[0].get(), plan,
+                            /*ctrs=*/nullptr);
+        }
+        right = SplitRegion(std::move(right), right_ctrs,
+                            SplitExchange::Policy::kHashKey, key, wcs, plan);
+        if (d.sort_right) {
+          right = InsertSort(std::move(right), node->children[1].get(), plan,
+                             /*ctrs=*/nullptr);
+        }
+        const NodeEstimate est = {
+            out_rows, left.est.cost + right.est.cost +
+                          model.MergeJoin(left.est.rows, right.est.rows,
+                                          out_rows)};
+        const JoinType type = node->join_type;
+        return AppendToRegion(
+            {std::move(left), std::move(right)}, d.alg,
+            std::string(JoinTypeName(type)) + ", per worker", d.out, est,
+            plan,
+            [type](const std::vector<Operator*>& in, QueryCounters* wc) {
+              return std::make_unique<MergeJoin>(in[0], in[1], type, wc);
+            });
+      }
       if (d.sort_left) {
         left = InsertSort(std::move(left), node->children[0].get(), plan,
-                          depth + 1, left_ctrs);
+                          ctrs);
       }
       if (d.sort_right) {
         right = InsertSort(std::move(right), node->children[1].get(), plan,
-                           depth + 1, right_ctrs);
+                           ctrs);
       }
       double alg_cost = 0;
       switch (d.alg) {
@@ -842,78 +901,23 @@ Planner::Built Planner::BuildNode(LogicalNode* node, PhysicalPlan* plan,
           d.normalize ? model.Project(out_rows) : 0.0;
       result.est = {out_rows, left.est.cost + right.est.cost + alg_cost +
                                   normalize_cost};
+      plan->RecordAlg(d.alg, result.est);
+      // The final Wrap sits outside any normalizing projection, so the
+      // line's rows/time cover the node's full physical form.
+      const Meter jm = NewMeter(plan, ctrs);
       Operator* join = nullptr;
-      const bool parallel_join =
-          pre_parallel_join && d.alg == PhysicalAlg::kMergeJoin;
-      NodeEstimate left_split = left.est;
-      NodeEstimate right_split = right.est;
-      // Cumulative estimate of one worker's merge join (the plan node
-      // inserted between the splits and the merging exchange).
-      NodeEstimate join_worker_est = result.est;
-      if (parallel_join) {
-        left_split.cost +=
-            model.SplitExchange(left.est.rows, /*hash_policy=*/true);
-        right_split.cost +=
-            model.SplitExchange(right.est.rows, /*hash_policy=*/true);
-        join_worker_est.cost =
-            left_split.cost + right_split.cost + alg_cost;
-        result.est.cost = join_worker_est.cost +
-                          model.MergeExchange(out_rows,
-                                              options_.parallelism);
-      }
-      // The meter of this node's plan line: the merge-exchange meter for
-      // the parallel shape (set by BuildExchangeRegion), a fresh serial
-      // meter otherwise. The final Wrap sits outside any normalizing
-      // projection, so the line's rows/time cover the node's full
-      // physical form.
-      Meter jm;
       switch (d.alg) {
         case PhysicalAlg::kMergeJoin:
-          if (parallel_join) {
-            // Co-partitioned parallel merge join: hash-split both (sorted,
-            // coded) inputs on the join key with the same hash, so each
-            // key lands in the same partition index on both sides; one
-            // merge join per partition pair; merge-exchange restores the
-            // single sorted coded output stream.
-            const JoinType type = node->join_type;
-            RegionProfile rp;
-            rp.child_pnodes = {left.pnode, right.pnode};
-            rp.worker_alg = d.alg;
-            rp.worker_detail =
-                std::string(JoinTypeName(node->join_type)) + ", per worker";
-            rp.worker_prop = d.out;
-            rp.worker_est = join_worker_est;
-            rp.part_prop = OrderProperty::Sorted(
-                node->children[0]->schema.key_arity(), /*ovc=*/true);
-            join = BuildExchangeRegion(
-                {left.op, right.op}, {left_ctrs, right_ctrs},
-                {left_split, right_split}, result.est,
-                SplitExchange::Policy::kHashKey,
-                node->children[0]->schema.key_arity(), ctrs, plan,
-                [type](const std::vector<Operator*>& parts,
-                       QueryCounters* wc) {
-                  return std::make_unique<MergeJoin>(parts[0], parts[1],
-                                                     type, wc);
-                },
-                rp, &jm);
-          } else {
-            plan->RecordAlg(d.alg, result.est);
-            jm = NewMeter(plan, ctrs);
-            join = plan->Own(std::make_unique<MergeJoin>(
-                left.op, right.op, node->join_type, jm.ctrs));
-          }
+          join = plan->Own(std::make_unique<MergeJoin>(
+              left.op, right.op, node->join_type, jm.ctrs));
           break;
         case PhysicalAlg::kOrderPreservingHashJoin:
-          plan->RecordAlg(d.alg, result.est);
-          jm = NewMeter(plan, ctrs);
           join = plan->Own(std::make_unique<OrderPreservingHashJoin>(
               left.op, right.op, node->children[0]->schema.key_arity(),
               ToHashType(node->join_type), options_.hash_memory_rows,
               jm.ctrs));
           break;
         case PhysicalAlg::kGraceHashJoin:
-          plan->RecordAlg(d.alg, result.est);
-          jm = NewMeter(plan, ctrs);
           join = plan->Own(std::make_unique<GraceHashJoin>(
               left.op, right.op, node->children[0]->schema.key_arity(),
               ToHashType(node->join_type), options_.hash_memory_rows,
@@ -922,11 +926,6 @@ Planner::Built Planner::BuildNode(LogicalNode* node, PhysicalPlan* plan,
           break;
         default:
           OVC_CHECK(false);
-      }
-      if (parallel_join) {
-        // BuildExchangeRegion recorded the region's algorithms; record
-        // the worker join itself so Uses() still sees it.
-        plan->RecordAlgBeforeLast(d.alg, join_worker_est);
       }
       if (d.normalize) {
         // Hash joins lay rows out as (probe keys, probe payloads, all
@@ -950,27 +949,12 @@ Planner::Built Planner::BuildNode(LogicalNode* node, PhysicalPlan* plan,
       }
       result.op = Wrap(plan, join, jm);
       result.prop = d.out;
-      if (!parallel_join) {
-        SetProfileLine(plan, jm, d.alg, JoinTypeName(node->join_type),
-                       result.prop, result.est, {left.pnode, right.pnode});
-      }
+      SetProfileLine(plan, jm, d.alg, JoinTypeName(node->join_type),
+                     result.prop, result.est, {left.pnode, right.pnode});
       result.pnode = jm.node;
-      if (parallel_join) {
-        explain = ExplainParallelRegion(
-            options_.parallelism, result.prop, result.est,
-            ExplainLine(d.alg, result.prop,
-                        std::string(JoinTypeName(node->join_type)) +
-                            ", per worker",
-                        join_worker_est),
-            SplitExchange::Policy::kHashKey,
-            OrderProperty::Sorted(node->children[0]->schema.key_arity(),
-                                  /*ovc=*/true),
-            {left.explain, right.explain}, {left_split, right_split});
-      } else {
-        explain = ExplainLine(d.alg, result.prop,
-                              JoinTypeName(node->join_type), result.est) +
-                  IndentBlock(left.explain) + IndentBlock(right.explain);
-      }
+      explain = ExplainLine(d.alg, result.prop,
+                            JoinTypeName(node->join_type), result.est) +
+                IndentBlock(left.explain) + IndentBlock(right.explain);
       break;
     }
 
@@ -983,8 +967,9 @@ Planner::Built Planner::BuildNode(LogicalNode* node, PhysicalPlan* plan,
       // the in-sort flavor produces its own. Pre-decide on the inferred
       // child property: the child subtree of a split executes on producer
       // threads, so it is built with region counters.
+      const uint32_t q = node->group_prefix;
       const auto parallel_agg_for = [&](const OrderProperty& child_prop) {
-        if (!ParallelEnabled() || node->group_prefix < 1) return false;
+        if (!ParallelEnabled() || q < 1) return false;
         UnaryDecision p = DecideAggregate(*node, child_prop, options_);
         return (p.alg == PhysicalAlg::kInStreamAggregate &&
                 child_prop.has_ovc) ||
@@ -994,21 +979,31 @@ Planner::Built Planner::BuildNode(LogicalNode* node, PhysicalPlan* plan,
           parallel_agg_for(node->children[0]->inferred);
       QueryCounters* region_ctrs =
           pre_parallel_agg ? plan->NewWorkerCounters() : ctrs;
-      Built child = BuildNode(node->children[0].get(), plan, depth + 1,
-                              region_ctrs);
+      Built child = BuildOpen(node->children[0].get(), plan, region_ctrs);
+      // An open region whose workers are hash-partitioned on p <= q
+      // grouping columns already holds every group in one partition: the
+      // aggregate joins it, one in-stream aggregate per worker, and the
+      // gather followed by a re-split on the same key never happens (the
+      // open region has not used region_ctrs). Any other open region is
+      // closed here, below this aggregate's own split if it has one.
+      const bool in_region = child.open() && child.partition_prefix >= 1 &&
+                             q >= child.partition_prefix &&
+                             child.prop.SortedWithCodes(q);
+      if (child.open() && !in_region) {
+        child = CloseRegion(std::move(child), region_ctrs, plan);
+      }
       UnaryDecision d = DecideAggregate(*node, child.prop, options_);
       const bool parallel_agg =
-          pre_parallel_agg && parallel_agg_for(child.prop);
+          !in_region && pre_parallel_agg && parallel_agg_for(child.prop);
       double alg_cost = 0;
       switch (d.alg) {
         case PhysicalAlg::kInStreamAggregate:
-          alg_cost = model.InStreamAggregate(child.est.rows, out_rows,
-                                             node->group_prefix,
+          alg_cost = model.InStreamAggregate(child.est.rows, out_rows, q,
                                              child.prop.has_ovc);
           break;
         case PhysicalAlg::kInSortAggregate:
-          alg_cost = model.InSortAggregate(child.est.rows, out_rows,
-                                           node->group_prefix, out_rows,
+          alg_cost = model.InSortAggregate(child.est.rows, out_rows, q,
+                                           out_rows,
                                            node->schema.total_columns());
           break;
         case PhysicalAlg::kHashAggregate:
@@ -1018,107 +1013,73 @@ Planner::Built Planner::BuildNode(LogicalNode* node, PhysicalPlan* plan,
         default:
           OVC_CHECK(false);
       }
-      result.est = {out_rows, child.est.cost + alg_cost};
-      NodeEstimate agg_split = child.est;
-      NodeEstimate agg_worker_est = result.est;
-      if (parallel_agg) {
-        agg_split.cost +=
-            model.SplitExchange(child.est.rows, /*hash_policy=*/true);
-        agg_worker_est.cost = agg_split.cost + alg_cost;
-        result.est.cost =
-            agg_worker_est.cost +
-            model.MergeExchange(out_rows, options_.parallelism);
-        const uint32_t group_prefix = node->group_prefix;
+      if (in_region || parallel_agg) {
+        if (parallel_agg) {
+          child = SplitRegion(std::move(child), region_ctrs,
+                              SplitExchange::Policy::kHashKey, q,
+                              RegionWorkerCounters(plan), plan);
+        }
         const std::vector<AggregateSpec>& aggregates = node->aggregates;
         const bool in_stream = d.alg == PhysicalAlg::kInStreamAggregate;
         TempFileManager* temp = temp_;
         const SortConfig& sort_config = options_.sort_config;
-        RegionProfile rp;
-        rp.child_pnodes = {child.pnode};
-        rp.worker_alg = d.alg;
-        rp.worker_detail =
-            "group=" + std::to_string(node->group_prefix) + ", per worker";
-        rp.worker_prop = d.out;
-        rp.worker_est = agg_worker_est;
-        rp.part_prop = child.prop;
-        Meter am;
-        result.op = Wrap(
-            plan,
-            BuildExchangeRegion(
-                {child.op}, {region_ctrs}, {agg_split}, result.est,
-                SplitExchange::Policy::kHashKey, group_prefix, ctrs, plan,
-                [=](const std::vector<Operator*>& parts,
-                    QueryCounters* wc) -> std::unique_ptr<Operator> {
-                  if (in_stream) {
-                    return std::make_unique<InStreamAggregate>(
-                        parts[0], group_prefix, aggregates, wc);
-                  }
-                  return std::make_unique<InSortAggregate>(
-                      parts[0], group_prefix, aggregates, wc, temp,
-                      sort_config);
-                },
-                rp, &am),
-            am);
-        result.pnode = am.node;
-        plan->RecordAlgBeforeLast(d.alg, agg_worker_est);
-      } else {
-        plan->RecordAlg(d.alg, result.est);
-        const Meter m = NewMeter(plan, ctrs);
-        switch (d.alg) {
-          case PhysicalAlg::kInStreamAggregate: {
-            InStreamAggregate::Options agg_options;
-            agg_options.use_ovc_boundaries = child.prop.has_ovc;
-            result.op = plan->Own(std::make_unique<InStreamAggregate>(
-                child.op, node->group_prefix, node->aggregates, m.ctrs,
-                agg_options));
-            break;
-          }
-          case PhysicalAlg::kInSortAggregate:
-            result.op = plan->Own(std::make_unique<InSortAggregate>(
-                child.op, node->group_prefix, node->aggregates, m.ctrs,
-                temp_, options_.sort_config));
-            break;
-          case PhysicalAlg::kHashAggregate:
-            result.op = plan->Own(std::make_unique<HashAggregate>(
-                child.op, node->group_prefix, node->aggregates,
-                options_.hash_memory_rows, m.ctrs, temp_,
-                options_.hash_partitions, options_.fallback,
-                options_.sort_config));
-            break;
-          default:
-            OVC_CHECK(false);
+        const NodeEstimate est = {out_rows, child.est.cost + alg_cost};
+        return AppendToRegion(
+            {std::move(child)}, d.alg,
+            "group=" + std::to_string(q) + ", per worker", d.out, est, plan,
+            [=, &aggregates, &sort_config](const std::vector<Operator*>& in,
+                                          QueryCounters* wc)
+                -> std::unique_ptr<Operator> {
+              if (in_stream) {
+                return std::make_unique<InStreamAggregate>(in[0], q,
+                                                           aggregates, wc);
+              }
+              return std::make_unique<InSortAggregate>(
+                  in[0], q, aggregates, wc, temp, sort_config);
+            });
+      }
+      result.est = {out_rows, child.est.cost + alg_cost};
+      plan->RecordAlg(d.alg, result.est);
+      const Meter m = NewMeter(plan, ctrs);
+      switch (d.alg) {
+        case PhysicalAlg::kInStreamAggregate: {
+          InStreamAggregate::Options agg_options;
+          agg_options.use_ovc_boundaries = child.prop.has_ovc;
+          result.op = plan->Own(std::make_unique<InStreamAggregate>(
+              child.op, q, node->aggregates, m.ctrs, agg_options));
+          break;
         }
-        result.op = Wrap(plan, result.op, m);
-        SetProfileLine(plan, m, d.alg,
-                       "group=" + std::to_string(node->group_prefix), d.out,
-                       result.est, {child.pnode});
-        result.pnode = m.node;
+        case PhysicalAlg::kInSortAggregate:
+          result.op = plan->Own(std::make_unique<InSortAggregate>(
+              child.op, q, node->aggregates, m.ctrs, temp_,
+              options_.sort_config));
+          break;
+        case PhysicalAlg::kHashAggregate:
+          result.op = plan->Own(std::make_unique<HashAggregate>(
+              child.op, q, node->aggregates, options_.hash_memory_rows,
+              m.ctrs, temp_, options_.hash_partitions, options_.fallback,
+              options_.sort_config));
+          break;
+        default:
+          OVC_CHECK(false);
       }
+      result.op = Wrap(plan, result.op, m);
       result.prop = d.out;
-      if (parallel_agg) {
-        explain = ExplainParallelRegion(
-            options_.parallelism, result.prop, result.est,
-            ExplainLine(d.alg, result.prop,
-                        "group=" + std::to_string(node->group_prefix) +
-                            ", per worker",
-                        agg_worker_est),
-            SplitExchange::Policy::kHashKey, child.prop, {child.explain},
-            {agg_split});
-      } else {
-        explain = ExplainLine(d.alg, result.prop,
-                              "group=" + std::to_string(node->group_prefix),
-                              result.est) +
-                  IndentBlock(child.explain);
-      }
+      SetProfileLine(plan, m, d.alg, "group=" + std::to_string(q), d.out,
+                     result.est, {child.pnode});
+      result.pnode = m.node;
+      explain = ExplainLine(d.alg, result.prop, "group=" + std::to_string(q),
+                            result.est) +
+                IndentBlock(child.explain);
       break;
     }
 
     case LogicalOp::kDistinct: {
-      Built child = BuildNode(node->children[0].get(), plan, depth + 1, ctrs);
+      Built child = BuildNode(node->children[0].get(), plan, ctrs);
       UnaryDecision d = DecideDistinct(*node, child.prop, options_);
       if (d.sort_child) {
         child = InsertSort(std::move(child), node->children[0].get(), plan,
-                           depth + 1, ctrs);
+                           ctrs);
       }
       double alg_cost = 0;
       switch (d.alg) {
@@ -1172,15 +1133,15 @@ Planner::Built Planner::BuildNode(LogicalNode* node, PhysicalPlan* plan,
     }
 
     case LogicalOp::kSetOp: {
-      Built left = BuildNode(node->children[0].get(), plan, depth + 1, ctrs);
-      Built right = BuildNode(node->children[1].get(), plan, depth + 1, ctrs);
+      Built left = BuildNode(node->children[0].get(), plan, ctrs);
+      Built right = BuildNode(node->children[1].get(), plan, ctrs);
       if (!SortedWithCodesOn(left.prop, node->children[0]->schema)) {
         left = InsertSort(std::move(left), node->children[0].get(), plan,
-                          depth + 1, ctrs);
+                          ctrs);
       }
       if (!SortedWithCodesOn(right.prop, node->children[1]->schema)) {
         right = InsertSort(std::move(right), node->children[1].get(), plan,
-                           depth + 1, ctrs);
+                           ctrs);
       }
       result.est = {out_rows,
                     left.est.cost + right.est.cost +
@@ -1222,18 +1183,29 @@ Planner::Built Planner::BuildNode(LogicalNode* node, PhysicalPlan* plan,
           parallel_sort_for(node->children[0]->inferred);
       QueryCounters* region_ctrs =
           pre_parallel_sort ? plan->NewWorkerCounters() : ctrs;
-      Built child = BuildNode(node->children[0].get(), plan, depth + 1,
-                              region_ctrs);
+      Built child = BuildNode(node->children[0].get(), plan, region_ctrs);
       UnaryDecision d = DecideSort(*node, child.prop, options_);
-      const bool parallel_sort =
-          pre_parallel_sort && parallel_sort_for(child.prop);
       const double sort_cost =
           d.alg == PhysicalAlg::kElidedSort
               ? 0.0
               : SortCostFor(model, node->card, node->schema);
+      if (d.alg == PhysicalAlg::kSort) ++plan->explicit_sorts_;
+      if (pre_parallel_sort && parallel_sort_for(child.prop)) {
+        child = SplitRegion(std::move(child), region_ctrs,
+                            SplitExchange::Policy::kRoundRobin, 0,
+                            RegionWorkerCounters(plan), plan);
+        TempFileManager* temp = temp_;
+        const SortConfig& sort_config = options_.sort_config;
+        const NodeEstimate est = {out_rows, child.est.cost + sort_cost};
+        return AppendToRegion(
+            {std::move(child)}, d.alg, "per worker", d.out, est, plan,
+            [temp, &sort_config](const std::vector<Operator*>& in,
+                                 QueryCounters* wc) {
+              return std::make_unique<SortOperator>(in[0], wc, temp,
+                                                    sort_config);
+            });
+      }
       result.est = {out_rows, child.est.cost + sort_cost};
-      NodeEstimate sort_split = child.est;
-      NodeEstimate sort_worker_est = result.est;
       if (d.alg == PhysicalAlg::kElidedSort) {
         result.op = child.op;  // the logical sort vanishes entirely
         ++plan->elided_sorts_;
@@ -1245,38 +1217,6 @@ Planner::Built Planner::BuildNode(LogicalNode* node, PhysicalPlan* plan,
           profile->SetLine(result.pnode, ProfileLabel(d.alg, d.out, ""),
                            result.est.rows, result.est.cost, {child.pnode});
         }
-      } else if (parallel_sort) {
-        sort_split.cost +=
-            model.SplitExchange(child.est.rows, /*hash_policy=*/false);
-        sort_worker_est.cost = sort_split.cost + sort_cost;
-        result.est.cost =
-            sort_worker_est.cost +
-            model.MergeExchange(out_rows, options_.parallelism);
-        TempFileManager* temp = temp_;
-        const SortConfig& sort_config = options_.sort_config;
-        RegionProfile rp;
-        rp.child_pnodes = {child.pnode};
-        rp.worker_alg = d.alg;
-        rp.worker_detail = "per worker";
-        rp.worker_prop = d.out;
-        rp.worker_est = sort_worker_est;
-        rp.part_prop = child.prop;
-        Meter sm;
-        result.op = Wrap(
-            plan,
-            BuildExchangeRegion(
-                {child.op}, {region_ctrs}, {sort_split}, result.est,
-                SplitExchange::Policy::kRoundRobin, 0, ctrs, plan,
-                [temp, &sort_config](const std::vector<Operator*>& parts,
-                                     QueryCounters* wc) {
-                  return std::make_unique<SortOperator>(parts[0], wc, temp,
-                                                        sort_config);
-                },
-                rp, &sm),
-            sm);
-        result.pnode = sm.node;
-        plan->RecordAlgBeforeLast(d.alg, sort_worker_est);
-        ++plan->explicit_sorts_;
       } else {
         plan->RecordAlg(d.alg, result.est);
         const Meter m = NewMeter(plan, ctrs);
@@ -1286,29 +1226,20 @@ Planner::Built Planner::BuildNode(LogicalNode* node, PhysicalPlan* plan,
                          m);
         SetProfileLine(plan, m, d.alg, "", d.out, result.est, {child.pnode});
         result.pnode = m.node;
-        ++plan->explicit_sorts_;
       }
       result.prop = d.out;
-      if (parallel_sort) {
-        explain = ExplainParallelRegion(
-            options_.parallelism, result.prop, result.est,
-            ExplainLine(d.alg, result.prop, "per worker", sort_worker_est),
-            SplitExchange::Policy::kRoundRobin, child.prop, {child.explain},
-            {sort_split});
-      } else {
-        explain = ExplainLine(d.alg, result.prop, "", result.est) +
-                  IndentBlock(child.explain);
-      }
+      explain = ExplainLine(d.alg, result.prop, "", result.est) +
+                IndentBlock(child.explain);
       break;
     }
 
     case LogicalOp::kTopK: {
-      Built child = BuildNode(node->children[0].get(), plan, depth + 1, ctrs);
+      Built child = BuildNode(node->children[0].get(), plan, ctrs);
       UnaryDecision d = DecideTopK(*node, child.prop, options_);
       Operator* input = child.op;
       if (d.sort_child) {
         child = InsertSort(std::move(child), node->children[0].get(), plan,
-                           depth + 1, ctrs);
+                           ctrs);
         input = child.op;
       }
       const Meter m = NewMeter(plan, ctrs);
@@ -1331,7 +1262,7 @@ Planner::Built Planner::BuildNode(LogicalNode* node, PhysicalPlan* plan,
     case LogicalOp::kLimit: {
       // A bare limit (no order requested): truncate the child's stream in
       // whatever order it arrives, passing order and codes through.
-      Built child = BuildNode(node->children[0].get(), plan, depth + 1, ctrs);
+      Built child = BuildNode(node->children[0].get(), plan, ctrs);
       const Meter m = NewMeter(plan, ctrs);
       result.op = Wrap(plan,
                        plan->Own(std::make_unique<LimitOperator>(
@@ -1354,7 +1285,6 @@ Planner::Built Planner::BuildNode(LogicalNode* node, PhysicalPlan* plan,
   OVC_DCHECK(result.op->sorted() == result.prop.sorted());
   OVC_DCHECK(result.op->has_ovc() == result.prop.has_ovc);
   result.explain = std::move(explain);
-  if (depth == 0) plan->explain_ = result.explain;
   return result;
 }
 

@@ -38,11 +38,16 @@
 //    sort (round-robin split -> per-worker sort -> merge-exchange),
 //    parallel aggregation (hash-split on the grouping prefix, co-locating
 //    groups -> per-worker in-stream/in-sort aggregate -> merge-exchange),
-//    and parallel merge join (both inputs hash-split on the join key into
-//    co-partitioned pairs -> per-worker merge join -> merge-exchange).
-//    Each worker pipeline gets its own QueryCounters (the MergeExchange
-//    threading contract); PhysicalPlan::RollUpWorkerCounters folds them
-//    into the session counters after a run so accounting stays exact.
+//    and parallel merge join (both raw inputs hash-split on the join key
+//    into co-partitioned pairs -> per-worker inserted sorts where an input
+//    lacks order or codes -> per-worker merge join -> merge-exchange).
+//    A region stays open until a consumer needs one stream: an aggregate
+//    grouped on at least the region's hash key prefix appends its
+//    per-worker in-stream aggregate instead, so a join grouped on its key
+//    is one region with one merge. Each worker pipeline gets its own
+//    QueryCounters (the MergeExchange threading contract);
+//    PhysicalPlan::RollUpWorkerCounters folds them into the session
+//    counters after a run so accounting stays exact.
 //
 // Every physical join is normalized to the canonical merge-join output
 // layout (join key, left payloads, right payloads, match indicator), so the
@@ -52,6 +57,7 @@
 #ifndef OVC_PLAN_PHYSICAL_PLAN_H_
 #define OVC_PLAN_PHYSICAL_PLAN_H_
 
+#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -246,19 +252,10 @@ class PhysicalPlan {
   }
 
   /// Records one physical node's algorithm choice and estimate (the two
-  /// vectors stay parallel; every chosen algorithm goes through here or
-  /// through RecordAlgBeforeLast).
+  /// vectors stay parallel; every chosen algorithm goes through here).
   void RecordAlg(PhysicalAlg alg, const NodeEstimate& est) {
     algorithms_.push_back(alg);
     estimates_.push_back(est);
-  }
-
-  /// Splices a node in front of the most recently recorded one -- used to
-  /// place an exchange region's worker operator before its merging
-  /// exchange in plan-tree order while keeping the vectors parallel.
-  void RecordAlgBeforeLast(PhysicalAlg alg, const NodeEstimate& est) {
-    algorithms_.insert(algorithms_.end() - 1, alg);
-    estimates_.insert(estimates_.end() - 1, est);
   }
 
   SplitExchange* OwnSplit(std::unique_ptr<SplitExchange> split) {
@@ -310,6 +307,8 @@ class Planner {
 
  private:
   struct Built {
+    /// Root operator of the subtree; null while the subtree is an open
+    /// exchange region (see `workers`).
     Operator* op = nullptr;
     OrderProperty prop;
     /// Output rows + cumulative cost estimate for this subtree.
@@ -319,6 +318,22 @@ class Planner {
     /// QueryProfile node index of this subtree's root (-1 when the plan is
     /// not profiled).
     int pnode = -1;
+    /// An open exchange region (Section 4.10): one operator per worker,
+    /// each over its own partition, not yet merged. `prop` and `est`
+    /// describe the worker streams taken together; CloseRegion merges them
+    /// into `op`.
+    std::vector<Operator*> workers;
+    /// Counters the region's per-worker operators charge, one per worker
+    /// (empty under profiling, where each per-worker plan line meters its
+    /// own per-worker slices).
+    std::vector<QueryCounters*> worker_ctrs;
+    /// The region's partitioning {hash key prefix, workers}: the workers
+    /// are hash-partitioned on their first `partition_prefix` key columns
+    /// (0 after a round-robin split, where equal keys may sit in any
+    /// worker).
+    uint32_t partition_prefix = 0;
+
+    bool open() const { return !workers.empty(); }
   };
 
   /// Profile wiring for one physical plan node: the profile node index,
@@ -344,71 +359,69 @@ class Planner {
                       const std::vector<int>& children,
                       const std::string& table = std::string());
 
+  /// Builds `node`'s subtree as one stream: an open exchange region the
+  /// subtree ends in is closed with a merging exchange metered by `ctrs`.
+  ///
   /// `ctrs` is the counters instance for operators this subtree constructs
   /// -- the session counters at the root, a region-owned instance inside a
   /// parallel region (everything below a splitting exchange executes on
   /// whichever producer thread pumps the split, so it must never share the
   /// consumer thread's counters).
-  Built BuildNode(LogicalNode* node, PhysicalPlan* plan, int depth,
-                  QueryCounters* ctrs);
+  Built BuildNode(LogicalNode* node, PhysicalPlan* plan, QueryCounters* ctrs);
+  /// BuildNode without the final close: a parallel merge join, sort or
+  /// aggregate returns its region open, so a co-partitioned aggregate can
+  /// append its own per-worker operator. An open result does not use
+  /// `ctrs`; whoever closes the region passes its own.
+  Built BuildOpen(LogicalNode* node, PhysicalPlan* plan, QueryCounters* ctrs);
   /// The seek below `filter` (a filter with a key range over a seekable
   /// scan): a scan of the range only, estimated at the range's rows.
   Built BuildRangeScan(const LogicalNode& filter, PhysicalPlan* plan,
                        QueryCounters* ctrs);
-  /// Wraps `child` in a planner-inserted SortOperator metered by `ctrs`.
-  /// `logical_child` provides the cardinality estimate for the sort's
-  /// cost annotation.
+  /// Sorts `child` with a planner-inserted SortOperator metered by `ctrs`,
+  /// or, when `child` is an open region, with one per worker, each
+  /// charging its worker's counters and producing its partition's codes.
+  /// Either way it counts as one inserted sort. `logical_child` provides
+  /// the cardinality estimate for the sort's cost annotation.
   Built InsertSort(Built child, const LogicalNode* logical_child,
-                   PhysicalPlan* plan, int depth, QueryCounters* ctrs);
+                   PhysicalPlan* plan, QueryCounters* ctrs);
 
   /// True when exchange-parallel shapes are enabled and usable.
   bool ParallelEnabled() const {
     return options_.parallelism > 1 && options_.exchange.use_ovc;
   }
-  /// Splits each child into `parallelism` co-indexed partitions (one
-  /// SplitExchange per child, same policy/prefix, so hash partitions are
-  /// co-located across children), builds one worker operator per partition
-  /// index via `make_worker` (handed that index's partition streams and a
-  /// fresh per-worker QueryCounters), and merges the worker outputs back
-  /// into one stream. Returns the merging exchange.
-  ///
-  /// `child_counters[i]` is the region counters instance child i's subtree
-  /// was built with; the i-th split shares it (subtree pulls and split
-  /// routing both happen under that split's pump mutex). `merge_counters`
-  /// meters the merging exchange itself, on the consumer thread.
-  /// `child_ests[i]` is child i's subtree estimate *including* its
-  /// splitting exchange's own cost (recorded on that split's plan node);
-  /// `region_est` is the whole region's output estimate, recorded on the
-  /// merging exchange.
-  ///
-  /// Under profiling the region contributes three tiers of profile nodes
-  /// (split lines, one worker line, the merge line) described by `rp`, and
-  /// hands the merge line's meter back through `merge_meter`: the caller
-  /// wraps the returned exchange (after any normalizing projection) with
-  /// it, so the merge's consumer-side pull time and output rows land on
-  /// the merge node.
-  struct RegionProfile {
-    /// Profile node of each child subtree (Built::pnode).
-    std::vector<int> child_pnodes;
-    /// Explain-line ingredients for the per-worker operator.
-    PhysicalAlg worker_alg = PhysicalAlg::kSort;
-    std::string worker_detail;
-    OrderProperty worker_prop;
-    NodeEstimate worker_est;
-    /// Per-partition property the splits preserve (the filter theorem).
-    OrderProperty part_prop;
-  };
-  Operator* BuildExchangeRegion(
-      const std::vector<Operator*>& children,
-      const std::vector<QueryCounters*>& child_counters,
-      const std::vector<NodeEstimate>& child_ests,
-      const NodeEstimate& region_est, SplitExchange::Policy policy,
-      uint32_t hash_prefix, QueryCounters* merge_counters,
-      PhysicalPlan* plan,
-      const std::function<std::unique_ptr<Operator>(
-          const std::vector<Operator*>& parts, QueryCounters* wc)>&
-          make_worker,
-      const RegionProfile& rp, Meter* merge_meter);
+  /// Builds one per-worker operator from the worker's input streams (one
+  /// per input region, co-indexed) and the counters it must charge.
+  using WorkerFactory = std::function<std::unique_ptr<Operator>(
+      const std::vector<Operator*>& inputs, QueryCounters* wc)>;
+  /// Opens an exchange region over `child`: a SplitExchange into
+  /// `parallelism` partition streams, which become the region's workers.
+  /// A kHashKey split hashes the first `hash_prefix` key columns, which
+  /// become the region's partition prefix; a round-robin split passes 0.
+  /// `child_ctrs` is the region counters instance the child subtree was
+  /// built with; the split shares it (subtree pulls and routing both
+  /// happen under the split's pump mutex). `worker_ctrs` (from
+  /// RegionWorkerCounters) are what later per-worker operators charge; the
+  /// two inputs of a join share one set. The split line shows the child's
+  /// own property: the filter theorem keeps a sorted coded child sorted
+  /// and coded in every partition, and a raw child stays unsorted.
+  Built SplitRegion(Built child, QueryCounters* child_ctrs,
+                    SplitExchange::Policy policy, uint32_t hash_prefix,
+                    std::vector<QueryCounters*> worker_ctrs,
+                    PhysicalPlan* plan);
+  /// One counters instance per worker, or none under profiling.
+  std::vector<QueryCounters*> RegionWorkerCounters(PhysicalPlan* plan);
+  /// Appends one operator per worker to the open regions `inputs` (the
+  /// co-indexed partitions of one region: one input, or a join's two),
+  /// built by `make`, as one plan line `alg(detail)` with one profile
+  /// slice per worker. The result is the region, still open.
+  Built AppendToRegion(std::vector<Built> inputs, PhysicalAlg alg,
+                       const std::string& detail, const OrderProperty& prop,
+                       const NodeEstimate& est, PhysicalPlan* plan,
+                       const WorkerFactory& make);
+  /// Closes an open region: one merging exchange restores a single sorted
+  /// coded stream from the workers, metered by `ctrs` on the consumer
+  /// thread.
+  Built CloseRegion(Built region, QueryCounters* ctrs, PhysicalPlan* plan);
 
   QueryCounters* counters_;
   TempFileManager* temp_;
