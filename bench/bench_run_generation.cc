@@ -1,9 +1,24 @@
 // Section 3 / Section 5 run generation: merging single-row runs (one big
-// tournament), cache-sized mini-runs, replacement selection (longer runs,
-// one extra comparison per row), and the std::sort baseline. Reports run
-// counts next to time: replacement selection halves the run count.
+// tournament, the ablation baseline), cache-sized mini-runs (the default),
+// replacement selection (longer runs, one extra comparison per row), and the
+// std::sort baseline. Reports run counts, code and column comparisons per
+// row and merge-bypass rows next to time: replacement selection halves the
+// run count, and mini-runs trade a few code comparisons for a tournament
+// that stays in cache.
+//
+// Shapes ({rows, key columns, distinct values per column, payload columns,
+// memory rows}):
+//  * 1,000,000 x 4 keys x 16 distinct, 65,536 rows of memory: many spilled
+//    runs.
+//  * 250,000 x 1 key x 25,000 distinct, in memory: the inserted sort of the
+//    end-to-end join (`lineitem` on `orderkey`).
+//  * 65,536 x 3 keys x 256 distinct, in memory: one memory batch of the
+//    end-to-end in-sort distinct on `(site, day, visitor)`.
 
 #include <algorithm>
+#include <map>
+#include <memory>
+#include <tuple>
 
 #include <benchmark/benchmark.h>
 
@@ -13,30 +28,51 @@
 namespace ovc {
 namespace {
 
-constexpr uint64_t kRows = 1000000;
-constexpr uint64_t kMemoryRows = 1 << 16;
-constexpr uint32_t kArity = 4;
-constexpr uint64_t kDistinct = 16;
+struct Shape {
+  uint64_t rows;
+  uint32_t arity;
+  uint64_t distinct;
+  uint32_t payload;
+  uint64_t memory_rows;
 
-const RowBuffer& GetTable() {
-  static const RowBuffer* table = [] {
-    Schema schema(kArity);
-    return new RowBuffer(
-        bench::MakeTable(schema, kRows, kDistinct, /*seed=*/55));
-  }();
-  return *table;
+  static Shape From(const benchmark::State& state) {
+    return Shape{static_cast<uint64_t>(state.range(0)),
+                 static_cast<uint32_t>(state.range(1)),
+                 static_cast<uint64_t>(state.range(2)),
+                 static_cast<uint32_t>(state.range(3)),
+                 static_cast<uint64_t>(state.range(4))};
+  }
+  bool operator<(const Shape& o) const {
+    return std::tie(rows, arity, distinct, payload) <
+           std::tie(o.rows, o.arity, o.distinct, o.payload);
+  }
+};
+
+const RowBuffer& GetTable(const Shape& shape) {
+  static auto* cache = new std::map<Shape, std::unique_ptr<RowBuffer>>();
+  auto it = cache->find(shape);
+  if (it == cache->end()) {
+    Schema schema(shape.arity, shape.payload);
+    it = cache
+             ->emplace(shape, std::make_unique<RowBuffer>(bench::MakeTable(
+                                  schema, shape.rows, shape.distinct,
+                                  /*seed=*/55)))
+             .first;
+  }
+  return *it->second;
 }
 
 void RunGen(benchmark::State& state, RunGenMode mode,
             bool replacement_selection) {
-  Schema schema(kArity);
-  const RowBuffer& table = GetTable();
+  const Shape shape = Shape::From(state);
+  Schema schema(shape.arity, shape.payload);
+  const RowBuffer& table = GetTable(shape);
   QueryCounters counters;
   uint64_t runs = 0;
   for (auto _ : state) {
     TempFileManager temp;
     SortConfig config;
-    config.memory_rows = kMemoryRows;
+    config.memory_rows = shape.memory_rows;
     config.run_gen = mode;
     config.replacement_selection = replacement_selection;
     ExternalSort sort(&schema, &counters, &temp, config);
@@ -48,14 +84,21 @@ void RunGen(benchmark::State& state, RunGenMode mode,
     benchmark::DoNotOptimize(n);
     runs = sort.spilled_runs();
   }
-  state.SetItemsProcessed(state.iterations() * kRows);
+  const double rows =
+      static_cast<double>(state.iterations()) * static_cast<double>(shape.rows);
+  state.SetItemsProcessed(state.iterations() * shape.rows);
   state.counters["initial_runs"] = static_cast<double>(runs);
+  state.counters["code_cmp_per_row"] =
+      static_cast<double>(counters.code_comparisons) / rows;
   state.counters["column_cmp_per_row"] =
-      static_cast<double>(counters.column_comparisons) /
-      (static_cast<double>(state.iterations()) * kRows);
+      static_cast<double>(counters.column_comparisons) / rows;
+  state.counters["merge_bypass_rows"] =
+      static_cast<double>(counters.merge_bypass_rows) /
+      static_cast<double>(state.iterations());
 }
 
 void SingleRowRuns(benchmark::State& state) {
+  state.SetLabel("ablation baseline");
   RunGen(state, RunGenMode::kPqSingleRowRuns, false);
 }
 void MiniRuns(benchmark::State& state) {
@@ -65,13 +108,19 @@ void StdSortRuns(benchmark::State& state) {
   RunGen(state, RunGenMode::kStdSort, false);
 }
 void ReplacementSelectionRuns(benchmark::State& state) {
-  RunGen(state, RunGenMode::kPqSingleRowRuns, true);
+  RunGen(state, RunGenMode::kPqMiniRuns, true);
 }
 
-BENCHMARK(SingleRowRuns)->Unit(benchmark::kMillisecond);
-BENCHMARK(MiniRuns)->Unit(benchmark::kMillisecond);
-BENCHMARK(StdSortRuns)->Unit(benchmark::kMillisecond);
-BENCHMARK(ReplacementSelectionRuns)->Unit(benchmark::kMillisecond);
+#define RUN_GEN_SHAPES                          \
+  ->Args({1000000, 4, 16, 0, 65536})            \
+      ->Args({250000, 1, 25000, 1, 1 << 20})    \
+      ->Args({65536, 3, 256, 0, 1 << 20})       \
+      ->Unit(benchmark::kMillisecond)
+
+BENCHMARK(SingleRowRuns) RUN_GEN_SHAPES;
+BENCHMARK(MiniRuns) RUN_GEN_SHAPES;
+BENCHMARK(StdSortRuns) RUN_GEN_SHAPES;
+BENCHMARK(ReplacementSelectionRuns) RUN_GEN_SHAPES;
 
 }  // namespace
 }  // namespace ovc

@@ -1,7 +1,9 @@
 // Claim 1: offset-value coding speeds up external merge sort. The same
 // external sort (same run sizes, same fan-in, same spill format family)
 // with OVC on vs off, and against the std::sort baseline, across row counts
-// and key-column counts.
+// and key-column counts. OvcSort and PlainTreeSort generate runs with one
+// tournament over each memory batch (the ablation baseline);
+// OvcMiniRunSort is the engine's default, cache-sized mini-runs.
 
 #include <algorithm>
 #include <map>
@@ -65,6 +67,7 @@ void RunSort(benchmark::State& state, bool use_ovc, RunGenMode mode) {
 }
 
 void OvcSort(benchmark::State& state) {
+  state.SetLabel("single-row runs: ablation baseline");
   RunSort(state, /*use_ovc=*/true, RunGenMode::kPqSingleRowRuns);
 }
 void PlainTreeSort(benchmark::State& state) {

@@ -16,7 +16,9 @@
 #
 # Benchmarks are built on demand if the binaries are missing. The subset
 # includes the batched pipelines, the pq/sort suites the cost model's
-# constants are calibrated from (see docs/COST_MODEL.md), the exchange
+# constants are calibrated from (see docs/COST_MODEL.md), run generation
+# (cache-sized mini-runs against the single-tournament ablation baseline,
+# on the shapes of the end-to-end sorts), the exchange
 # merge (OVC vs plain, threaded), the planner's parallel sort shape at
 # 1/2/4 workers (multi-worker scaling is bounded by the machine's core
 # count), the SQL end-to-end suite, the serving-layer QPS suite (ovcd
@@ -41,7 +43,7 @@ BUILD_DIR=build
 OUT=${BENCH_OUT:-BENCH_PR13.json}
 MIN_TIME=0.5
 BENCHES=(bench_batch_pipeline bench_pq_merge bench_sort_ovc
-         bench_exchange_merge bench_parallel_sort bench_sql_e2e
+         bench_run_generation bench_exchange_merge bench_parallel_sort bench_sql_e2e
          bench_profile_overhead bench_metrics_overhead bench_serving)
 
 while [[ $# -gt 0 ]]; do

@@ -15,6 +15,12 @@ inline uint32_t CeilToPowerOfTwo(uint32_t n) {
   return static_cast<uint32_t>(p);
 }
 
+/// log2 of a power of two `p` >= 1: the number of matches on each
+/// leaf-to-root path of a tree-of-losers with `p` leaves.
+inline uint32_t Log2OfPowerOfTwo(uint32_t p) {
+  return static_cast<uint32_t>(__builtin_ctz(p));
+}
+
 }  // namespace ovc
 
 #endif  // OVC_COMMON_BITS_H_

@@ -2,21 +2,12 @@
 
 namespace ovc {
 
-int CompareWithOvc(const OvcCodec& codec, const KeyComparator& comparator,
-                   const uint64_t* left_row, Ovc* left_code,
-                   const uint64_t* right_row, Ovc* right_code) {
-  QueryCounters* counters = comparator.counters();
-  if (counters != nullptr) ++counters->code_comparisons;
-
-  const Ovc lc = *left_code;
-  const Ovc rc = *right_code;
-  if (lc != rc) {
-    // Unequal-code theorem: the codes decide, and the loser's code relative
-    // to the winner is unchanged. A smaller ascending code sorts earlier.
-    return lc < rc ? -1 : 1;
-  }
-
-  if (!OvcCodec::IsValid(lc)) {
+int CompareEqualCodes(const OvcCodec& codec, const KeyComparator& comparator,
+                      const uint64_t* left_row, Ovc* left_code,
+                      const uint64_t* right_row, Ovc* right_code) {
+  const Ovc code = *left_code;
+  OVC_DCHECK(code == *right_code);
+  if (!OvcCodec::IsValid(code)) {
     // Two equal fences; no key data to compare. Callers treat this as a tie
     // broken by input index (it only happens between exhausted inputs).
     return 0;
@@ -25,7 +16,7 @@ int CompareWithOvc(const OvcCodec& codec, const KeyComparator& comparator,
   // Equal-code theorem: both keys share prefix and value with the base;
   // column comparisons resume past them (or at the offset itself when the
   // 48-bit value image saturated and may hide a difference).
-  const uint32_t resume = codec.ResumeColumn(lc);
+  const uint32_t resume = codec.ResumeColumn(code);
   const uint32_t arity = codec.arity();
   if (resume >= arity) {
     // Both rows are full-key duplicates of the base, hence of each other.

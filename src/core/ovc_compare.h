@@ -11,8 +11,11 @@
 //    there, and the loser's new code is (first-difference index, loser's
 //    value at that index).
 //
-// Every code comparison and every column-value comparison is counted through
-// the comparator's QueryCounters.
+// The unequal-code path is one integer compare ("practically free",
+// Section 5) and is inline here; the equal-code path, which reads the rows,
+// stays out of line. CompareWithOvc counts every code comparison and every
+// column-value comparison through the comparator's QueryCounters; a
+// tournament that calls the two halves directly counts its matches itself.
 
 #ifndef OVC_CORE_OVC_COMPARE_H_
 #define OVC_CORE_OVC_COMPARE_H_
@@ -21,6 +24,33 @@
 #include "row/comparator.h"
 
 namespace ovc {
+
+/// Adds `n` code comparisons to the comparator's counters, if any.
+inline void CountCodeComparisons(const KeyComparator& comparator,
+                                 uint64_t n) {
+  QueryCounters* counters = comparator.counters();
+  if (counters != nullptr) counters->code_comparisons += n;
+}
+
+/// The code half of CompareWithOvc, uncounted: <0 or >0 when the codes
+/// decide, 0 when they are equal and the rows must decide
+/// (CompareEqualCodes). Lets a tournament load a row only on a tie; it
+/// plays a known number of matches per pass and counts them in one
+/// CountCodeComparisons.
+inline int CompareCodes(Ovc left, Ovc right) {
+  // Unequal-code theorem: the codes decide, and the loser's code relative
+  // to the winner is unchanged. A smaller ascending code sorts earlier.
+  if (left == right) return 0;
+  return left < right ? -1 : 1;
+}
+
+/// The row half of CompareWithOvc, for `*left_code == *right_code`: column
+/// comparisons resume past the shared prefix, and the loser is re-coded
+/// relative to the winner. Counts column comparisons, not the code
+/// comparison. Rows are not touched when the codes are fences.
+int CompareEqualCodes(const OvcCodec& codec, const KeyComparator& comparator,
+                      const uint64_t* left_row, Ovc* left_code,
+                      const uint64_t* right_row, Ovc* right_code);
 
 /// Compares the sort keys of `left` and `right`, both of whose codes are
 /// relative to the same base key that sorts no later than either.
@@ -34,9 +64,16 @@ namespace ovc {
 ///
 /// Fences participate: an early fence sorts before everything, a late fence
 /// after everything, and no column comparisons are spent on them.
-int CompareWithOvc(const OvcCodec& codec, const KeyComparator& comparator,
-                   const uint64_t* left_row, Ovc* left_code,
-                   const uint64_t* right_row, Ovc* right_code);
+inline int CompareWithOvc(const OvcCodec& codec,
+                          const KeyComparator& comparator,
+                          const uint64_t* left_row, Ovc* left_code,
+                          const uint64_t* right_row, Ovc* right_code) {
+  CountCodeComparisons(comparator, 1);
+  const int cmp = CompareCodes(*left_code, *right_code);
+  if (cmp != 0) return cmp;
+  return CompareEqualCodes(codec, comparator, left_row, left_code, right_row,
+                           right_code);
+}
 
 }  // namespace ovc
 

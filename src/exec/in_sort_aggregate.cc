@@ -141,14 +141,14 @@ Status InSortAggregate::PrepareMerge() {
         continue;
       }
       std::vector<std::unique_ptr<RunFileReader>> readers;
-      std::vector<MergeSource*> sources;
+      std::vector<RunFileReader*> sources;
       for (size_t i = 0; i < count; ++i) {
         readers.push_back(std::make_unique<RunFileReader>(&state_schema_, temp_));
         OVC_RETURN_IF_ERROR(readers.back()->Open(runs_[begin + i].path));
         sources.push_back(readers.back().get());
       }
-      OvcMerger merger(&codec_, &comparator_, sources);
-      RowRefSource<OvcMerger> merger_source(&merger);
+      FileMerger merger(&codec_, &comparator_, std::move(sources));
+      RowRefSource<FileMerger> merger_source(&merger);
       CollapsingSource collapser(&state_schema_, merge_fns_, &merger_source);
       RunFileWriter writer(&state_schema_, counters_);
       const std::string path = temp_->NewPath("isa-merge");
@@ -165,15 +165,16 @@ Status InSortAggregate::PrepareMerge() {
   }
 
   // Final merge, collapsed on the fly.
-  std::vector<MergeSource*> sources;
+  std::vector<RunFileReader*> sources;
   for (const SpilledRun& run : runs_) {
     readers_.push_back(std::make_unique<RunFileReader>(&state_schema_, temp_));
     OVC_RETURN_IF_ERROR(readers_.back()->Open(run.path));
     sources.push_back(readers_.back().get());
   }
-  merger_ = std::make_unique<OvcMerger>(&codec_, &comparator_, sources);
+  merger_ =
+      std::make_unique<FileMerger>(&codec_, &comparator_, std::move(sources));
   final_merger_source_ =
-      std::make_unique<RowRefSource<OvcMerger>>(merger_.get());
+      std::make_unique<RowRefSource<FileMerger>>(merger_.get());
   collapsing_output_ = std::make_unique<CollapsingSource>(
       &state_schema_, merge_fns_, final_merger_source_.get());
   return Status::Ok();

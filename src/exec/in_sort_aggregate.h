@@ -80,11 +80,13 @@ class InSortAggregate : public Operator {
   std::vector<SpilledRun> runs_;
   bool failed_ = false;
 
-  // Output plumbing.
+  // Output plumbing. Merges run over concrete RunFileReader sources so the
+  // tournament's refill calls devirtualize (see pq/loser_tree.h).
+  using FileMerger = OvcMergerT<RunFileReader>;
   std::unique_ptr<InMemoryRun> memory_run_;
   std::unique_ptr<InMemoryRunSource> memory_source_;
   std::vector<std::unique_ptr<RunFileReader>> readers_;
-  std::unique_ptr<OvcMerger> merger_;
+  std::unique_ptr<FileMerger> merger_;
   std::unique_ptr<MergeSource> final_merger_source_;
   std::unique_ptr<CollapsingSource> collapsing_output_;
 };

@@ -14,18 +14,21 @@ void PqSorter::Reset(const uint64_t* const* rows, uint32_t count) {
   rows_ = rows;
   count_ = count;
   capacity_ = CeilToPowerOfTwo(count == 0 ? 1 : count);
+  depth_ = Log2OfPowerOfTwo(capacity_);
   nodes_.assign(capacity_, Entry{OvcCodec::LateFence(), 0});
   started_ = false;
   winner_ = Entry{OvcCodec::LateFence(), 0};
 }
 
 PqSorter::Entry PqSorter::PlayMatch(uint32_t node, Entry a, Entry b) {
-  // Rows of exhausted slots are never dereferenced: their codes are fences,
-  // and CompareWithOvc touches rows only when both codes are equal and valid.
-  const uint64_t* ra = a.slot < count_ ? rows_[a.slot] : nullptr;
-  const uint64_t* rb = b.slot < count_ ? rows_[b.slot] : nullptr;
-  const int cmp =
-      CompareWithOvc(*codec_, *comparator_, ra, &a.code, rb, &b.code);
+  // The caller counts the match, once per pass. The rows are read only when
+  // the codes tie on a valid key; padding slots past count_ hold fences, so
+  // their row pointers are never loaded.
+  int cmp = CompareCodes(a.code, b.code);
+  if (cmp == 0 && OvcCodec::IsValid(a.code)) {
+    cmp = CompareEqualCodes(*codec_, *comparator_, rows_[a.slot], &a.code,
+                            rows_[b.slot], &b.code);
+  }
   Entry winner, loser;
   if (cmp < 0 || (cmp == 0 && a.slot < b.slot)) {
     winner = a;
@@ -63,6 +66,7 @@ bool PqSorter::Next(RowRef* out) {
       winner_ = Entry{codec_->MakeInitial(rows_[0]), 0};
     } else {
       winner_ = BuildWinner(1);
+      CountCodeComparisons(*comparator_, capacity_ - 1);
     }
   } else {
     // The winner's run is a single row, so its successor is a late fence;
@@ -73,6 +77,7 @@ bool PqSorter::Next(RowRef* out) {
       cand = PlayMatch(node, cand, nodes_[node]);
       node >>= 1;
     }
+    CountCodeComparisons(*comparator_, depth_);
     winner_ = cand;
   }
   if (!OvcCodec::IsValid(winner_.code)) {

@@ -114,6 +114,7 @@ class OvcMergerT {
         options_(options) {
     OVC_CHECK(!sources_.empty());
     capacity_ = CeilToPowerOfTwo(static_cast<uint32_t>(sources_.size()));
+    depth_ = Log2OfPowerOfTwo(capacity_);
     nodes_.assign(capacity_, Entry{OvcCodec::LateFence(), 0});
     rows_.assign(capacity_, nullptr);
   }
@@ -129,6 +130,7 @@ class OvcMergerT {
         winner_ = LeafEntry(0);
       } else {
         winner_ = BuildWinner(1);
+        CountCodeComparisons(*comparator_, capacity_ - 1);
       }
     } else if (OvcCodec::IsValid(winner_.code)) {
       Advance();
@@ -205,13 +207,19 @@ class OvcMergerT {
       cand = PlayMatch(node, cand, nodes_[node]);
       node >>= 1;
     }
+    // A pass plays one match per level; count them in one addition.
+    CountCodeComparisons(*comparator_, depth_);
     winner_ = cand;
   }
 
   /// Plays one match: returns the winner, parks the loser at nodes_[node].
+  /// The rows are read only when the codes tie. The caller counts the match.
   Entry PlayMatch(uint32_t node, Entry a, Entry b) {
-    const int cmp = CompareWithOvc(*codec_, *comparator_, rows_[a.slot],
-                                   &a.code, rows_[b.slot], &b.code);
+    int cmp = CompareCodes(a.code, b.code);
+    if (cmp == 0) {
+      cmp = CompareEqualCodes(*codec_, *comparator_, rows_[a.slot], &a.code,
+                              rows_[b.slot], &b.code);
+    }
     Entry winner, loser;
     if (cmp < 0 || (cmp == 0 && a.slot < b.slot)) {
       winner = a;
@@ -234,6 +242,7 @@ class OvcMergerT {
   Options options_;
 
   uint32_t capacity_ = 0;                 // padded power of two
+  uint32_t depth_ = 0;                    // matches per leaf-to-root path
   std::vector<Entry> nodes_;              // 1..capacity_-1 hold losers
   std::vector<const uint64_t*> rows_;     // current candidate row per slot
   Entry winner_{OvcCodec::LateFence(), 0};
@@ -270,6 +279,7 @@ class PqSorter {
   const OvcCodec* codec_;
   const KeyComparator* comparator_;
   uint32_t capacity_ = 0;
+  uint32_t depth_ = 0;  // matches per leaf-to-root path
   uint32_t count_ = 0;
   std::vector<Entry> nodes_;
   const uint64_t* const* rows_ = nullptr;

@@ -35,8 +35,10 @@ struct SortConfig {
   uint64_t memory_rows = uint64_t{1} << 20;
   /// Maximum merge fan-in; more runs cascade into intermediate merges.
   uint32_t fan_in = 128;
-  /// In-memory run-generation strategy.
-  RunGenMode run_gen = RunGenMode::kPqSingleRowRuns;
+  /// In-memory run-generation strategy. Cache-sized mini-runs by default;
+  /// kPqSingleRowRuns (one tournament over the whole batch) is the
+  /// benchmarks' ablation baseline.
+  RunGenMode run_gen = RunGenMode::kPqMiniRuns;
   /// Mini-run size for RunGenMode::kPqMiniRuns.
   uint32_t mini_run_rows = 1024;
   /// Continuous run generation by replacement selection instead of batch

@@ -60,15 +60,20 @@ class InMemoryRun {
   std::vector<Ovc> codes_;
 };
 
-/// MergeSource view over an InMemoryRun. The run must outlive the source.
-/// `final` so that OvcMergerT<InMemoryRunSource> devirtualizes Next() in the
-/// merge inner loop.
+/// MergeSource view over the rows an InMemoryRun holds when the source is
+/// made, or over the slice [begin, end) of one that holds several runs back
+/// to back (the mini-runs of a batch). The run must outlive the source. `final` so that
+/// OvcMergerT<InMemoryRunSource> devirtualizes Next() in the merge inner
+/// loop.
 class InMemoryRunSource final : public MergeSource {
  public:
-  explicit InMemoryRunSource(const InMemoryRun* run) : run_(run) {}
+  explicit InMemoryRunSource(const InMemoryRun* run)
+      : InMemoryRunSource(run, 0, run->size()) {}
+  InMemoryRunSource(const InMemoryRun* run, size_t begin, size_t end)
+      : run_(run), pos_(begin), end_(end) {}
 
   bool Next(const uint64_t** row, Ovc* code) override {
-    if (pos_ >= run_->size()) return false;
+    if (pos_ >= end_) return false;
     *row = run_->row(pos_);
     *code = run_->code(pos_);
     ++pos_;
@@ -83,7 +88,7 @@ class InMemoryRunSource final : public MergeSource {
   /// Next().
   uint32_t NextBlock(RowBlock* out) {
     out->Clear();
-    const size_t avail = run_->size() - pos_;
+    const size_t avail = end_ - pos_;
     const uint32_t n = static_cast<uint32_t>(
         avail < out->capacity() ? avail : out->capacity());
     if (n > 0) out->RefContiguous(run_->row(pos_), run_->codes() + pos_, n);
@@ -93,7 +98,8 @@ class InMemoryRunSource final : public MergeSource {
 
  private:
   const InMemoryRun* run_;
-  size_t pos_ = 0;
+  size_t pos_;
+  size_t end_;
 };
 
 }  // namespace ovc

@@ -57,48 +57,51 @@ void BatchSorter::SortPqSingle(const std::vector<const uint64_t*>& rows,
   } else {
     PlainPqSorter sorter(&codec_, &comparator_);
     sorter.Reset(rows.data(), static_cast<uint32_t>(rows.size()));
+    const uint64_t* prev = nullptr;
     while (sorter.Next(&ref)) {
-      sink->Accept(ref.cols, codec_.MakeFromRow(ref.cols, 0));
+      sink->Accept(ref.cols, PlainCode(prev, ref.cols));
+      prev = ref.cols;
     }
   }
 }
 
 void BatchSorter::SortPqMini(const std::vector<const uint64_t*>& rows,
                              RunSink* sink) {
-  // Sort cache-sized mini-runs, keep them in memory, then merge them all.
-  std::vector<std::unique_ptr<InMemoryRun>> minis;
+  if (rows.size() <= mini_run_rows_) {
+    // One mini-run is the whole batch: emit it without a 1-way merge.
+    SortPqSingle(rows, sink);
+    return;
+  }
+  // Sort cache-sized mini-runs with one reused tournament, back to back
+  // into one run, then merge them all at once.
+  InMemoryRun minis(schema_->total_columns());
+  minis.Reserve(rows.size());
+  std::vector<InMemoryRunSource> slices;
+  slices.reserve((rows.size() + mini_run_rows_ - 1) / mini_run_rows_);
+  PqSorter sorter(&codec_, &comparator_);
+  PlainPqSorter plain_sorter(&codec_, &comparator_);
   RowRef ref;
   for (size_t begin = 0; begin < rows.size(); begin += mini_run_rows_) {
     const uint32_t count = static_cast<uint32_t>(
         std::min<size_t>(mini_run_rows_, rows.size() - begin));
-    auto mini = std::make_unique<InMemoryRun>(schema_->total_columns());
-    mini->Reserve(count);
     if (use_ovc_) {
-      PqSorter sorter(&codec_, &comparator_);
       sorter.Reset(rows.data() + begin, count);
-      while (sorter.Next(&ref)) {
-        mini->Append(ref.cols, ref.ovc);
-      }
+      while (sorter.Next(&ref)) minis.Append(ref.cols, ref.ovc);
     } else {
-      PlainPqSorter sorter(&codec_, &comparator_);
-      sorter.Reset(rows.data() + begin, count);
-      while (sorter.Next(&ref)) {
-        mini->Append(ref.cols, codec_.MakeFromRow(ref.cols, 0));
-      }
+      // Plain merges ignore input codes.
+      plain_sorter.Reset(rows.data() + begin, count);
+      while (plain_sorter.Next(&ref)) minis.Append(ref.cols, 0);
     }
-    minis.push_back(std::move(mini));
+    slices.emplace_back(&minis, begin, begin + count);
   }
-  if (minis.empty()) return;
 
-  std::vector<std::unique_ptr<InMemoryRunSource>> source_storage;
   std::vector<InMemoryRunSource*> sources;
-  for (const auto& mini : minis) {
-    source_storage.push_back(std::make_unique<InMemoryRunSource>(mini.get()));
-    sources.push_back(source_storage.back().get());
-  }
+  sources.reserve(slices.size());
+  for (InMemoryRunSource& slice : slices) sources.push_back(&slice);
   if (use_ovc_) {
     // Concrete-source merger: the refill calls devirtualize (loser_tree.h).
-    OvcMergerT<InMemoryRunSource> merger(&codec_, &comparator_, sources);
+    OvcMergerT<InMemoryRunSource> merger(&codec_, &comparator_,
+                                         std::move(sources));
     while (merger.Next(&ref)) {
       sink->Accept(ref.cols, ref.ovc);
     }
@@ -119,25 +122,22 @@ void BatchSorter::SortStd(std::vector<const uint64_t*>& rows, RunSink* sink) {
                    [this](const uint64_t* a, const uint64_t* b) {
                      return comparator_.Compare(a, b) < 0;
                    });
-  if (use_ovc_ || naive_codes_) {
-    // Derive codes the naive way: one adjacent comparison per row.
-    const uint64_t* prev = nullptr;
-    for (const uint64_t* row : rows) {
-      Ovc code;
-      if (prev == nullptr) {
-        code = codec_.MakeInitial(row);
-      } else {
-        const uint32_t d = comparator_.FirstDifference(prev, row, 0);
-        code = codec_.MakeFromRow(row, d);
-      }
-      sink->Accept(row, code);
-      prev = row;
-    }
-  } else {
-    for (const uint64_t* row : rows) {
-      sink->Accept(row, codec_.MakeFromRow(row, 0));
-    }
+  // With use_ovc_ the codes are derived the naive way too: std::sort
+  // produces none.
+  const uint64_t* prev = nullptr;
+  for (const uint64_t* row : rows) {
+    sink->Accept(row, use_ovc_ ? NaiveCode(prev, row) : PlainCode(prev, row));
+    prev = row;
   }
+}
+
+Ovc BatchSorter::NaiveCode(const uint64_t* prev, const uint64_t* row) const {
+  if (prev == nullptr) return codec_.MakeInitial(row);
+  return codec_.MakeFromRow(row, comparator_.FirstDifference(prev, row, 0));
+}
+
+Ovc BatchSorter::PlainCode(const uint64_t* prev, const uint64_t* row) const {
+  return naive_codes_ ? NaiveCode(prev, row) : codec_.MakeFromRow(row, 0);
 }
 
 ReplacementSelection::ReplacementSelection(const Schema* schema,

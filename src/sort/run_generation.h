@@ -6,10 +6,11 @@
 //    row each": one tree-of-losers tournament over the whole memory batch;
 //    queue build-up and tear-down produce the sorted run and its
 //    offset-value codes as a byproduct.
-//  * kPqMiniRuns -- the cache-friendly variant (Section 3's "mini-runs ...
-//    remain in memory until merged with fan-in 512 or 1,024"): sort
-//    cache-sized mini-runs with a small tournament, then merge them into
-//    one initial run.
+//  * kPqMiniRuns -- the default, cache-resident variant (Section 3's
+//    "mini-runs ... remain in memory until merged with fan-in 512 or
+//    1,024"): sort cache-sized mini-runs with one small, reused tournament,
+//    then merge them into one initial run. kPqSingleRowRuns is its
+//    ablation baseline.
 //  * kStdSort -- baseline: std::sort over row pointers, then (optionally)
 //    derive codes the naive way, row by row, column by column. This is the
 //    expensive to-date method the paper's introduction describes.
@@ -66,6 +67,12 @@ class BatchSorter {
   void SortPqSingle(const std::vector<const uint64_t*>& rows, RunSink* sink);
   void SortPqMini(const std::vector<const uint64_t*>& rows, RunSink* sink);
   void SortStd(std::vector<const uint64_t*>& rows, RunSink* sink);
+  /// `row`'s code relative to `prev` (nullptr for the first row), derived
+  /// the naive way: one adjacent comparison, column by column.
+  Ovc NaiveCode(const uint64_t* prev, const uint64_t* row) const;
+  /// The code a plain (code-free) sort emits: NaiveCode with naive_codes,
+  /// else offset 0.
+  Ovc PlainCode(const uint64_t* prev, const uint64_t* row) const;
 
   const Schema* schema_;
   OvcCodec codec_;
@@ -80,18 +87,11 @@ class BatchSorter {
 /// Continuous run generation by replacement selection with offset-value
 /// codes maintained soundly across run boundaries.
 ///
-/// Implementation note (documented in DESIGN.md): a code is only comparable
-/// against another code relative to the same base key. Classic merging
-/// guarantees this along every leaf-to-root path; replacement selection does
-/// not, because rows destined for the *next* run enter the tree coded
-/// relative to minus infinity while current-run entries are coded relative
-/// to recent winners. Each tree entry therefore carries the sequence number
-/// of its code's base row. Matches between entries with equal base tags use
-/// the offset-value codes (and, per Iyer's unequal-code theorem, a
-/// code-decided loss transfers the loser's base to the winner's row);
-/// matches across different bases fall back to one full key comparison that
-/// re-bases the loser. Mismatches only occur around run boundaries, so the
-/// fallback cost amortizes to near zero.
+/// Each tree entry carries the sequence number of the row its code is
+/// relative to: matches between equal bases use the codes, matches across
+/// bases (only around run boundaries) take one full key comparison that
+/// re-bases the loser. The reasoning is in docs/ARCHITECTURE.md, under
+/// `src/sort`.
 class ReplacementSelection {
  public:
   /// Holds up to `capacity` rows in memory; emits runs through `temp`.

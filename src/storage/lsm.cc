@@ -118,7 +118,7 @@ void LsmForest::Insert(const uint64_t* row) {
 
 void LsmForest::Flush() {
   if (memtable_.empty()) return;
-  BatchSorter sorter(schema_, counters_, RunGenMode::kPqSingleRowRuns,
+  BatchSorter sorter(schema_, counters_, RunGenMode::kPqMiniRuns,
                      /*mini_run_rows=*/1024, /*use_ovc=*/true,
                      /*naive_codes=*/false);
   RunFileWriter writer(schema_, counters_);

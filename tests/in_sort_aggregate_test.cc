@@ -101,6 +101,45 @@ TEST(InSortAggregate, DuplicateRemovalSpillsGroupsNotRows) {
   EXPECT_LE(counters.rows_spilled, 20u * 9u);
 }
 
+TEST(InSortAggregate, GroupsStraddleMiniRunBoundaries) {
+  // Mini-runs of 16 rows, so every memory batch merges many of them. Keys
+  // i % 7 put every group in every mini-run; keys i / 10 put runs of ten
+  // equal keys across mini-run boundaries. Each group must still come out
+  // once, with all its rows counted, in memory and spilled.
+  Schema schema(1, 1);
+  for (const bool modulo : {true, false}) {
+    for (const uint64_t memory_rows : {uint64_t{1} << 20, uint64_t{256}}) {
+      SCOPED_TRACE(::testing::Message()
+                   << (modulo ? "i % 7" : "i / 10") << ", memory "
+                   << memory_rows);
+      RowBuffer table(schema.total_columns());
+      std::map<uint64_t, std::pair<uint64_t, uint64_t>> reference;
+      for (uint64_t i = 0; i < 2000; ++i) {
+        const uint64_t row[2] = {modulo ? i % 7 : i / 10, i};
+        table.AppendRow(row);
+        ++reference[row[0]].first;
+        reference[row[0]].second += i;
+      }
+      QueryCounters counters;
+      TempFileManager temp;
+      BufferScan scan(&schema, &table);
+      SortConfig config;
+      config.memory_rows = memory_rows;
+      config.mini_run_rows = 16;
+      InSortAggregate agg(&scan, /*group_prefix=*/1,
+                          {{AggFn::kCount, 0}, {AggFn::kSum, 1}}, &counters,
+                          &temp, config);
+      RowVec out = DrainValidated(&agg);
+      ASSERT_EQ(out.size(), reference.size());
+      for (const auto& row : out) {
+        EXPECT_EQ(row[1], reference[row[0]].first) << row[0];
+        EXPECT_EQ(row[2], reference[row[0]].second) << row[0];
+      }
+      EXPECT_EQ(counters.rows_spilled > 0, memory_rows < table.size());
+    }
+  }
+}
+
 TEST(InSortAggregate, RescanAfterClose) {
   Schema schema(1, 1);
   RowBuffer table = MakeTable(schema, 500, 4, /*seed=*/403);

@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include "common/rng.h"
 #include "core/ovc_checker.h"
 #include "sort/external_sort.h"
 #include "sort/run_file.h"
@@ -73,6 +74,7 @@ struct ExternalSortParam {
   uint64_t memory_rows;
   uint32_t fan_in;
   const char* name;
+  uint32_t mini_run_rows = 1024;
 };
 
 class ExternalSortTest : public ::testing::TestWithParam<ExternalSortParam> {};
@@ -88,6 +90,7 @@ TEST_P(ExternalSortTest, SortsCorrectly) {
   config.memory_rows = p.memory_rows;
   config.fan_in = p.fan_in;
   config.run_gen = p.mode;
+  config.mini_run_rows = p.mini_run_rows;
   config.replacement_selection = p.replacement_selection;
   config.use_ovc = p.use_ovc;
   config.naive_output_codes = !p.use_ovc;  // codes still wanted for checking
@@ -146,10 +149,116 @@ INSTANTIATE_TEST_SUITE_P(
         ExternalSortParam{RunGenMode::kPqSingleRowRuns, false, false, 5000,
                           512, 8, "plain_spill"},
         ExternalSortParam{RunGenMode::kPqMiniRuns, false, false, 3000, 512, 8,
-                          "plain_mini"}),
+                          "plain_mini"},
+        // In memory without OVC: the single tournament still derives the
+        // naive codes it was asked for.
+        ExternalSortParam{RunGenMode::kPqSingleRowRuns, false, false, 400,
+                          512, 8, "plain_memory"},
+        // Several mini-runs per memory batch (64 of 512 rows), so run
+        // generation merges mini-runs: in memory and spilled, with OVC and
+        // without.
+        ExternalSortParam{RunGenMode::kPqMiniRuns, false, true, 500, 512, 8,
+                          "mini64_memory", 64},
+        ExternalSortParam{RunGenMode::kPqMiniRuns, false, true, 5000, 512, 8,
+                          "mini64_spill", 64},
+        ExternalSortParam{RunGenMode::kPqMiniRuns, false, false, 500, 512, 8,
+                          "plain_mini64_memory", 64},
+        ExternalSortParam{RunGenMode::kPqMiniRuns, false, false, 5000, 512, 8,
+                          "plain_mini64_spill", 64}),
     [](const ::testing::TestParamInfo<ExternalSortParam>& info) {
       return info.param.name;
     });
+
+/// RunSink collecting a run's rows and codes.
+class CollectSink : public RunSink {
+ public:
+  explicit CollectSink(uint32_t width) : run(width) {}
+  void Accept(const uint64_t* row, Ovc code) override {
+    run.Append(row, code);
+  }
+  InMemoryRun run;
+};
+
+TEST(BatchSorter, MiniRunsMatchSingleTournamentRowForRowAndCodeForCode) {
+  // Few distinct values per column, so many duplicates (full-key ones too).
+  // The payload is the input position, so the row-for-row match also checks
+  // that both sorts are stable.
+  //
+  // The N x K column-comparison bound needs exact codes. Two inputs here
+  // have lossy ones: values at and above 2^48 - 1 share one saturated
+  // 48-bit image, and a descending column normalizes v to ~v, which puts
+  // its small values above the saturation point. Codes that tie on a
+  // saturated image re-compare the column at their offset, in either run
+  // generation mode, so those inputs check the match only.
+  const uint64_t kSaturated = OvcCodec::kValueMask;
+  const uint64_t kExact[] = {0, 1, 7, 1000, kSaturated - 2, kSaturated - 1};
+  const uint64_t kLossy[] = {0,          7,           kSaturated - 1,
+                             kSaturated, kSaturated + 1, ~uint64_t{0}};
+  struct Input {
+    const char* name;
+    const uint64_t* values;
+    SortDirection middle;
+    bool exact;
+  };
+  const Input kInputs[] = {
+      {"exact", kExact, SortDirection::kAscending, true},
+      {"saturated", kLossy, SortDirection::kAscending, false},
+      {"descending", kExact, SortDirection::kDescending, false},
+  };
+  constexpr uint64_t kRows = 3000;
+  for (const Input& in : kInputs) {
+    SCOPED_TRACE(in.name);
+    Schema schema({SortDirection::kAscending, in.middle,
+                   SortDirection::kAscending},
+                  /*payload_columns=*/1);
+    Rng rng(/*seed=*/61);
+    RowBuffer input(schema.total_columns());
+    for (uint64_t i = 0; i < kRows; ++i) {
+      const uint64_t row[4] = {rng.Uniform(4), in.values[rng.Uniform(6)],
+                               in.values[rng.Uniform(6)], i};
+      input.AppendRow(row);
+    }
+    const uint64_t bound = kRows * schema.key_arity();
+
+    QueryCounters single_counters;
+    BatchSorter single(&schema, &single_counters,
+                       RunGenMode::kPqSingleRowRuns, /*mini_run_rows=*/1024,
+                       /*use_ovc=*/true, /*naive_codes=*/false);
+    CollectSink expected(schema.total_columns());
+    single.Sort(input, &expected);
+    ASSERT_EQ(expected.run.size(), kRows);
+    OvcStreamChecker checker(&schema);
+    for (size_t i = 0; i < kRows; ++i) {
+      ASSERT_TRUE(checker.Observe(expected.run.row(i), expected.run.code(i)))
+          << checker.error();
+    }
+    if (in.exact) {
+      EXPECT_LE(single_counters.column_comparisons, bound);
+    }
+
+    // 2 is the smallest mini-run, 1000 leaves a short last one, and 4096
+    // holds the whole batch (no merge).
+    for (const uint32_t mini : {2u, 64u, 1000u, 4096u}) {
+      SCOPED_TRACE(mini);
+      QueryCounters counters;
+      BatchSorter sorter(&schema, &counters, RunGenMode::kPqMiniRuns, mini,
+                         /*use_ovc=*/true, /*naive_codes=*/false);
+      CollectSink got(schema.total_columns());
+      sorter.Sort(input, &got);
+      ASSERT_EQ(got.run.size(), kRows);
+      for (size_t i = 0; i < kRows; ++i) {
+        for (uint32_t c = 0; c < schema.total_columns(); ++c) {
+          ASSERT_EQ(got.run.row(i)[c], expected.run.row(i)[c])
+              << i << "," << c;
+        }
+        ASSERT_EQ(got.run.code(i), expected.run.code(i)) << i;
+      }
+      if (in.exact) {
+        EXPECT_LE(counters.column_comparisons, bound);
+      }
+    }
+  }
+}
 
 TEST(ExternalSort, EmptyInput) {
   Schema schema(2);
