@@ -18,7 +18,8 @@
 # includes the batched pipelines, the pq/sort suites the cost model's
 # constants are calibrated from (see docs/COST_MODEL.md), run generation
 # (cache-sized mini-runs against the single-tournament ablation baseline,
-# on the shapes of the end-to-end sorts), the exchange
+# on the shapes of the end-to-end sorts), the spill-I/O round trip (one
+# prefix-truncated run file written and read back), the exchange
 # merge (OVC vs plain, threaded), the planner's parallel sort shape at
 # 1/2/4 workers (multi-worker scaling is bounded by the machine's core
 # count), the SQL end-to-end suite, the serving-layer QPS suite (ovcd
@@ -43,7 +44,8 @@ BUILD_DIR=build
 OUT=${BENCH_OUT:-BENCH_PR13.json}
 MIN_TIME=0.5
 BENCHES=(bench_batch_pipeline bench_pq_merge bench_sort_ovc
-         bench_run_generation bench_exchange_merge bench_parallel_sort bench_sql_e2e
+         bench_run_generation bench_run_file bench_exchange_merge
+         bench_parallel_sort bench_sql_e2e
          bench_profile_overhead bench_metrics_overhead bench_serving)
 
 while [[ $# -gt 0 ]]; do

@@ -16,7 +16,7 @@
 //
 // Registry (every name compiled into the tree; see docs/ROBUSTNESS.md):
 //   tempfile.open                 FileWriter::Open fails (retryable)
-//   tempfile.write                FileWriter::Write fails (retryable)
+//   tempfile.write                a FileWriter block flush fails (retryable)
 //   grace_hash_join.force_overflow   build-side budget check reports full
 //   hash_aggregate.force_overflow    group-table budget check reports full
 

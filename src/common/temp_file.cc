@@ -1,11 +1,11 @@
 #include "common/temp_file.h"
 
+#include <fcntl.h>
 #include <unistd.h>
 
 #include <atomic>
 #include <cerrno>
 #include <chrono>
-#include <cstdio>
 #include <cstring>
 #include <filesystem>
 #include <thread>
@@ -98,20 +98,22 @@ void TempFileManager::ClearError() {
 }
 
 FileWriter::~FileWriter() {
-  if (file_ != nullptr) {
-    std::fclose(static_cast<FILE*>(file_));
-  }
+  if (fd_ >= 0) ::close(fd_);
 }
 
 Status FileWriter::Open(const std::string& path) {
-  OVC_CHECK(file_ == nullptr);
+  OVC_CHECK(fd_ < 0);
   for (int attempt = 0;; ++attempt) {
     bool injected = OVC_FAILPOINT("tempfile.open");
-    FILE* f = injected ? nullptr : std::fopen(path.c_str(), "wb");
-    if (f != nullptr) {
-      file_ = f;
+    int fd = injected ? -1
+                      : ::open(path.c_str(),
+                               O_WRONLY | O_CREAT | O_TRUNC | O_CLOEXEC, 0600);
+    if (fd >= 0) {
+      fd_ = fd;
+      buf_.reset(new char[kBlockBytes]);
+      used_ = 0;
+      flushed_ = 0;
       path_ = path;
-      bytes_written_ = 0;
       OVC_METRIC_COUNTER("tempfile.files",
                          "Temporary files opened for writing")
           .Increment();
@@ -128,35 +130,56 @@ Status FileWriter::Open(const std::string& path) {
   }
 }
 
-Status FileWriter::Write(const void* data, size_t len) {
-  OVC_DCHECK(file_ != nullptr);
-  for (int attempt = 0;; ++attempt) {
-    bool injected = OVC_FAILPOINT("tempfile.write");
-    const size_t wrote =
-        injected ? 0 : std::fwrite(data, 1, len, static_cast<FILE*>(file_));
-    if (!injected && wrote == len) {
-      bytes_written_ += len;
-      return Status::Ok();
-    }
-    // Retry only when nothing reached the stream -- re-writing after a
-    // partial fwrite would duplicate bytes in the run file.
-    const bool transient = injected || (wrote == 0 && TransientErrno(errno));
-    if (!transient || attempt >= kMaxIoRetries) {
-      return Status::IoError("write failed: " + path_ +
-                             (injected ? ": injected failure" : ""));
-    }
-    if (!injected) std::clearerr(static_cast<FILE*>(file_));
-    ++retries_;
-    BackoffBeforeRetry(attempt);
+Status FileWriter::WriteAcrossBlocks(const char* data, size_t len) {
+  OVC_DCHECK(fd_ >= 0);
+  while (len > kBlockBytes - used_) {
+    const size_t part = kBlockBytes - used_;
+    std::memcpy(buf_.get() + used_, data, part);
+    used_ = kBlockBytes;
+    data += part;
+    len -= part;
+    OVC_RETURN_IF_ERROR(Flush());
   }
+  return Write(data, len);
+}
+
+Status FileWriter::Flush() {
+  size_t done = 0;
+  for (int attempt = 0; done < used_;) {
+    bool injected = OVC_FAILPOINT("tempfile.write");
+    const ssize_t wrote =
+        injected ? -1 : ::write(fd_, buf_.get() + done, used_ - done);
+    if (wrote > 0) {
+      // A partial write resumes where it stopped: nothing is written twice.
+      done += static_cast<size_t>(wrote);
+      continue;
+    }
+    const int err = wrote < 0 ? errno : 0;
+    const bool transient = injected || TransientErrno(err);
+    if (!transient || attempt >= kMaxIoRetries) {
+      return Status::IoError(
+          "write failed: " + path_ + ": " +
+          (injected ? "injected failure"
+                    : err != 0 ? std::strerror(err) : "no progress"));
+    }
+    ++retries_;
+    BackoffBeforeRetry(attempt++);
+  }
+  flushed_ += used_;
+  used_ = 0;
+  return Status::Ok();
 }
 
 Status FileWriter::Close() {
-  if (file_ == nullptr) {
+  if (fd_ < 0) {
     return Status::Ok();
   }
-  int rc = std::fclose(static_cast<FILE*>(file_));
-  file_ = nullptr;
+  Status flushed = Flush();
+  const int rc = ::close(fd_);
+  fd_ = -1;
+  buf_.reset();
+  used_ = 0;
+  OVC_RETURN_IF_ERROR(flushed);
   if (rc != 0) {
     return Status::IoError("close failed: " + path_);
   }
@@ -164,48 +187,67 @@ Status FileWriter::Close() {
 }
 
 FileReader::~FileReader() {
-  if (file_ != nullptr) {
-    std::fclose(static_cast<FILE*>(file_));
-  }
+  if (fd_ >= 0) ::close(fd_);
 }
 
 Status FileReader::Open(const std::string& path) {
-  OVC_CHECK(file_ == nullptr);
-  FILE* f = std::fopen(path.c_str(), "rb");
-  if (f == nullptr) {
+  OVC_CHECK(fd_ < 0);
+  const int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
+  if (fd < 0) {
     return Status::IoError("open for read failed: " + path + ": " +
                            std::strerror(errno));
   }
-  file_ = f;
+  fd_ = fd;
+  buf_.reset(new char[kBlockBytes]);
+  pos_ = end_ = 0;
   path_ = path;
   return Status::Ok();
 }
 
-Status FileReader::Read(void* data, size_t len) {
-  OVC_DCHECK(file_ != nullptr);
-  if (std::fread(data, 1, len, static_cast<FILE*>(file_)) != len) {
-    return Status::IoError("short read: " + path_);
+Status FileReader::ReadAcrossBlocks(char* data, size_t len) {
+  OVC_DCHECK(fd_ >= 0);
+  while (len > end_ - pos_) {
+    const size_t part = end_ - pos_;
+    std::memcpy(data, buf_.get() + pos_, part);
+    pos_ = end_;
+    data += part;
+    len -= part;
+    OVC_RETURN_IF_ERROR(Refill());
+    if (end_ == 0) {
+      return Status::IoError("short read: " + path_);
+    }
   }
+  return Read(data, len);
+}
+
+Status FileReader::Refill() {
+  OVC_DCHECK(pos_ == end_);
+  ssize_t got;
+  do {
+    got = ::read(fd_, buf_.get(), kBlockBytes);
+  } while (got < 0 && errno == EINTR);
+  pos_ = end_ = 0;
+  if (got < 0) {
+    return Status::IoError("read failed: " + path_ + ": " +
+                           std::strerror(errno));
+  }
+  end_ = static_cast<size_t>(got);
   return Status::Ok();
 }
 
-bool FileReader::AtEof() {
-  OVC_DCHECK(file_ != nullptr);
-  FILE* f = static_cast<FILE*>(file_);
-  int c = std::fgetc(f);
-  if (c == EOF) {
-    return true;
-  }
-  std::ungetc(c, f);
-  return false;
+bool FileReader::AtEofAfterRefill() {
+  OVC_DCHECK(fd_ >= 0);
+  return Refill().ok() && end_ == 0;
 }
 
 Status FileReader::Close() {
-  if (file_ == nullptr) {
+  if (fd_ < 0) {
     return Status::Ok();
   }
-  int rc = std::fclose(static_cast<FILE*>(file_));
-  file_ = nullptr;
+  const int rc = ::close(fd_);
+  fd_ = -1;
+  buf_.reset();
+  pos_ = end_ = 0;
   if (rc != 0) {
     return Status::IoError("close failed: " + path_);
   }

@@ -1,5 +1,9 @@
 // Row substrate: schema, buffers, counting comparators, generators.
 
+#include <cstdint>
+#include <filesystem>
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "common/rng.h"
@@ -163,6 +167,41 @@ TEST(TempFiles, WriteReadRoundtrip) {
   EXPECT_EQ(v64, 123456789ull);
   EXPECT_EQ(v32, 42u);
   EXPECT_TRUE(reader.AtEof());
+  ASSERT_TRUE(reader.Close().ok());
+}
+
+TEST(TempFiles, WriteLargerThanOneBlock) {
+  // One Write spanning several I/O blocks, starting mid-block, comes back
+  // intact through reads that also span blocks.
+  TempFileManager temp;
+  const std::string path = temp.NewPath("unit");
+  std::vector<uint8_t> big(3 * kBlockBytes + 5);
+  for (size_t i = 0; i < big.size(); ++i) big[i] = static_cast<uint8_t>(i * 7);
+  FileWriter writer;
+  ASSERT_TRUE(writer.Open(path).ok());
+  ASSERT_TRUE(writer.WriteU32(42).ok());
+  ASSERT_TRUE(writer.Write(big.data(), big.size()).ok());
+  ASSERT_TRUE(writer.WriteU64(123456789ull).ok());
+  EXPECT_EQ(writer.bytes_written(), 4 + big.size() + 8);
+  ASSERT_TRUE(writer.Close().ok());
+  EXPECT_EQ(std::filesystem::file_size(path), 4 + big.size() + 8);
+
+  FileReader reader;
+  ASSERT_TRUE(reader.Open(path).ok());
+  uint32_t v32 = 0;
+  ASSERT_TRUE(reader.ReadU32(&v32).ok());
+  EXPECT_EQ(v32, 42u);
+  std::vector<uint8_t> back(big.size());
+  ASSERT_TRUE(reader.Read(back.data(), back.size()).ok());
+  EXPECT_EQ(back, big);
+  EXPECT_FALSE(reader.AtEof());
+  uint64_t v64 = 0;
+  ASSERT_TRUE(reader.ReadU64(&v64).ok());
+  EXPECT_EQ(v64, 123456789ull);
+  EXPECT_TRUE(reader.AtEof());
+  // Past the end: a short read is an error, not silence.
+  Status past = reader.ReadU64(&v64);
+  EXPECT_EQ(past.code(), StatusCode::kIoError);
   ASSERT_TRUE(reader.Close().ok());
 }
 

@@ -543,7 +543,9 @@ TEST_F(CostModelTest, ProfiledScenariosRecordPerNodeQErrors) {
                   static_cast<unsigned long long>(profile->ActualRows(i)), q);
       EXPECT_GE(q, 1.0);
       // Scans carry exact statistics here, so their estimates are perfect.
-      if (!node.table.empty()) EXPECT_DOUBLE_EQ(q, 1.0);
+      if (!node.table.empty()) {
+        EXPECT_DOUBLE_EQ(q, 1.0);
+      }
       // Derived estimates can err, but the scenario shapes are the ones
       // the model was built around -- a blow-up past 10x is a regression.
       EXPECT_LT(q, 10.0) << node.label;

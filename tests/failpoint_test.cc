@@ -99,6 +99,39 @@ TEST_F(FailpointTest, TransientWriteFailureIsRetriedAndCounted) {
   EXPECT_GT(failpoint::Hits("tempfile.write"), 0u);
 }
 
+TEST_F(FailpointTest, TransientFailureOnCloseFlushIsRetriedAndCounted) {
+  SKIP_WITHOUT_FAILPOINTS();
+  // tempfile.write fires once per block flush. Runs of 4096 rows span two
+  // blocks, and every run's last block is flushed by Close. A pass with the
+  // failpoint armed but never failing counts the flushes; failing only
+  // the last one lands the failure in the final run's Close, whose retry
+  // must still be absorbed and counted.
+  sql::Catalog catalog;
+  RegisterTables(&catalog);
+  const std::string query = "SELECT k, v FROM fact ORDER BY k";
+  sql::SqlSession::Options options = SpillingOptions();
+  options.planner.sort_config.memory_rows = 4096;
+
+  failpoint::Arm("tempfile.write", /*skip_first=*/0, /*fail_times=*/0);
+  sql::SqlSession oracle_session(&catalog, options);
+  sql::SqlResult<sql::QueryResult> oracle = oracle_session.Run(query);
+  ASSERT_TRUE(oracle.ok());
+  const uint64_t flushes = failpoint::Hits("tempfile.write");
+  ASSERT_GT(flushes, 0u);
+  EXPECT_EQ(oracle_session.counters()->io_retries, 0u);
+
+  failpoint::Arm("tempfile.write", /*skip_first=*/flushes - 1,
+                 /*fail_times=*/1);
+  sql::SqlSession session(&catalog, options);
+  sql::SqlResult<sql::QueryResult> got = session.Run(query);
+  ASSERT_TRUE(got.ok()) << got.error().ToString();
+  EXPECT_EQ(ToRowVec(got.value().result.rows),
+            ToRowVec(oracle.value().result.rows));
+  EXPECT_GE(session.counters()->io_retries, 1u);
+  // The failed attempt plus its successful retry.
+  EXPECT_EQ(failpoint::Hits("tempfile.write"), flushes + 1);
+}
+
 TEST_F(FailpointTest, ExhaustedWriteRetriesReportCleanSqlError) {
   SKIP_WITHOUT_FAILPOINTS();
   // Every write fails: retries exhaust, the spilling sort degrades, and

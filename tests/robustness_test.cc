@@ -1,9 +1,13 @@
 // Robustness and edge-case coverage: descending sort directions end to
 // end, saturated 48-bit value images, adversarial replacement-selection
-// inputs, and B-tree mutation fuzzing against a reference container.
+// inputs, B-tree mutation fuzzing against a reference container, and
+// missing, torn or corrupt spill files.
 
 #include <algorithm>
+#include <filesystem>
+#include <memory>
 #include <set>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -15,7 +19,11 @@
 #include "exec/merge_join.h"
 #include "exec/scan.h"
 #include "exec/sort_operator.h"
+#include "plan/logical_plan.h"
+#include "sort/run_file.h"
 #include "sort/run_generation.h"
+#include "sql/catalog.h"
+#include "sql/session.h"
 #include "storage/btree.h"
 #include "test_util.h"
 
@@ -353,6 +361,168 @@ TEST(FailureInjection, WriterToUnwritablePathReportsError) {
   Status s = writer.Open("/nonexistent-dir/run-0");
   EXPECT_FALSE(s.ok());
   EXPECT_EQ(s.code(), StatusCode::kIoError);
+}
+
+/// Writes `table` (sorted) as a run file and returns each row's end offset
+/// in the file.
+std::vector<uint64_t> WriteRunWithRowEnds(const Schema& schema,
+                                          const RowBuffer& table,
+                                          const std::string& path) {
+  OvcCodec codec(&schema);
+  KeyComparator cmp(&schema, nullptr);
+  RunFileWriter writer(&schema, nullptr);
+  EXPECT_TRUE(writer.Open(path).ok());
+  std::vector<uint64_t> ends;
+  uint64_t end = 0;
+  for (size_t i = 0; i < table.size(); ++i) {
+    const uint32_t offset =
+        i == 0 ? 0 : cmp.FirstDifference(table.row(i - 1), table.row(i), 0);
+    EXPECT_TRUE(
+        writer.Append(table.row(i), codec.MakeFromRow(table.row(i), offset))
+            .ok());
+    end += 2 + (schema.total_columns() - offset) * 8;
+    ends.push_back(end);
+  }
+  EXPECT_TRUE(writer.Close().ok());
+  return ends;
+}
+
+TEST(FailureInjection, TruncatedRunFileEndsStreamWithRecordedError) {
+  // A run file torn mid-row, past the first I/O block: every whole row
+  // before the tear comes back, then the reader records the short read
+  // and ends the stream (the degrade contract) instead of aborting.
+  Schema schema(2, 1);
+  RowBuffer table =
+      MakeTable(schema, 20000, 16, /*seed=*/33, /*sorted=*/true);
+  TempFileManager temp;
+  const std::string path = temp.NewPath("run");
+  const std::vector<uint64_t> ends = WriteRunWithRowEnds(schema, table, path);
+  size_t whole = 0;
+  while (ends[whole] <= kBlockBytes + 100) ++whole;
+  std::filesystem::resize_file(path, ends[whole - 1] + 3);
+
+  RunFileReader reader(&schema, &temp);
+  ASSERT_TRUE(reader.Open(path).ok());
+  const uint64_t* row = nullptr;
+  Ovc code = 0;
+  size_t n = 0;
+  while (reader.Next(&row, &code)) {
+    ASSERT_LT(n, whole);
+    for (uint32_t c = 0; c < schema.total_columns(); ++c) {
+      ASSERT_EQ(row[c], table.row(n)[c]) << n << "," << c;
+    }
+    ++n;
+  }
+  EXPECT_EQ(n, whole);
+  const Status error = temp.first_error();
+  EXPECT_EQ(error.code(), StatusCode::kIoError);
+  EXPECT_NE(error.message().find("short read"), std::string::npos)
+      << error.ToString();
+  EXPECT_FALSE(reader.Next(&row, &code));
+}
+
+TEST(FailureInjection, OffsetBeyondKeyArityReportsCorruptRunFile) {
+  // A prefix offset larger than the key arity cannot come from a writer.
+  // Checked with 4 KiB behind the bad row (decoded in place in the block)
+  // and with the bad row last in the file (decoded through Read).
+  Schema schema(2, 1);
+  for (const size_t trailing : {size_t{0}, size_t{4096}}) {
+    SCOPED_TRACE(trailing);
+    TempFileManager temp;
+    const std::string path = temp.NewPath("run");
+    FileWriter file;
+    ASSERT_TRUE(file.Open(path).ok());
+    const uint16_t good = 0;
+    const uint64_t cols[3] = {1, 2, 3};
+    ASSERT_TRUE(file.Write(&good, sizeof(good)).ok());
+    ASSERT_TRUE(file.Write(cols, sizeof(cols)).ok());
+    const uint16_t bad = 3;
+    ASSERT_TRUE(file.Write(&bad, sizeof(bad)).ok());
+    const std::string padding(trailing, '\0');
+    ASSERT_TRUE(file.Write(padding.data(), padding.size()).ok());
+    ASSERT_TRUE(file.Close().ok());
+
+    RunFileReader reader(&schema, &temp);
+    ASSERT_TRUE(reader.Open(path).ok());
+    const uint64_t* row = nullptr;
+    Ovc code = 0;
+    ASSERT_TRUE(reader.Next(&row, &code));
+    EXPECT_EQ(row[2], 3u);
+    EXPECT_FALSE(reader.Next(&row, &code));
+    const Status error = temp.first_error();
+    EXPECT_EQ(error.code(), StatusCode::kIoError);
+    EXPECT_NE(error.message().find("corrupt run file"), std::string::npos)
+        << error.ToString();
+  }
+}
+
+/// Scan wrapper that, at the end of its input, tears the last row of every
+/// run file spilled so far under `dir`: the sort above it then merges torn
+/// runs.
+class TearSpilledRunsAtEnd : public Operator {
+ public:
+  TearSpilledRunsAtEnd(std::unique_ptr<Operator> child, std::string dir,
+                       int* torn)
+      : child_(std::move(child)), dir_(std::move(dir)), torn_(torn) {}
+  void Open() override {
+    child_->Open();
+    done_ = false;
+  }
+  uint32_t NextBatch(RowBlock* out) override {
+    const uint32_t n = child_->NextBatch(out);
+    if (n == 0 && !done_) {
+      done_ = true;
+      for (const auto& entry :
+           std::filesystem::recursive_directory_iterator(dir_)) {
+        if (!entry.is_regular_file() ||
+            entry.path().filename().string().rfind("run-", 0) != 0) {
+          continue;
+        }
+        std::filesystem::resize_file(entry.path(), entry.file_size() - 1);
+        ++*torn_;
+      }
+    }
+    return n;
+  }
+  void Close() override { child_->Close(); }
+  const Schema& schema() const override { return child_->schema(); }
+  bool sorted() const override { return child_->sorted(); }
+  bool has_ovc() const override { return child_->has_ovc(); }
+
+ private:
+  std::unique_ptr<Operator> child_;
+  std::string dir_;
+  int* torn_;
+  bool done_ = false;
+};
+
+TEST(FailureInjection, SpillingOrderByOverTornRunsReportsSqlError) {
+  Schema schema(1, 1);
+  RowBuffer table = MakeTable(schema, 10000, 500, /*seed=*/34);
+  TempFileManager root;
+  int torn = 0;
+  plan::TableSource source = plan::BufferSource("t", &schema, &table);
+  auto scan = source.factory;
+  source.factory = [scan, &root, &torn] {
+    return std::make_unique<TearSpilledRunsAtEnd>(scan(), root.dir(), &torn);
+  };
+  sql::Catalog catalog;
+  ASSERT_TRUE(catalog.Register(source, {"k", "v"}).ok());
+
+  sql::SqlSession::Options options;
+  options.validate = true;
+  options.abort_on_violation = false;
+  // A tiny sort workspace so the ORDER BY spills many runs.
+  options.planner.sort_config.memory_rows = 256;
+  sql::SqlSession session(&catalog, options, &root);
+  sql::SqlResult<sql::QueryResult> got =
+      session.Run("SELECT k, v FROM t ORDER BY k, v");
+  EXPECT_GT(torn, 0);
+  ASSERT_FALSE(got.ok());
+  EXPECT_NE(got.error().message.find("execution failed"), std::string::npos)
+      << got.error().message;
+  EXPECT_NE(got.error().message.find("short read"), std::string::npos)
+      << got.error().message;
 }
 
 }  // namespace

@@ -139,7 +139,9 @@ class SeekTest : public ::testing::Test {
       PhysicalPlan scan = Planner(nullptr, &temp_).Plan(scan_plan.get());
       const bool seeking =
           seek.ToString().find(" range ") != std::string::npos;
-      if (seeks.has_value()) EXPECT_EQ(seeking, *seeks) << seek.ToString();
+      if (seeks.has_value()) {
+        EXPECT_EQ(seeking, *seeks) << seek.ToString();
+      }
       EXPECT_EQ(scan.ToString().find(" range "), std::string::npos);
 
       for (const uint32_t capacity : {1u, 7u, 1024u}) {

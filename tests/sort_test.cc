@@ -1,6 +1,9 @@
 // External merge sort: run files, all run-generation modes, spilling and
 // merge cascading, replacement selection, segmented sort.
 
+#include <filesystem>
+#include <fstream>
+#include <iterator>
 #include <memory>
 #include <string>
 #include <vector>
@@ -64,6 +67,98 @@ TEST(RunFile, RoundtripPreservesRowsAndCodes) {
     ASSERT_EQ(code, codes[i]) << i;
   }
   EXPECT_FALSE(reader.Next(&row, &code));
+}
+
+/// Writes `table` (sorted) to a run file at `path`, coding each row against
+/// its predecessor; returns the codes written.
+std::vector<Ovc> WriteSortedRun(const Schema& schema, const RowBuffer& table,
+                                const std::string& path,
+                                QueryCounters* counters) {
+  OvcCodec codec(&schema);
+  KeyComparator cmp(&schema, nullptr);
+  RunFileWriter writer(&schema, counters);
+  EXPECT_TRUE(writer.Open(path).ok());
+  std::vector<Ovc> codes;
+  for (size_t i = 0; i < table.size(); ++i) {
+    codes.push_back(
+        i == 0 ? codec.MakeInitial(table.row(i))
+               : codec.MakeFromRow(table.row(i),
+                                   cmp.FirstDifference(table.row(i - 1),
+                                                       table.row(i), 0)));
+    EXPECT_TRUE(writer.Append(table.row(i), codes.back()).ok());
+  }
+  EXPECT_TRUE(writer.Close().ok());
+  return codes;
+}
+
+TEST(RunFile, RoundtripAcrossBlockBoundaries) {
+  // Enough rows for several I/O blocks; prefix truncation makes row sizes
+  // vary, so rows straddle block boundaries on both the write and the
+  // read side.
+  for (const uint32_t arity : {1u, 3u}) {
+    SCOPED_TRACE(arity);
+    Schema schema(arity, 1);
+    OvcCodec codec(&schema);
+    TempFileManager temp;
+    QueryCounters counters;
+    RowBuffer table =
+        MakeTable(schema, 20000, 16, /*seed=*/7, /*sorted=*/true);
+    const std::string path = temp.NewPath("run");
+    const std::vector<Ovc> codes =
+        WriteSortedRun(schema, table, path, &counters);
+
+    uint64_t start = 0;
+    uint64_t straddling = 0;
+    for (Ovc code : codes) {
+      const uint64_t end =
+          start + 2 + (schema.total_columns() - codec.OffsetOf(code)) * 8;
+      if (start / kBlockBytes != (end - 1) / kBlockBytes) ++straddling;
+      start = end;
+    }
+    ASSERT_EQ(start, counters.bytes_spilled);
+    EXPECT_EQ(std::filesystem::file_size(path), counters.bytes_spilled);
+    EXPECT_GT(counters.bytes_spilled, 2 * kBlockBytes);
+    EXPECT_GT(straddling, 0u);
+
+    RunFileReader reader(&schema, &temp);
+    ASSERT_TRUE(reader.Open(path).ok());
+    const uint64_t* row = nullptr;
+    Ovc code = 0;
+    for (size_t i = 0; i < table.size(); ++i) {
+      ASSERT_TRUE(reader.Next(&row, &code)) << i;
+      for (uint32_t c = 0; c < schema.total_columns(); ++c) {
+        ASSERT_EQ(row[c], table.row(i)[c]) << i << "," << c;
+      }
+      ASSERT_EQ(code, codes[i]) << i;
+    }
+    EXPECT_FALSE(reader.Next(&row, &code));
+    EXPECT_TRUE(temp.first_error().ok()) << temp.first_error().ToString();
+  }
+}
+
+TEST(RunFile, OnDiskFormatIsPinned) {
+  // Per row: the 16-bit prefix offset, then the key columns past the
+  // shared prefix and every payload column, 64-bit little-endian.
+  Schema schema(2, 1);
+  RowBuffer table(schema.total_columns());
+  const uint64_t rows[3][3] = {{1, 2, 9}, {1, 3, 8}, {1, 3, 7}};
+  for (const auto& r : rows) table.AppendRow(r);
+  TempFileManager temp;
+  const std::string path = temp.NewPath("run");
+  WriteSortedRun(schema, table, path, nullptr);
+
+  const std::vector<uint8_t> expected = {
+      // {1, 2, 9}: offset 0, both key columns, payload.
+      0, 0,  1, 0, 0, 0, 0, 0, 0, 0,  2, 0, 0, 0, 0, 0, 0, 0,
+      9, 0, 0, 0, 0, 0, 0, 0,
+      // {1, 3, 8}: offset 1, second key column, payload.
+      1, 0,  3, 0, 0, 0, 0, 0, 0, 0,  8, 0, 0, 0, 0, 0, 0, 0,
+      // {1, 3, 7}: duplicate key, offset 2, payload only.
+      2, 0,  7, 0, 0, 0, 0, 0, 0, 0};
+  std::ifstream in(path, std::ios::binary);
+  const std::vector<uint8_t> bytes((std::istreambuf_iterator<char>(in)),
+                                   std::istreambuf_iterator<char>());
+  EXPECT_EQ(bytes, expected);
 }
 
 struct ExternalSortParam {
