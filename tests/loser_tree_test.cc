@@ -2,11 +2,14 @@
 // (OvcMerger), the Section 5 duplicate bypass, and the Figures 2/3 claim
 // that code-decided merges need no column comparisons.
 
+#include <algorithm>
 #include <memory>
+#include <numeric>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "common/rng.h"
 #include "core/ovc_checker.h"
 #include "pq/loser_tree.h"
 #include "pq/plain_loser_tree.h"
@@ -19,6 +22,7 @@ namespace {
 using ::ovc::testing::MakeTable;
 using ::ovc::testing::ReferenceSort;
 using ::ovc::testing::RowVec;
+using ::ovc::testing::RunFromSorted;
 
 struct SortParam {
   uint32_t arity;
@@ -332,6 +336,162 @@ TEST(Mergers, DoNoWorkAfterReportingExhaustion) {
     EXPECT_EQ(counters.row_comparisons, drained.row_comparisons);
     EXPECT_EQ(sa.pulls + sb.pulls, pulls);
   }
+}
+
+// ---------------------------------------------------------------------------
+// Pinned tournament counts. One fixed-seed case per kind of tie a match can
+// meet: padding fences, full-key duplicates, saturated value images and
+// descending columns, plus a merge of uneven runs with the duplicate bypass
+// on. Each case checks rows and codes against std::stable_sort with naively
+// derived codes, and pins the exact counters so that a change to the
+// tournament kernel cannot move a count unnoticed.
+
+struct PinnedCounts {
+  uint64_t code_comparisons;
+  uint64_t column_comparisons;
+  uint64_t merge_bypass_rows;
+};
+
+/// `input`'s rows in stable key order, each with its code relative to its
+/// predecessor derived column by column.
+void NaiveSortedStream(const Schema& schema, const RowBuffer& input,
+                       RowVec* rows, std::vector<Ovc>* codes) {
+  KeyComparator cmp(&schema, nullptr);
+  OvcCodec codec(&schema);
+  std::vector<size_t> order(input.size());
+  std::iota(order.begin(), order.end(), size_t{0});
+  std::stable_sort(order.begin(), order.end(), [&](size_t a, size_t b) {
+    return cmp.Compare(input.row(a), input.row(b)) < 0;
+  });
+  const uint32_t width = schema.total_columns();
+  for (size_t i = 0; i < order.size(); ++i) {
+    const uint64_t* row = input.row(order[i]);
+    rows->emplace_back(row, row + width);
+    codes->push_back(
+        i == 0 ? codec.MakeInitial(row)
+               : codec.MakeFromRow(
+                     row, cmp.FirstDifference(input.row(order[i - 1]), row,
+                                              0)));
+  }
+}
+
+/// Drains `rows` (a PqSorter or merger) and expects the stable-sort rows
+/// and naive codes of `input`, row for row and code for code.
+template <typename Rows>
+void ExpectNaiveStream(const Schema& schema, const RowBuffer& input,
+                       Rows* rows) {
+  RowVec expected_rows;
+  std::vector<Ovc> expected_codes;
+  NaiveSortedStream(schema, input, &expected_rows, &expected_codes);
+  RowVec got_rows;
+  std::vector<Ovc> got_codes;
+  RowRef ref;
+  while (rows->Next(&ref)) {
+    got_rows.emplace_back(ref.cols, ref.cols + schema.total_columns());
+    got_codes.push_back(ref.ovc);
+  }
+  EXPECT_EQ(got_rows, expected_rows);
+  EXPECT_EQ(got_codes, expected_codes);
+}
+
+void ExpectCounts(const QueryCounters& got, const PinnedCounts& pinned) {
+  EXPECT_EQ(got.code_comparisons, pinned.code_comparisons);
+  EXPECT_EQ(got.column_comparisons, pinned.column_comparisons);
+  EXPECT_EQ(got.merge_bypass_rows, pinned.merge_bypass_rows);
+}
+
+/// Sorts `table` with one PqSorter, checks the stream and returns the
+/// counters.
+QueryCounters SortPinned(const Schema& schema, const RowBuffer& table) {
+  OvcCodec codec(&schema);
+  QueryCounters counters;
+  KeyComparator comparator(&schema, &counters);
+  std::vector<const uint64_t*> ptrs;
+  for (size_t i = 0; i < table.size(); ++i) ptrs.push_back(table.row(i));
+  PqSorter sorter(&codec, &comparator);
+  sorter.Reset(ptrs.data(), static_cast<uint32_t>(ptrs.size()));
+  ExpectNaiveStream(schema, table, &sorter);
+  return counters;
+}
+
+TEST(PinnedCounts, PqSorterWithPaddingFences) {
+  // 1,000 rows pad the tournament to 1,024 slots: 24 late fences meet rows
+  // and each other.
+  Schema schema(2, 1);
+  const RowBuffer table = MakeTable(schema, 1000, 50, /*seed=*/11);
+  ExpectCounts(SortPinned(schema, table), {11023, 950, 0});
+}
+
+TEST(PinnedCounts, PqSorterWithManyDuplicates) {
+  // Eight distinct keys over 777 rows: most matches tie on the full key.
+  Schema schema(3, 1);
+  const RowBuffer table = MakeTable(schema, 777, 2, /*seed=*/12);
+  ExpectCounts(SortPinned(schema, table), {8793, 1548, 0});
+}
+
+TEST(PinnedCounts, PqSorterWithSaturatedImages) {
+  // The middle column straddles 2^48 - 1, where the 48-bit value image
+  // saturates: equal codes then hide unequal column values.
+  Schema schema(3, 1);
+  const uint64_t saturation = OvcCodec::kValueMask;
+  Rng rng(13);
+  RowBuffer table(schema.total_columns());
+  for (uint64_t i = 0; i < 600; ++i) {
+    uint64_t* row = table.AppendRow();
+    row[0] = rng.Uniform(4);
+    row[1] = saturation - 2 + rng.Uniform(6);
+    row[2] = rng.Uniform(3);
+    row[3] = i;
+  }
+  ExpectCounts(SortPinned(schema, table), {7023, 1780, 0});
+}
+
+TEST(PinnedCounts, PqSorterWithDescendingColumn) {
+  // Small values of a descending column normalize to saturated images;
+  // values near the top of the domain normalize to small ones.
+  Schema schema({SortDirection::kAscending, SortDirection::kDescending,
+                 SortDirection::kAscending},
+                1);
+  Rng rng(14);
+  RowBuffer table(schema.total_columns());
+  for (uint64_t i = 0; i < 500; ++i) {
+    uint64_t* row = table.AppendRow();
+    row[0] = rng.Uniform(3);
+    const uint64_t v = rng.Uniform(5);
+    row[1] = rng.Chance(1, 2) ? v : ~v;
+    row[2] = rng.Uniform(4);
+    row[3] = i;
+  }
+  ExpectCounts(SortPinned(schema, table), {5011, 1428, 0});
+}
+
+TEST(PinnedCounts, MergerOverUnevenRunsWithDuplicateBypass) {
+  // Six runs (two padding slots) of very different lengths, some empty;
+  // 36 distinct keys make in-run duplicates that bypass the tree.
+  Schema schema(2, 1);
+  const uint64_t lengths[] = {0, 3, 150, 41, 600, 1};
+  std::vector<InMemoryRun> runs;
+  RowBuffer all(schema.total_columns());
+  for (uint64_t r = 0; r < 6; ++r) {
+    RowBuffer t = MakeTable(schema, lengths[r], 6, /*seed=*/20 + r,
+                            /*sorted=*/true);
+    for (size_t i = 0; i < t.size(); ++i) {
+      t.mutable_row(i)[2] = r * 10000 + i;  // payload names run and row
+      all.AppendRow(t.row(i));
+    }
+    runs.push_back(RunFromSorted(schema, t));
+  }
+  std::vector<InMemoryRunSource> source_storage;
+  for (const InMemoryRun& run : runs) source_storage.emplace_back(&run);
+  std::vector<InMemoryRunSource*> sources;
+  for (InMemoryRunSource& s : source_storage) sources.push_back(&s);
+
+  OvcCodec codec(&schema);
+  QueryCounters counters;
+  KeyComparator comparator(&schema, &counters);
+  OvcMergerT<InMemoryRunSource> merger(&codec, &comparator, sources);
+  ExpectNaiveStream(schema, all, &merger);
+  ExpectCounts(counters, {292, 15, 700});
 }
 
 }  // namespace
