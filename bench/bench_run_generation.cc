@@ -7,13 +7,16 @@
 // that stays in cache.
 //
 // Shapes ({rows, key columns, distinct values per column, payload columns,
-// memory rows}):
+// memory rows, presorted}):
 //  * 1,000,000 x 4 keys x 16 distinct, 65,536 rows of memory: many spilled
 //    runs.
 //  * 250,000 x 1 key x 25,000 distinct, in memory: the inserted sort of the
 //    end-to-end join (`lineitem` on `orderkey`).
 //  * 65,536 x 3 keys x 256 distinct, in memory: one memory batch of the
 //    end-to-end in-sort distinct on `(site, day, visitor)`.
+//  * 250,000 x 1 key x 25,000 distinct, presorted, in memory: the one shape
+//    where a branch on the match outcome would predict perfectly, so the
+//    branch-free match of the coded tournaments gains nothing here.
 
 #include <algorithm>
 #include <map>
@@ -34,17 +37,19 @@ struct Shape {
   uint64_t distinct;
   uint32_t payload;
   uint64_t memory_rows;
+  bool presorted;
 
   static Shape From(const benchmark::State& state) {
     return Shape{static_cast<uint64_t>(state.range(0)),
                  static_cast<uint32_t>(state.range(1)),
                  static_cast<uint64_t>(state.range(2)),
                  static_cast<uint32_t>(state.range(3)),
-                 static_cast<uint64_t>(state.range(4))};
+                 static_cast<uint64_t>(state.range(4)), state.range(5) != 0};
   }
+  /// The table cache's key: every field that changes the generated table.
   bool operator<(const Shape& o) const {
-    return std::tie(rows, arity, distinct, payload) <
-           std::tie(o.rows, o.arity, o.distinct, o.payload);
+    return std::tie(rows, arity, distinct, payload, presorted) <
+           std::tie(o.rows, o.arity, o.distinct, o.payload, o.presorted);
   }
 };
 
@@ -56,7 +61,7 @@ const RowBuffer& GetTable(const Shape& shape) {
     it = cache
              ->emplace(shape, std::make_unique<RowBuffer>(bench::MakeTable(
                                   schema, shape.rows, shape.distinct,
-                                  /*seed=*/55)))
+                                  /*seed=*/55, shape.presorted)))
              .first;
   }
   return *it->second;
@@ -111,10 +116,11 @@ void ReplacementSelectionRuns(benchmark::State& state) {
   RunGen(state, RunGenMode::kPqMiniRuns, true);
 }
 
-#define RUN_GEN_SHAPES                          \
-  ->Args({1000000, 4, 16, 0, 65536})            \
-      ->Args({250000, 1, 25000, 1, 1 << 20})    \
-      ->Args({65536, 3, 256, 0, 1 << 20})       \
+#define RUN_GEN_SHAPES                            \
+  ->Args({1000000, 4, 16, 0, 65536, 0})           \
+      ->Args({250000, 1, 25000, 1, 1 << 20, 0})   \
+      ->Args({65536, 3, 256, 0, 1 << 20, 0})      \
+      ->Args({250000, 1, 25000, 1, 1 << 20, 1})   \
       ->Unit(benchmark::kMillisecond)
 
 BENCHMARK(SingleRowRuns) RUN_GEN_SHAPES;

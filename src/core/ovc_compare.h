@@ -32,22 +32,12 @@ inline void CountCodeComparisons(const KeyComparator& comparator,
   if (counters != nullptr) counters->code_comparisons += n;
 }
 
-/// The code half of CompareWithOvc, uncounted: <0 or >0 when the codes
-/// decide, 0 when they are equal and the rows must decide
-/// (CompareEqualCodes). Lets a tournament load a row only on a tie; it
-/// plays a known number of matches per pass and counts them in one
-/// CountCodeComparisons.
-inline int CompareCodes(Ovc left, Ovc right) {
-  // Unequal-code theorem: the codes decide, and the loser's code relative
-  // to the winner is unchanged. A smaller ascending code sorts earlier.
-  if (left == right) return 0;
-  return left < right ? -1 : 1;
-}
-
 /// The row half of CompareWithOvc, for `*left_code == *right_code`: column
 /// comparisons resume past the shared prefix, and the loser is re-coded
 /// relative to the winner. Counts column comparisons, not the code
-/// comparison. Rows are not touched when the codes are fences.
+/// comparison. Rows are not touched when the codes are fences. Lets a
+/// tournament load a row only on a tie; it plays a known number of matches
+/// per pass and counts them in one CountCodeComparisons.
 int CompareEqualCodes(const OvcCodec& codec, const KeyComparator& comparator,
                       const uint64_t* left_row, Ovc* left_code,
                       const uint64_t* right_row, Ovc* right_code);
@@ -69,8 +59,9 @@ inline int CompareWithOvc(const OvcCodec& codec,
                           const uint64_t* left_row, Ovc* left_code,
                           const uint64_t* right_row, Ovc* right_code) {
   CountCodeComparisons(comparator, 1);
-  const int cmp = CompareCodes(*left_code, *right_code);
-  if (cmp != 0) return cmp;
+  // Unequal-code theorem: the codes decide, and the loser's code relative
+  // to the winner is unchanged. A smaller ascending code sorts earlier.
+  if (*left_code != *right_code) return *left_code < *right_code ? -1 : 1;
   return CompareEqualCodes(codec, comparator, left_row, left_code, right_row,
                            right_code);
 }

@@ -20,12 +20,22 @@ void PqSorter::Reset(const uint64_t* const* rows, uint32_t count) {
   winner_ = Entry{OvcCodec::LateFence(), 0};
 }
 
-PqSorter::Entry PqSorter::PlayMatch(uint32_t node, Entry a, Entry b) {
-  // The caller counts the match, once per pass. The rows are read only when
-  // the codes tie on a valid key; padding slots past count_ hold fences, so
-  // their row pointers are never loaded.
-  int cmp = CompareCodes(a.code, b.code);
-  if (cmp == 0 && OvcCodec::IsValid(a.code)) {
+inline PqSorter::Entry PqSorter::PlayMatch(uint32_t node, Entry a,
+                                           Entry b) {
+  // The caller counts the match, once per pass.
+  if (__builtin_expect(a.code != b.code, 1)) {
+    return PlayCodeDecidedMatch(a, b, &nodes_[node]);
+  }
+  return PlayTie(node, a, b);
+}
+
+__attribute__((noinline)) PqSorter::Entry PqSorter::PlayTie(uint32_t node,
+                                                            Entry a,
+                                                            Entry b) {
+  // The rows are read only when the codes tie on a valid key; padding slots
+  // past count_ hold fences, so their row pointers are never loaded.
+  int cmp = 0;
+  if (OvcCodec::IsValid(a.code)) {
     cmp = CompareEqualCodes(*codec_, *comparator_, rows_[a.slot], &a.code,
                             rows_[b.slot], &b.code);
   }

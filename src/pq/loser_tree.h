@@ -22,7 +22,11 @@
 // Exhausted inputs fold into the code word as late fences, so the test for
 // a valid key and the comparison of codes are one unsigned integer
 // comparison ("the comparison of offset-value codes is practically free",
-// Section 5).
+// Section 5). A match whose codes differ is also free of branches: the
+// winner is selected with mask arithmetic, because on unsorted input the
+// outcome is a coin toss a branch predictor misses half the time. Equal
+// codes (duplicates, fences, saturated value images) take an out-of-line
+// tie path that reads the rows.
 
 #ifndef OVC_PQ_LOSER_TREE_H_
 #define OVC_PQ_LOSER_TREE_H_
@@ -79,6 +83,29 @@ uint32_t FillBlock(Rows* rows, RowBlock* out) {
   RowRef ref;
   while (!out->full() && rows->Next(&ref)) out->Append(ref.cols, ref.ovc);
   return out->size();
+}
+
+/// One tournament slot's current key: its code relative to the last overall
+/// winner, and the slot (input or row index) it belongs to.
+struct TournamentEntry {
+  Ovc code;
+  uint32_t slot;
+};
+
+/// Plays a match that the codes decide (`a.code != b.code`): the smaller
+/// code wins, and by the unequal-code theorem neither code changes. Parks
+/// the loser at `*loser` and returns the winner, without a branch.
+inline TournamentEntry PlayCodeDecidedMatch(TournamentEntry a,
+                                            TournamentEntry b,
+                                            TournamentEntry* loser) {
+  OVC_DCHECK(a.code != b.code);
+  const uint64_t mask = uint64_t{0} - static_cast<uint64_t>(a.code < b.code);
+  const uint32_t slot_mask = static_cast<uint32_t>(mask);
+  const TournamentEntry winner{(a.code & mask) | (b.code & ~mask),
+                               (a.slot & slot_mask) | (b.slot & ~slot_mask)};
+  *loser = TournamentEntry{a.code ^ b.code ^ winner.code,
+                           a.slot ^ b.slot ^ winner.slot};
+  return winner;
 }
 
 /// Merges F sorted OVC streams into one sorted OVC stream.
@@ -155,10 +182,7 @@ class OvcMergerT {
   uint32_t fan_in() const { return static_cast<uint32_t>(sources_.size()); }
 
  private:
-  struct Entry {
-    Ovc code;
-    uint32_t slot;
-  };
+  using Entry = TournamentEntry;
 
   Entry LeafEntry(uint32_t slot) {
     if (slot >= sources_.size()) {
@@ -215,11 +239,18 @@ class OvcMergerT {
   /// Plays one match: returns the winner, parks the loser at nodes_[node].
   /// The rows are read only when the codes tie. The caller counts the match.
   Entry PlayMatch(uint32_t node, Entry a, Entry b) {
-    int cmp = CompareCodes(a.code, b.code);
-    if (cmp == 0) {
-      cmp = CompareEqualCodes(*codec_, *comparator_, rows_[a.slot], &a.code,
-                              rows_[b.slot], &b.code);
+    if (__builtin_expect(a.code != b.code, 1)) {
+      return PlayCodeDecidedMatch(a, b, &nodes_[node]);
     }
+    return PlayTie(node, a, b);
+  }
+
+  /// PlayMatch for equal codes: the rows decide (no row is read when both
+  /// codes are fences), then the lower slot, and an equal loser gets the
+  /// duplicate code.
+  __attribute__((noinline)) Entry PlayTie(uint32_t node, Entry a, Entry b) {
+    const int cmp = CompareEqualCodes(*codec_, *comparator_, rows_[a.slot],
+                                      &a.code, rows_[b.slot], &b.code);
     Entry winner, loser;
     if (cmp < 0 || (cmp == 0 && a.slot < b.slot)) {
       winner = a;
@@ -268,13 +299,11 @@ class PqSorter {
   bool Next(RowRef* out);
 
  private:
-  struct Entry {
-    Ovc code;
-    uint32_t slot;
-  };
+  using Entry = TournamentEntry;
 
   Entry BuildWinner(uint32_t node);
   Entry PlayMatch(uint32_t node, Entry a, Entry b);
+  Entry PlayTie(uint32_t node, Entry a, Entry b);
 
   const OvcCodec* codec_;
   const KeyComparator* comparator_;

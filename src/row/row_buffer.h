@@ -5,6 +5,7 @@
 
 #include <cstdint>
 #include <cstring>
+#include <utility>
 #include <vector>
 
 #include "common/check.h"
@@ -14,39 +15,55 @@ namespace ovc {
 
 /// Owns rows of a fixed column count in one contiguous allocation.
 ///
-/// Pointers returned by row() / AppendRow() are invalidated by any later
-/// append (vector growth); callers that need stable rows should reserve
-/// capacity up front or address rows by index.
+/// The append contract: an append is a bounds check plus a memcpy. The
+/// storage grows geometrically and is zero-filled once per growth, never
+/// per row; a growth moves every row, so pointers returned by row() /
+/// AppendRow() are invalidated by an append that grows the storage.
+/// ReserveRows(n) allocates room for exactly n rows up front, and appends
+/// until size() reaches n never grow it: callers that need stable rows
+/// reserve first (InMemoryRun::Reserve, the exchange's chunks) or address
+/// rows by index.
 class RowBuffer {
  public:
   /// Creates a buffer for rows of `width` columns.
   explicit RowBuffer(uint32_t width) : width_(width) { OVC_CHECK(width >= 1); }
 
+  RowBuffer(const RowBuffer&) = default;
+  RowBuffer& operator=(const RowBuffer&) = default;
+  /// A moved-from buffer is empty, as a moved-from vector is.
+  RowBuffer(RowBuffer&& other) noexcept
+      : width_(other.width_),
+        used_(std::exchange(other.used_, 0)),
+        data_(std::move(other.data_)) {}
+  RowBuffer& operator=(RowBuffer&& other) noexcept {
+    width_ = other.width_;
+    used_ = std::exchange(other.used_, 0);
+    data_ = std::move(other.data_);
+    return *this;
+  }
+
   /// Appends an uninitialized row and returns a pointer to its columns.
-  /// Growth is amortized: capacity at least doubles on reallocation, so a
-  /// row-at-a-time fill is O(n) total regardless of the standard library's
-  /// resize() policy.
   uint64_t* AppendRow() {
-    const size_t needed = data_.size() + width_;
-    if (needed > data_.capacity()) Grow(needed);
-    data_.resize(needed);
-    return data_.data() + needed - width_;
+    const size_t needed = used_ + width_;
+    if (needed > data_.size()) Grow(needed);
+    uint64_t* row = data_.data() + used_;
+    used_ = needed;
+    return row;
   }
 
   /// Appends a copy of `src` (width_ columns).
   void AppendRow(const uint64_t* src) {
-    uint64_t* dst = AppendRow();
-    std::memcpy(dst, src, width_ * sizeof(uint64_t));
+    std::memcpy(AppendRow(), src, width_ * sizeof(uint64_t));
   }
 
   /// Bulk-appends `rows` contiguous rows starting at `src` (rows * width_
-  /// values): one growth check and one memcpy for the whole batch.
+  /// values): one bounds check and one memcpy for the whole batch.
   void AppendRows(const uint64_t* src, size_t rows) {
     const size_t add = rows * width_;
-    const size_t needed = data_.size() + add;
-    if (needed > data_.capacity()) Grow(needed);
-    data_.resize(needed);
-    std::memcpy(data_.data() + needed - add, src, add * sizeof(uint64_t));
+    const size_t needed = used_ + add;
+    if (needed > data_.size()) Grow(needed);
+    std::memcpy(data_.data() + used_, src, add * sizeof(uint64_t));
+    used_ = needed;
   }
 
   /// Read-only access to row `i`.
@@ -75,33 +92,42 @@ class RowBuffer {
   }
 
   /// Number of rows stored.
-  size_t size() const { return data_.size() / width_; }
+  size_t size() const { return used_ / width_; }
   /// True when no rows are stored.
-  bool empty() const { return data_.empty(); }
+  bool empty() const { return used_ == 0; }
   /// Columns per row.
   uint32_t width() const { return width_; }
 
   /// Removes all rows but keeps the allocation.
-  void Clear() { data_.clear(); }
+  void Clear() { used_ = 0; }
 
-  /// Pre-allocates space for `rows` rows.
-  void ReserveRows(size_t rows) { data_.reserve(rows * width_); }
-
-  /// Approximate memory footprint in bytes.
-  size_t MemoryBytes() const { return data_.capacity() * sizeof(uint64_t); }
+  /// Makes room for exactly `rows` rows in total (not `rows` more), so
+  /// that appends up to that count never move a row.
+  void ReserveRows(size_t rows) {
+    const size_t values = rows * width_;
+    if (values > data_.size()) Resize(values);
+  }
 
  private:
-  /// Reserves at least `needed` values, at least doubling capacity and
-  /// starting at a few rows so tiny buffers don't reallocate per append.
+  /// Grows the storage to at least `needed` values, at least doubling it
+  /// and starting at a few rows so tiny buffers don't grow per append.
   void Grow(size_t needed) {
-    size_t target = data_.capacity() * 2;
+    size_t target = data_.size() * 2;
     if (target < needed) target = needed;
     const size_t floor = size_t{16} * width_;
     if (target < floor) target = floor;
-    data_.reserve(target);
+    Resize(target);
+  }
+
+  /// Resizes the storage to exactly `values` values: reserve first, so the
+  /// vector does not round its capacity up on its own.
+  void Resize(size_t values) {
+    data_.reserve(values);
+    data_.resize(values);
   }
 
   uint32_t width_;
+  size_t used_ = 0;             // values holding rows; data_.size() is room
   std::vector<uint64_t> data_;
 };
 

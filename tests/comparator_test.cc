@@ -1,7 +1,10 @@
 // Row substrate: schema, buffers, counting comparators, generators.
 
+#include <algorithm>
 #include <cstdint>
 #include <filesystem>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -55,6 +58,103 @@ TEST(RowBuffer, AppendAndAccess) {
   buffer.Clear();
   EXPECT_TRUE(buffer.empty());
 }
+
+// The append contract at widths 1 and 3: value v of row r is r * 10 + v.
+class RowBufferContract : public ::testing::TestWithParam<uint32_t> {
+ protected:
+  static std::vector<uint64_t> RowValues(uint32_t width, uint64_t r) {
+    std::vector<uint64_t> row(width);
+    for (uint32_t v = 0; v < width; ++v) row[v] = r * 10 + v;
+    return row;
+  }
+  static void ExpectRows(const RowBuffer& buffer, uint64_t rows) {
+    ASSERT_EQ(buffer.size(), rows);
+    for (uint64_t r = 0; r < rows; ++r) {
+      for (uint32_t v = 0; v < buffer.width(); ++v) {
+        ASSERT_EQ(buffer.row(r)[v], r * 10 + v) << "row " << r;
+      }
+    }
+  }
+};
+
+TEST_P(RowBufferContract, AppendsWithinReserveRowsNeverMoveARow) {
+  const uint32_t width = GetParam();
+  RowBuffer buffer(width);
+  buffer.ReserveRows(1000);
+  std::vector<const uint64_t*> pointers;
+  for (uint64_t r = 0; r < 1000; ++r) {
+    if (r % 2 == 0) {
+      buffer.AppendRow(RowValues(width, r).data());
+    } else {
+      uint64_t* row = buffer.AppendRow();
+      const std::vector<uint64_t> values = RowValues(width, r);
+      std::copy(values.begin(), values.end(), row);
+    }
+    pointers.push_back(buffer.row(r));
+  }
+  for (uint64_t r = 0; r < 1000; ++r) EXPECT_EQ(buffer.row(r), pointers[r]);
+  ExpectRows(buffer, 1000);
+}
+
+TEST_P(RowBufferContract, ContentsSurviveManyGrowths) {
+  const uint32_t width = GetParam();
+  RowBuffer one_by_one(width);
+  for (uint64_t r = 0; r < 5000; ++r) {
+    one_by_one.AppendRow(RowValues(width, r).data());
+  }
+  ExpectRows(one_by_one, 5000);
+
+  // Batches of 37 rows: most growths happen inside an AppendRows call.
+  RowBuffer batched(width);
+  std::vector<uint64_t> batch;
+  uint64_t r = 0;
+  while (r < 5000) {
+    batch.clear();
+    for (uint64_t i = 0; i < 37 && r < 5000; ++i, ++r) {
+      const std::vector<uint64_t> values = RowValues(width, r);
+      batch.insert(batch.end(), values.begin(), values.end());
+    }
+    batched.AppendRows(batch.data(), batch.size() / width);
+  }
+  ExpectRows(batched, 5000);
+}
+
+TEST_P(RowBufferContract, ClearEmptiesAndAppendsAgain) {
+  const uint32_t width = GetParam();
+  RowBuffer buffer(width);
+  for (uint64_t r = 0; r < 100; ++r) {
+    buffer.AppendRow(RowValues(width, r + 7).data());
+  }
+  buffer.Clear();
+  EXPECT_EQ(buffer.size(), 0u);
+  EXPECT_TRUE(buffer.empty());
+  for (uint64_t r = 0; r < 300; ++r) {
+    buffer.AppendRow(RowValues(width, r).data());
+  }
+  ExpectRows(buffer, 300);
+}
+
+TEST_P(RowBufferContract, MovedFromBufferIsEmpty) {
+  const uint32_t width = GetParam();
+  RowBuffer source(width);
+  for (uint64_t r = 0; r < 50; ++r) {
+    source.AppendRow(RowValues(width, r).data());
+  }
+  RowBuffer moved(std::move(source));
+  ExpectRows(moved, 50);
+  EXPECT_TRUE(source.empty());  // NOLINT(bugprone-use-after-move)
+  source.AppendRow(RowValues(width, 0).data());
+  ExpectRows(source, 1);
+  RowBuffer assigned(width);
+  assigned = std::move(moved);
+  ExpectRows(assigned, 50);
+  EXPECT_TRUE(moved.empty());  // NOLINT(bugprone-use-after-move)
+}
+
+INSTANTIATE_TEST_SUITE_P(Widths, RowBufferContract, ::testing::Values(1u, 3u),
+                         [](const ::testing::TestParamInfo<uint32_t>& info) {
+                           return "width" + std::to_string(info.param);
+                         });
 
 TEST(KeyComparator, CountsColumnComparisons) {
   Schema schema(4, 1);
