@@ -22,10 +22,43 @@ Schema InStreamAggregate::MakeOutputSchema(const Schema& in,
                                            size_t num_aggregates) {
   std::vector<SortDirection> dirs;
   for (uint32_t c = 0; c < group_prefix; ++c) {
-    dirs.push_back(in.direction(c));
+    dirs.push_back(c < in.key_arity() ? in.direction(c)
+                                      : SortDirection::kAscending);
   }
   return Schema(std::move(dirs),
                 static_cast<uint32_t>(num_aggregates));
+}
+
+std::vector<StateMergeFn> StateMergeFns(
+    const std::vector<AggregateSpec>& aggregates) {
+  std::vector<StateMergeFn> fns;
+  fns.reserve(aggregates.size());
+  for (const AggregateSpec& spec : aggregates) {
+    switch (spec.fn) {
+      case AggFn::kCount:
+      case AggFn::kSum:
+        fns.push_back(StateMergeFn::kSum);
+        break;
+      case AggFn::kMin:
+        fns.push_back(StateMergeFn::kMin);
+        break;
+      case AggFn::kMax:
+        fns.push_back(StateMergeFn::kMax);
+        break;
+    }
+  }
+  return fns;
+}
+
+void MakeStateRow(const uint64_t* row, uint32_t group_prefix,
+                  const std::vector<AggregateSpec>& aggregates,
+                  uint64_t* state) {
+  std::memcpy(state, row, group_prefix * sizeof(uint64_t));
+  for (size_t a = 0; a < aggregates.size(); ++a) {
+    state[group_prefix + a] = aggregates[a].fn == AggFn::kCount
+                                  ? 1
+                                  : row[aggregates[a].input_col];
+  }
 }
 
 InStreamAggregate::InStreamAggregate(Operator* child, uint32_t group_prefix,

@@ -20,6 +20,7 @@
 #include "exec/operator.h"
 #include "row/comparator.h"
 #include "row/row_buffer.h"
+#include "sort/group_collapse.h"
 
 namespace ovc {
 
@@ -32,6 +33,24 @@ struct AggregateSpec {
   AggFn fn;
   uint32_t input_col;
 };
+
+// Aggregation state rows: the input of sort-based aggregation (in-sort
+// aggregation and the hash-aggregate fallback). A state row has the
+// aggregation's output layout -- group columns, then one accumulator per
+// aggregate -- so an ExternalSort over it, given StateMergeFns(), folds
+// key-duplicates into the final groups while it sorts.
+
+/// The merge function of each aggregate's accumulator (counts merge by
+/// summation: see StateMergeFn).
+std::vector<StateMergeFn> StateMergeFns(
+    const std::vector<AggregateSpec>& aggregates);
+
+/// Writes the single-row aggregation state of input `row` to `state`: the
+/// first `group_prefix` columns, then per aggregate the constant 1 for a
+/// count and the aggregated input column otherwise.
+void MakeStateRow(const uint64_t* row, uint32_t group_prefix,
+                  const std::vector<AggregateSpec>& aggregates,
+                  uint64_t* state);
 
 /// In-stream (sorted-input) grouping and aggregation.
 class InStreamAggregate : public Operator {
@@ -53,10 +72,12 @@ class InStreamAggregate : public Operator {
                     std::vector<AggregateSpec> aggregates,
                     QueryCounters* counters, Options options = Options());
 
-  /// Output layout of grouping `in` on its first `group_prefix` key columns
-  /// with `num_aggregates` aggregate payload columns. Shared by every
-  /// aggregation strategy (in-stream, in-sort, hash), which is what lets
-  /// the planner swap one for another without changing the plan's schema.
+  /// Output layout of grouping `in` on its first `group_prefix` columns
+  /// with `num_aggregates` aggregate payload columns: group columns inside
+  /// `in`'s sort key keep their direction, later ones sort ascending.
+  /// Shared by every aggregation strategy (in-stream, in-sort, hash) and
+  /// by the state rows of the sort-based ones, which is what lets the
+  /// planner swap one for another without changing the plan's schema.
   static Schema MakeOutputSchema(const Schema& in, uint32_t group_prefix,
                                  size_t num_aggregates);
 

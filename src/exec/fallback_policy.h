@@ -22,7 +22,13 @@
 #ifndef OVC_EXEC_FALLBACK_POLICY_H_
 #define OVC_EXEC_FALLBACK_POLICY_H_
 
+#include <cstdint>
+
 namespace ovc {
+
+/// Spill partitions of a grace hash join or hash aggregation (the fan-out
+/// of the kPartition path).
+constexpr uint32_t kHashPartitions = 16;
 
 enum class FallbackPolicy {
   kPartition,

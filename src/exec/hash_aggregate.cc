@@ -11,15 +11,6 @@
 
 namespace ovc {
 
-Schema HashAggregate::MakeOutputSchema(const Schema& in, uint32_t group_prefix,
-                                       size_t num_aggregates) {
-  std::vector<SortDirection> dirs;
-  for (uint32_t c = 0; c < group_prefix; ++c) {
-    dirs.push_back(in.direction(c));
-  }
-  return Schema(std::move(dirs), static_cast<uint32_t>(num_aggregates));
-}
-
 HashAggregate::HashAggregate(Operator* child, uint32_t group_prefix,
                              std::vector<AggregateSpec> aggregates,
                              uint64_t memory_groups, QueryCounters* counters,
@@ -32,8 +23,8 @@ HashAggregate::HashAggregate(Operator* child, uint32_t group_prefix,
       partitions_(partitions),
       fallback_(fallback),
       sort_config_(sort_config),
-      output_schema_(
-          MakeOutputSchema(child->schema(), group_prefix, aggregates_.size())),
+      output_schema_(InStreamAggregate::MakeOutputSchema(
+          child->schema(), group_prefix, aggregates_.size())),
       counters_(counters),
       temp_(temp),
       group_states_(group_prefix + std::max<uint32_t>(
@@ -141,20 +132,20 @@ uint32_t HashAggregate::PartitionOf(const uint64_t* row, uint32_t level) {
 void HashAggregate::BeginSortMergeFallback() {
   // The group table is full: switch to the sort-based plan mid-query.
   // Every resident state row and every remaining input row feeds one
-  // external sort on the group key; the pull side collapses duplicates.
+  // collapsing external sort on the group key (state rows have the output
+  // schema), which folds groups already while it generates runs.
   OVC_TRACE_SPAN("hash_aggregate.fallback");
   fell_back_ = true;
   if (counters_ != nullptr) ++counters_->hash_agg_fallbacks;
   OVC_METRIC_COUNTER("hash_aggregate.fallbacks",
                      "Hash aggregations that degraded to in-sort")
       .Increment();
-  const Schema& in = child_->schema();
-  std::vector<SortDirection> dirs;
-  for (uint32_t c = 0; c < group_prefix_; ++c) dirs.push_back(in.direction(c));
-  fb_state_schema_ = std::make_unique<Schema>(
-      std::move(dirs), static_cast<uint32_t>(aggregates_.size()));
-  fb_sort_ = std::make_unique<ExternalSort>(fb_state_schema_.get(), counters_,
-                                            temp_, sort_config_);
+  // Replacement selection cannot collapse; the fallback generates runs in
+  // batches whatever the plan's sort configuration says.
+  SortConfig config = sort_config_;
+  config.replacement_selection = false;
+  fb_sort_ = std::make_unique<ExternalSort>(
+      &output_schema_, StateMergeFns(aggregates_), counters_, temp_, config);
   // Resident rows are wider than state rows when there are no aggregates
   // (the table pads to one accumulator column); Add copies exactly the
   // state schema's columns, so passing the wider row is safe.
@@ -163,48 +154,12 @@ void HashAggregate::BeginSortMergeFallback() {
   }
   group_states_.Clear();
   table_.clear();
-  fb_state_row_.assign(fb_state_schema_->total_columns(), 0);
+  fb_state_row_.assign(output_schema_.total_columns(), 0);
 }
 
 void HashAggregate::AddInputRowToFallback(const uint64_t* row) {
-  // Transform the input row into a single-row aggregation state: counts
-  // contribute the constant 1 (merged with kSum downstream, the
-  // group_collapse.h convention), everything else its input column.
-  std::memcpy(fb_state_row_.data(), row, group_prefix_ * sizeof(uint64_t));
-  for (size_t a = 0; a < aggregates_.size(); ++a) {
-    fb_state_row_[group_prefix_ + a] = aggregates_[a].fn == AggFn::kCount
-                                           ? 1
-                                           : row[aggregates_[a].input_col];
-  }
+  MakeStateRow(row, group_prefix_, aggregates_, fb_state_row_.data());
   fb_sort_->Add(fb_state_row_.data());
-}
-
-void HashAggregate::FinishSortMergeFallback() {
-  Status st = fb_sort_->Finish();
-  if (!st.ok()) {
-    Degrade(st);
-    return;
-  }
-  std::vector<StateMergeFn> fns;
-  fns.reserve(aggregates_.size());
-  for (const AggregateSpec& agg : aggregates_) {
-    switch (agg.fn) {
-      case AggFn::kCount:
-      case AggFn::kSum:
-        fns.push_back(StateMergeFn::kSum);
-        break;
-      case AggFn::kMin:
-        fns.push_back(StateMergeFn::kMin);
-        break;
-      case AggFn::kMax:
-        fns.push_back(StateMergeFn::kMax);
-        break;
-    }
-  }
-  fb_sort_source_ =
-      std::make_unique<RowRefSource<ExternalSort>>(fb_sort_.get());
-  fb_collapse_ = std::make_unique<CollapsingSource>(
-      fb_state_schema_.get(), std::move(fns), fb_sort_source_.get());
 }
 
 void HashAggregate::Degrade(const Status& status) {
@@ -220,8 +175,6 @@ void HashAggregate::Open() {
   table_.clear();
   fell_back_ = false;
   failed_ = false;
-  fb_collapse_.reset();
-  fb_sort_source_.reset();
   fb_sort_.reset();
 
   const Schema& in = child_->schema();
@@ -267,7 +220,8 @@ void HashAggregate::Open() {
   }
   child_->Close();
   if (fell_back_) {
-    FinishSortMergeFallback();
+    const Status st = fb_sort_->Finish();
+    if (!st.ok()) Degrade(st);
     return;
   }
   for (uint32_t p = 0; p < writers.size(); ++p) {
@@ -335,12 +289,9 @@ uint32_t HashAggregate::NextBatch(RowBlock* out) {
   if (failed_) return 0;
   if (fell_back_) {
     // Collapsed state rows ARE output rows (group keys + merged
-    // accumulators).
-    const uint64_t* row = nullptr;
-    Ovc code = 0;
-    while (!out->full() && fb_collapse_->Next(&row, &code)) {
-      out->Append(row, 0);  // this operator's contract: unordered, no codes
-    }
+    // accumulators); this operator's contract is unordered, no codes.
+    RowRef ref;
+    while (!out->full() && fb_sort_->Next(&ref)) out->Append(ref.cols, 0);
     return out->size();
   }
   while (queue_pos_ >= output_queue_.size()) {
@@ -354,10 +305,7 @@ void HashAggregate::Close() {
   output_queue_.Clear();
   group_states_.Clear();
   table_.clear();
-  fb_collapse_.reset();
-  fb_sort_source_.reset();
   fb_sort_.reset();
-  fb_state_schema_.reset();
 }
 
 }  // namespace ovc

@@ -22,7 +22,6 @@
 #include "exec/operator.h"
 #include "row/row_buffer.h"
 #include "sort/external_sort.h"
-#include "sort/group_collapse.h"
 #include "sort/run_file.h"
 
 namespace ovc {
@@ -34,9 +33,9 @@ namespace ovc {
 /// that overflows `memory_groups` mid-Open degrades to in-sort aggregation
 /// instead of recursive partitioning: the resident partial-aggregate state
 /// rows plus every remaining input row (transformed to a state row, counts
-/// materialized as 1) feed one ExternalSort on the group key, and a
-/// CollapsingSource merges key-duplicate states on the pull side -- the
-/// Figure 5 sort-based plan, entered mid-query. Counted in
+/// materialized as 1) feed one collapsing ExternalSort on the group key,
+/// which merges key-duplicate states in every run it writes and in every
+/// merge -- the Figure 5 sort-based plan, entered mid-query. Counted in
 /// QueryCounters::hash_agg_fallbacks.
 class HashAggregate : public Operator {
  public:
@@ -46,7 +45,7 @@ class HashAggregate : public Operator {
   HashAggregate(Operator* child, uint32_t group_prefix,
                 std::vector<AggregateSpec> aggregates, uint64_t memory_groups,
                 QueryCounters* counters, TempFileManager* temp,
-                uint32_t partitions = 16,
+                uint32_t partitions = kHashPartitions,
                 FallbackPolicy fallback = FallbackPolicy::kPartition,
                 SortConfig sort_config = SortConfig{});
 
@@ -58,9 +57,6 @@ class HashAggregate : public Operator {
   bool has_ovc() const override { return false; }
 
  private:
-  static Schema MakeOutputSchema(const Schema& in, uint32_t group_prefix,
-                                 size_t num_aggregates);
-
   /// Accumulates `row` into the resident table; false when the table is
   /// full and the row's group is absent.
   bool TryAccumulate(const uint64_t* row);
@@ -74,12 +70,10 @@ class HashAggregate : public Operator {
   uint32_t PartitionOf(const uint64_t* row, uint32_t level);
 
   /// kSortMerge overflow path: moves the resident partial-aggregate state
-  /// rows into an ExternalSort over the state schema.
+  /// rows into a collapsing ExternalSort over the output schema.
   void BeginSortMergeFallback();
   /// Transforms one input row into a state row and adds it to the sort.
   void AddInputRowToFallback(const uint64_t* row);
-  /// Finishes the sort and stands up the collapsing pull path.
-  void FinishSortMergeFallback();
   /// Records `status` in the temp manager's error slot and stops output.
   void Degrade(const Status& status);
 
@@ -111,14 +105,11 @@ class HashAggregate : public Operator {
   size_t queue_pos_ = 0;
 
   // In-sort continuation (kSortMerge overflow only). State rows are
-  // [group keys][one mergeable accumulator per aggregate]; the collapser
-  // folds key-duplicates (partial counts merge by summation).
+  // [group keys][one mergeable accumulator per aggregate]; the sort folds
+  // key-duplicates (partial counts merge by summation).
   bool fell_back_ = false;
   bool failed_ = false;
-  std::unique_ptr<Schema> fb_state_schema_;
   std::unique_ptr<ExternalSort> fb_sort_;
-  std::unique_ptr<MergeSource> fb_sort_source_;
-  std::unique_ptr<CollapsingSource> fb_collapse_;
   std::vector<uint64_t> fb_state_row_;
 };
 

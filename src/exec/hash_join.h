@@ -107,7 +107,7 @@ class GraceHashJoin : public Operator {
   GraceHashJoin(Operator* probe, Operator* build, uint32_t bind_columns,
                 JoinTypeHash type, uint64_t memory_rows,
                 QueryCounters* counters, TempFileManager* temp,
-                uint32_t partitions = 16,
+                uint32_t partitions = kHashPartitions,
                 FallbackPolicy fallback = FallbackPolicy::kPartition,
                 SortConfig sort_config = SortConfig{});
 

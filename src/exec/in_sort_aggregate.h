@@ -10,8 +10,11 @@
 // paper's sort-based intersect-distinct plan spills each logical row at
 // most once and beats the hash-based plan.
 //
-// Duplicate detection at every stage is code-only (offset == arity), and
-// output rows carry exact codes (each group keeps its first row's code).
+// The operator is a transform over a collapsing ExternalSort: each input
+// row becomes a single-row aggregation state (exec/aggregate.h), and the
+// sort does the rest. Duplicate detection at every stage is code-only
+// (offset == arity), and output rows carry exact codes (each group keeps
+// its first row's code).
 
 #ifndef OVC_EXEC_IN_SORT_AGGREGATE_H_
 #define OVC_EXEC_IN_SORT_AGGREGATE_H_
@@ -24,9 +27,6 @@
 #include "exec/aggregate.h"
 #include "exec/operator.h"
 #include "sort/external_sort.h"
-#include "sort/group_collapse.h"
-#include "sort/run.h"
-#include "sort/run_file.h"
 
 namespace ovc {
 
@@ -37,13 +37,15 @@ class InSortAggregate : public Operator {
   /// Groups on the first `group_prefix` columns of `child` (which need not
   /// be sorted). Output schema: the group columns as sort keys, one payload
   /// column per aggregate. `config` supplies memory/fan-in knobs; its
-  /// run-generation fields are honored, replacement selection is not
-  /// supported here.
+  /// run-generation fields and duplicate_bypass are honored, replacement
+  /// selection is not supported here.
   InSortAggregate(Operator* child, uint32_t group_prefix,
                   std::vector<AggregateSpec> aggregates,
                   QueryCounters* counters, TempFileManager* temp,
                   SortConfig config = SortConfig());
 
+  /// Drains the child into the sort. A spill error does not abort: it is
+  /// recorded in the temp manager's error slot and the output is empty.
   void Open() override;
   uint32_t NextBatch(RowBlock* out) override;
   void Close() override;
@@ -52,43 +54,14 @@ class InSortAggregate : public Operator {
   bool has_ovc() const override { return true; }
 
  private:
-  static Schema MakeStateSchema(const Schema& in, uint32_t group_prefix,
-                                size_t num_aggregates);
-
-  /// Turns an input row into an aggregation-state row in state_row_.
-  void TransformRow(const uint64_t* row);
-  /// Sorts + collapses the buffer into `sink`.
-  void CollapseBufferInto(RunSink* sink);
-  Status SpillBuffer();
-  Status PrepareMerge();
-  /// Records `status` in the temp manager's error slot and stops output.
-  void Degrade(const Status& status);
-
   Operator* child_;
   uint32_t group_prefix_;
   std::vector<AggregateSpec> aggregates_;
   Schema state_schema_;
-  std::vector<StateMergeFn> merge_fns_;
   QueryCounters* counters_;
   TempFileManager* temp_;
   SortConfig config_;
-  OvcCodec codec_;
-  KeyComparator comparator_;
-
-  RowBuffer buffer_;
-  std::vector<uint64_t> state_row_;
-  std::vector<SpilledRun> runs_;
-  bool failed_ = false;
-
-  // Output plumbing. Merges run over concrete RunFileReader sources so the
-  // tournament's refill calls devirtualize (see pq/loser_tree.h).
-  using FileMerger = OvcMergerT<RunFileReader>;
-  std::unique_ptr<InMemoryRun> memory_run_;
-  std::unique_ptr<InMemoryRunSource> memory_source_;
-  std::vector<std::unique_ptr<RunFileReader>> readers_;
-  std::unique_ptr<FileMerger> merger_;
-  std::unique_ptr<MergeSource> final_merger_source_;
-  std::unique_ptr<CollapsingSource> collapsing_output_;
+  std::unique_ptr<ExternalSort> sort_;
 };
 
 }  // namespace ovc

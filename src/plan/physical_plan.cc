@@ -921,7 +921,7 @@ Planner::Built Planner::BuildOpen(LogicalNode* node, PhysicalPlan* plan,
           join = plan->Own(std::make_unique<GraceHashJoin>(
               left.op, right.op, node->children[0]->schema.key_arity(),
               ToHashType(node->join_type), options_.hash_memory_rows,
-              jm.ctrs, temp_, options_.hash_partitions, options_.fallback,
+              jm.ctrs, temp_, kHashPartitions, options_.fallback,
               options_.sort_config));
           break;
         default:
@@ -1057,7 +1057,7 @@ Planner::Built Planner::BuildOpen(LogicalNode* node, PhysicalPlan* plan,
         case PhysicalAlg::kHashAggregate:
           result.op = plan->Own(std::make_unique<HashAggregate>(
               child.op, q, node->aggregates, options_.hash_memory_rows,
-              m.ctrs, temp_, options_.hash_partitions, options_.fallback,
+              m.ctrs, temp_, kHashPartitions, options_.fallback,
               options_.sort_config));
           break;
         default:
@@ -1116,7 +1116,7 @@ Planner::Built Planner::BuildOpen(LogicalNode* node, PhysicalPlan* plan,
           result.op = plan->Own(std::make_unique<HashAggregate>(
               child.op, node->schema.key_arity(),
               std::vector<AggregateSpec>(), options_.hash_memory_rows,
-              m.ctrs, temp_, options_.hash_partitions, options_.fallback,
+              m.ctrs, temp_, kHashPartitions, options_.fallback,
               options_.sort_config));
           break;
         default:

@@ -130,8 +130,6 @@ struct PlannerOptions {
   bool assume_build_fits_memory = false;
   /// Row budget for hash-join build sides and hash-aggregation tables.
   uint64_t hash_memory_rows = uint64_t{1} << 20;
-  /// Spill partitions for grace hash join / hash aggregation.
-  uint32_t hash_partitions = 16;
   /// What a planner-built hash operator does when its budget check fails
   /// mid-query. Planned queries default to the graceful path -- degrade to
   /// the sort-based strategy (ExternalSort + merge logic, preserving OVCs)

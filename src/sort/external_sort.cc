@@ -7,39 +7,6 @@
 
 namespace ovc {
 
-namespace {
-
-/// RunSink writing to an in-memory run.
-class MemoryRunSink : public RunSink {
- public:
-  explicit MemoryRunSink(InMemoryRun* run) : run_(run) {}
-  void Accept(const uint64_t* row, Ovc code) override {
-    run_->Append(row, code);
-  }
-
- private:
-  InMemoryRun* run_;
-};
-
-/// RunSink writing to a spilled run file. Write errors are latched rather
-/// than aborted on (RunSink::Accept cannot return a Status); the caller
-/// checks status() after the sort pass.
-class FileRunSink : public RunSink {
- public:
-  explicit FileRunSink(RunFileWriter* writer) : writer_(writer) {}
-  void Accept(const uint64_t* row, Ovc code) override {
-    if (!status_.ok()) return;
-    status_ = writer_->Append(row, code);
-  }
-  const Status& status() const { return status_; }
-
- private:
-  RunFileWriter* writer_;
-  Status status_ = Status::Ok();
-};
-
-}  // namespace
-
 ExternalSort::ExternalSort(const Schema* schema, QueryCounters* counters,
                            TempFileManager* temp, SortConfig config)
     : schema_(schema),
@@ -56,6 +23,19 @@ ExternalSort::ExternalSort(const Schema* schema, QueryCounters* counters,
         schema_, counters_, temp_,
         static_cast<uint32_t>(config_.memory_rows));
   }
+}
+
+ExternalSort::ExternalSort(const Schema* schema,
+                           std::vector<StateMergeFn> collapse_fns,
+                           QueryCounters* counters, TempFileManager* temp,
+                           SortConfig config)
+    : ExternalSort(schema, counters, temp, config) {
+  OVC_CHECK(!config_.replacement_selection);
+  OVC_CHECK(collapse_fns.size() == schema->payload_columns());
+  collapse_ = true;
+  collapse_fns_ = std::move(collapse_fns);
+  config_.use_ovc = true;
+  config_.naive_output_codes = false;
 }
 
 ExternalSort::~ExternalSort() = default;
@@ -107,20 +87,33 @@ void ExternalSort::DeferError(const Status& status) {
   buffer_.Clear();
 }
 
-Status ExternalSort::SpillBuffer() {
-  if (buffer_.empty()) return Status::Ok();
-  OVC_TRACE_SPAN("sort.spill_run");
+template <typename Feed>
+void ExternalSort::FeedRun(RunSink* sink, Feed feed) {
+  if (!collapse_) {
+    feed(sink);
+    return;
+  }
+  CollapsingSink collapser(schema_, collapse_fns_, sink);
+  feed(&collapser);
+  collapser.Flush();
+}
+
+void ExternalSort::SortBuffer(RunSink* sink) {
+  OVC_TRACE_SPAN("sort.run_generation");
   BatchSorter sorter(schema_, counters_, config_.run_gen,
                      config_.mini_run_rows, config_.use_ovc,
                      config_.naive_output_codes);
+  FeedRun(sink, [&](RunSink* s) { sorter.Sort(buffer_, s); });
+}
+
+Status ExternalSort::SpillBuffer() {
+  if (buffer_.empty()) return Status::Ok();
+  OVC_TRACE_SPAN("sort.spill_run");
   RunFileWriter writer(schema_, counters_);
   const std::string path = temp_->NewPath("run");
   OVC_RETURN_IF_ERROR(writer.Open(path));
   FileRunSink sink(&writer);
-  {
-    OVC_TRACE_SPAN("sort.run_generation");
-    sorter.Sort(buffer_, &sink);
-  }
+  SortBuffer(&sink);
   OVC_RETURN_IF_ERROR(sink.status());
   OVC_RETURN_IF_ERROR(writer.Close());
   runs_.push_back(SpilledRun{path, writer.rows()});
@@ -149,14 +142,10 @@ Status ExternalSort::Finish() {
 
   if (runs_.empty()) {
     // Input fits in memory: sort and serve without spilling.
-    OVC_TRACE_SPAN("sort.run_generation");
     memory_run_ = std::make_unique<InMemoryRun>(schema_->total_columns());
     memory_run_->Reserve(buffer_.size());
-    BatchSorter sorter(schema_, counters_, config_.run_gen,
-                       config_.mini_run_rows, config_.use_ovc,
-                       config_.naive_output_codes);
     MemoryRunSink sink(memory_run_.get());
-    sorter.Sort(buffer_, &sink);
+    SortBuffer(&sink);
     memory_source_ =
         std::make_unique<InMemoryRunSource>(memory_run_.get());
     return Status::Ok();
@@ -192,24 +181,27 @@ Status ExternalSort::PrepareMerge(std::vector<SpilledRun> runs) {
       RunFileWriter writer(schema_, counters_);
       const std::string path = temp_->NewPath("merge");
       OVC_RETURN_IF_ERROR(writer.Open(path));
+      FileRunSink sink(&writer);
       RowRef ref;
       if (config_.use_ovc) {
         OvcMergerT<RunFileReader>::Options options;
         options.duplicate_bypass = config_.duplicate_bypass;
         OvcMergerT<RunFileReader> merger(&codec_, &comparator_, sources,
                                          options);
-        while (merger.Next(&ref)) {
-          OVC_RETURN_IF_ERROR(writer.Append(ref.cols, ref.ovc));
-        }
+        FeedRun(&sink, [&](RunSink* s) {
+          while (sink.status().ok() && merger.Next(&ref)) {
+            s->Accept(ref.cols, ref.ovc);
+          }
+        });
       } else {
         std::vector<MergeSource*> plain_sources(sources.begin(),
                                                 sources.end());
         PlainMerger merger(&codec_, &comparator_, plain_sources);
-        while (merger.Next(&ref)) {
-          OVC_RETURN_IF_ERROR(
-              writer.Append(ref.cols, codec_.MakeFromRow(ref.cols, 0)));
+        while (sink.status().ok() && merger.Next(&ref)) {
+          sink.Accept(ref.cols, codec_.MakeFromRow(ref.cols, 0));
         }
       }
+      OVC_RETURN_IF_ERROR(sink.status());
       OVC_RETURN_IF_ERROR(writer.Close());
       next_level.push_back(SpilledRun{path, writer.rows()});
     }
@@ -228,6 +220,13 @@ Status ExternalSort::PrepareMerge(std::vector<SpilledRun> runs) {
     options.duplicate_bypass = config_.duplicate_bypass;
     merger_ = std::make_unique<OvcMergerT<RunFileReader>>(
         &codec_, &comparator_, sources, options);
+    if (collapse_) {
+      merger_source_ =
+          std::make_unique<RowRefSource<OvcMergerT<RunFileReader>>>(
+              merger_.get());
+      collapsed_output_ = std::make_unique<CollapsingSource>(
+          schema_, collapse_fns_, merger_source_.get());
+    }
   } else {
     std::vector<MergeSource*> plain_sources(sources.begin(), sources.end());
     PlainMerger::Options options;
@@ -248,6 +247,14 @@ bool ExternalSort::Next(RowRef* out) {
     out->ovc = code;
     return true;
   }
+  if (collapsed_output_ != nullptr) {
+    const uint64_t* row = nullptr;
+    Ovc code = 0;
+    if (!collapsed_output_->Next(&row, &code)) return false;
+    out->cols = row;
+    out->ovc = code;
+    return true;
+  }
   if (merger_ != nullptr) {
     return merger_->Next(out);
   }
@@ -264,6 +271,7 @@ uint32_t ExternalSort::NextBlock(RowBlock* out) {
     // In-memory result: the run is stable until the sort is destroyed.
     return memory_source_->NextBlock(out);
   }
+  if (collapsed_output_ != nullptr) return FillBlock(this, out);
   if (merger_ != nullptr) {
     return merger_->NextBlock(out);
   }

@@ -6,6 +6,13 @@
 // the run count exceeds the merge fan-in. Offset-value codes are produced
 // during run generation, stored in the run format (as truncated prefixes),
 // exploited during merging, and delivered with every output row.
+//
+// Given merge functions for its payload columns, the sort also aggregates
+// early (in-sort aggregation, Figure 5's sort-based plan): every stage --
+// run generation, each intermediate merge level and the final merge --
+// folds key-duplicate rows, found by their duplicate codes alone, into one
+// row (sort/group_collapse.h). Spilled runs then hold at most one row per
+// distinct key, and the output holds exactly one.
 
 #ifndef OVC_SORT_EXTERNAL_SORT_H_
 #define OVC_SORT_EXTERNAL_SORT_H_
@@ -22,6 +29,7 @@
 #include "pq/plain_loser_tree.h"
 #include "row/row_block.h"
 #include "row/row_buffer.h"
+#include "sort/group_collapse.h"
 #include "sort/run.h"
 #include "sort/run_file.h"
 #include "sort/run_generation.h"
@@ -61,6 +69,14 @@ class ExternalSort {
   /// `schema`, `counters` (optional), and `temp` must outlive the sort.
   ExternalSort(const Schema* schema, QueryCounters* counters,
                TempFileManager* temp, SortConfig config);
+  /// A sort that collapses key-duplicates at every stage, merging payload
+  /// column p of duplicate rows with `collapse_fns[p]` (one entry per
+  /// payload column; none for duplicate removal). Duplicates are found by
+  /// code, so the sort runs with `use_ovc` on and `naive_output_codes`
+  /// off whatever `config` says; replacement selection is unsupported.
+  ExternalSort(const Schema* schema, std::vector<StateMergeFn> collapse_fns,
+               QueryCounters* counters, TempFileManager* temp,
+               SortConfig config);
   ~ExternalSort();
 
   /// Adds one input row (copied). Spill I/O errors during intake do not
@@ -94,6 +110,12 @@ class ExternalSort {
   uint32_t intermediate_merge_levels() const { return merge_levels_; }
 
  private:
+  /// Sorts the buffered rows into `sink` as one run.
+  void SortBuffer(RunSink* sink);
+  /// Lets `feed` write one run into `sink`, through a CollapsingSink when
+  /// the sort collapses.
+  template <typename Feed>
+  void FeedRun(RunSink* sink, Feed feed);
   Status SpillBuffer();
   Status PrepareMerge(std::vector<SpilledRun> runs);
   /// Records the first intake error and degrades (see Add).
@@ -105,6 +127,8 @@ class ExternalSort {
   QueryCounters* counters_;
   TempFileManager* temp_;
   SortConfig config_;
+  bool collapse_ = false;
+  std::vector<StateMergeFn> collapse_fns_;
 
   RowBuffer buffer_;
   std::unique_ptr<ReplacementSelection> rs_;
@@ -114,13 +138,16 @@ class ExternalSort {
   bool finished_ = false;
   Status deferred_error_ = Status::Ok();
 
-  // Output plumbing: exactly one of these serves Next(). The final OVC
-  // merge runs over concrete RunFileReader sources so the tournament's
-  // refill calls devirtualize (see pq/loser_tree.h).
+  // Output plumbing: the memory run, the collapsed final merge, the final
+  // merge or the plain merger serves Next(). The final OVC merge runs over
+  // concrete RunFileReader sources so the tournament's refill calls
+  // devirtualize (see pq/loser_tree.h).
   std::unique_ptr<InMemoryRun> memory_run_;
   std::unique_ptr<InMemoryRunSource> memory_source_;
   std::vector<std::unique_ptr<RunFileReader>> readers_;
   std::unique_ptr<OvcMergerT<RunFileReader>> merger_;
+  std::unique_ptr<MergeSource> merger_source_;
+  std::unique_ptr<CollapsingSource> collapsed_output_;
   std::unique_ptr<PlainMerger> plain_merger_;
 };
 

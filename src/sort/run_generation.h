@@ -30,6 +30,7 @@
 #include "common/temp_file.h"
 #include "core/ovc.h"
 #include "row/row_buffer.h"
+#include "sort/run.h"
 #include "sort/run_file.h"
 
 namespace ovc {
@@ -48,6 +49,35 @@ class RunSink {
   /// Receives the next row and its code relative to the previous row given
   /// to this sink.
   virtual void Accept(const uint64_t* row, Ovc code) = 0;
+};
+
+/// RunSink appending to an in-memory run.
+class MemoryRunSink final : public RunSink {
+ public:
+  explicit MemoryRunSink(InMemoryRun* run) : run_(run) {}
+  void Accept(const uint64_t* row, Ovc code) override {
+    run_->Append(row, code);
+  }
+
+ private:
+  InMemoryRun* run_;
+};
+
+/// RunSink appending to a spilled run file. Write errors are latched rather
+/// than aborted on (Accept cannot return a Status): after the first one the
+/// sink drops rows, and the caller checks status() after the pass.
+class FileRunSink final : public RunSink {
+ public:
+  explicit FileRunSink(RunFileWriter* writer) : writer_(writer) {}
+  void Accept(const uint64_t* row, Ovc code) override {
+    if (!status_.ok()) return;
+    status_ = writer_->Append(row, code);
+  }
+  const Status& status() const { return status_; }
+
+ private:
+  RunFileWriter* writer_;
+  Status status_ = Status::Ok();
 };
 
 /// Sorts one in-memory batch and emits it as a run.

@@ -8,18 +8,6 @@ namespace ovc {
 
 namespace {
 
-/// Sink spilling a generated run to a file.
-class FileSink : public RunSink {
- public:
-  explicit FileSink(RunFileWriter* writer) : writer_(writer) {}
-  void Accept(const uint64_t* row, Ovc code) override {
-    OVC_CHECK_OK(writer_->Append(row, code));
-  }
-
- private:
-  RunFileWriter* writer_;
-};
-
 /// Operator merging a set of run files (owns readers and merger). With
 /// collapsing enabled, key-duplicates across runs fold at scan time so a
 /// query always sees the fully aggregated view.
@@ -124,7 +112,7 @@ void LsmForest::Flush() {
   RunFileWriter writer(schema_, counters_);
   const std::string path = temp_->NewPath("lsm-run");
   OVC_CHECK_OK(writer.Open(path));
-  FileSink sink(&writer);
+  FileRunSink sink(&writer);
   if (options_.collapse) {
     // Aggregating maintenance: key-duplicates collapse already at flush.
     CollapsingSink collapser(schema_, options_.collapse_fns, &sink);
@@ -133,6 +121,7 @@ void LsmForest::Flush() {
   } else {
     sorter.Sort(memtable_, &sink);
   }
+  OVC_CHECK_OK(sink.status());
   OVC_CHECK_OK(writer.Close());
   runs_.push_back(SpilledRun{path, writer.rows()});
   memtable_.Clear();
@@ -153,7 +142,7 @@ void LsmForest::CompactAll() {
   const std::string path = temp_->NewPath("lsm-compact");
   OVC_CHECK_OK(writer.Open(path));
   OvcMerger merger(&codec, &comparator, sources);
-  FileSink sink(&writer);
+  FileRunSink sink(&writer);
   RowRef ref;
   if (options_.collapse) {
     CollapsingSink collapser(schema_, options_.collapse_fns, &sink);
@@ -166,6 +155,7 @@ void LsmForest::CompactAll() {
       sink.Accept(ref.cols, ref.ovc);
     }
   }
+  OVC_CHECK_OK(sink.status());
   OVC_CHECK_OK(writer.Close());
   runs_.clear();
   runs_.push_back(SpilledRun{path, writer.rows()});

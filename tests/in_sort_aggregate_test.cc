@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include "common/rng.h"
+#include "exec/hash_aggregate.h"
 #include "exec/in_sort_aggregate.h"
 #include "exec/scan.h"
 #include "sort/group_collapse.h"
@@ -150,6 +151,66 @@ TEST(InSortAggregate, RescanAfterClose) {
   RowVec first = DrainValidated(&agg);
   RowVec second = DrainValidated(&agg);
   EXPECT_EQ(first, second);
+}
+
+TEST(HashAggregateFallback, CollapsesWhileGeneratingRuns) {
+  // A group table of 16 overflows on 64 groups and degrades to the
+  // sort-based plan. The fallback sort folds groups in every run it writes,
+  // so it spills at most one row per group per run, not every input row.
+  // It finds duplicates by code, so a sort configuration with codes off
+  // must not turn the folding off.
+  Schema schema(2, 1);
+  constexpr uint64_t kRows = 20000;
+  constexpr uint64_t kGroups = 64;  // 8 x 8 key values
+  constexpr uint64_t kMemoryGroups = 16;
+  RowBuffer table = MakeTable(schema, kRows, 8, /*seed=*/405);
+  struct Ref {
+    uint64_t count = 0, sum = 0;
+    uint64_t min = ~uint64_t{0}, max = 0;
+  };
+  std::map<std::pair<uint64_t, uint64_t>, Ref> reference;
+  for (size_t i = 0; i < table.size(); ++i) {
+    Ref& r = reference[{table.row(i)[0], table.row(i)[1]}];
+    const uint64_t v = table.row(i)[2];
+    ++r.count;
+    r.sum += v;
+    r.min = std::min(r.min, v);
+    r.max = std::max(r.max, v);
+  }
+  ASSERT_EQ(reference.size(), kGroups);
+
+  for (const bool use_ovc : {true, false}) {
+    SCOPED_TRACE(::testing::Message() << "use_ovc " << use_ovc);
+    QueryCounters counters;
+    TempFileManager temp;
+    BufferScan scan(&schema, &table);
+    SortConfig config;
+    config.memory_rows = 1000;
+    config.use_ovc = use_ovc;
+    HashAggregate agg(&scan, /*group_prefix=*/2,
+                      {{AggFn::kCount, 0},
+                       {AggFn::kSum, 2},
+                       {AggFn::kMin, 2},
+                       {AggFn::kMax, 2}},
+                      kMemoryGroups, &counters, &temp, /*partitions=*/16,
+                      FallbackPolicy::kSortMerge, config);
+    RowVec out = DrainValidated(&agg, /*check_codes=*/false);
+    ASSERT_EQ(out.size(), reference.size());
+    for (const auto& row : out) {
+      const Ref& r = reference[{row[0], row[1]}];
+      EXPECT_EQ(row[2], r.count);
+      EXPECT_EQ(row[3], r.sum);
+      EXPECT_EQ(row[4], r.min);
+      EXPECT_EQ(row[5], r.max);
+    }
+    EXPECT_EQ(counters.hash_agg_fallbacks, 1u);
+    // The sort takes the resident groups plus the rest of the input.
+    const uint64_t max_runs =
+        (kRows + kMemoryGroups + config.memory_rows - 1) / config.memory_rows;
+    EXPECT_GT(counters.rows_spilled, 0u);
+    EXPECT_LE(counters.rows_spilled, max_runs * kGroups);
+    EXPECT_LT(max_runs * kGroups, kRows);
+  }
 }
 
 TEST(CollapsingSink, FoldsAdjacentDuplicates) {

@@ -19,6 +19,8 @@
 
 #include "common/counters.h"
 #include "common/trace.h"
+#include "exec/in_sort_aggregate.h"
+#include "exec/scan.h"
 #include "sql/catalog.h"
 #include "sql/session.h"
 #include "tests/test_util.h"
@@ -379,6 +381,35 @@ TEST_F(QueryObservabilityTest, TraceSpansNestAcrossThreads) {
       for (double tid : producer_tids) EXPECT_NE(tid, root->tid);
     }
   }
+}
+
+
+TEST(SortMetrics, InSortDistinctCountsSpilledRunsAndMergeLevels) {
+  // In-sort aggregation runs through ExternalSort, so its spills and merge
+  // cascade show in the sort.* metrics like any other sort's.
+  Counter& runs = MetricRegistry::Instance().GetCounter(
+      "sort.runs_spilled", "Sorted runs written to temporary storage");
+  Counter& levels = MetricRegistry::Instance().GetCounter(
+      "sort.merge_levels", "Intermediate merge levels run by external sorts");
+  const uint64_t runs_before = runs.value();
+  const uint64_t levels_before = levels.value();
+
+  Schema schema(3);
+  RowBuffer table = ovc::testing::MakeTable(schema, 5000, 8, /*seed=*/7);
+  QueryCounters counters;
+  TempFileManager temp;
+  BufferScan scan(&schema, &table);
+  SortConfig config;
+  config.memory_rows = 256;  // 20 runs
+  config.fan_in = 4;         // two intermediate levels
+  InSortAggregate distinct(&scan, /*group_prefix=*/3, {}, &counters, &temp,
+                           config);
+  const ovc::testing::RowVec out = ovc::testing::DrainValidated(&distinct);
+  EXPECT_LE(out.size(), 512u);
+  EXPECT_GT(out.size(), 0u);
+
+  EXPECT_EQ(runs.value() - runs_before, 20u);
+  EXPECT_EQ(levels.value() - levels_before, 2u);
 }
 
 }  // namespace
