@@ -225,24 +225,6 @@ double KeyRangeRows(const LogicalNode& filter, const CardEstimate& input,
   return std::max(1.0, rows);
 }
 
-void AnnotateCardinalities(LogicalNode* root, const CostConstants& c) {
-  CardEstimate child_cards[2];
-  for (size_t i = 0; i < root->children.size() && i < 2; ++i) {
-    AnnotateCardinalities(root->children[i].get(), c);
-    child_cards[i] = root->children[i]->card;
-  }
-  root->card = EstimateCardinality(*root, child_cards, c);
-}
-
-CardEstimate CardOf(const LogicalNode& node, const CostConstants& c) {
-  if (node.card.rows > 0) return node.card;
-  CardEstimate child_cards[2];
-  for (size_t i = 0; i < node.children.size() && i < 2; ++i) {
-    child_cards[i] = CardOf(*node.children[i], c);
-  }
-  return EstimateCardinality(node, child_cards, c);
-}
-
 // ---------------------------------------------------------------------------
 // CostModel
 // ---------------------------------------------------------------------------

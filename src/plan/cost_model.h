@@ -14,11 +14,12 @@
 //
 // Two layers:
 //
-//  * Cardinality: AnnotateCardinalities walks a logical plan bottom-up and
-//    fills every node's {est_rows, est_key_distinct} from leaf TableStats
-//    (row counts from storage, distinct-prefix counts from the catalog's
-//    generator specs), default filter selectivity, N_l*N_r/max(D_l,D_r)
-//    join output, and distinct-prefix estimates for groups.
+//  * Cardinality: EstimateCardinality derives a node's {rows, key
+//    distinct} from its children's; the planner's AnalyzePlan pass runs it
+//    bottom-up from leaf TableStats (row counts from storage,
+//    distinct-prefix counts from the catalog's generator specs), with
+//    default filter selectivity, N_l*N_r/max(D_l,D_r) join output, and
+//    distinct-prefix estimates for groups.
 //  * Cost: CostModel prices each physical alternative from those
 //    cardinalities and the CostConstants -- per-comparison (column and
 //    code), per-hashed-row, per-row-move, and per-spill-byte constants
@@ -117,13 +118,8 @@ struct CardEstimate {
   double DistinctPrefix(uint32_t prefix) const;
 };
 
-/// Bottom-up cardinality pass: fills every node's `card` annotation (see
-/// LogicalNode). Idempotent; Planner::Plan runs it before building.
-void AnnotateCardinalities(LogicalNode* root, const CostConstants& constants);
-
 /// Cardinality of one node from its children's estimates (`child_cards[i]`
-/// for child i) -- the pure rule AnnotateCardinalities applies at each
-/// step.
+/// for child i). AnalyzePlan (plan/physical_plan.h) applies it bottom-up.
 CardEstimate EstimateCardinality(const LogicalNode& node,
                                  const CardEstimate* child_cards,
                                  const CostConstants& constants);
@@ -135,11 +131,6 @@ CardEstimate EstimateCardinality(const LogicalNode& node,
 /// of the equality estimate.
 double KeyRangeRows(const LogicalNode& filter, const CardEstimate& input,
                     const CostConstants& constants);
-
-/// `node`'s annotation when present, else the estimate recomputed on the
-/// fly (for decision rules running over un-annotated trees, e.g. the pure
-/// InferOrderProperty entry point).
-CardEstimate CardOf(const LogicalNode& node, const CostConstants& constants);
 
 /// Prices physical alternatives. Stateless beyond the constants and the
 /// memory budgets it is constructed with; every function returns the

@@ -116,32 +116,6 @@ TableSource LsmSource(std::string name, LsmForest* forest) {
   return source;
 }
 
-const char* LogicalOpName(LogicalOp op) {
-  switch (op) {
-    case LogicalOp::kScan:
-      return "scan";
-    case LogicalOp::kFilter:
-      return "filter";
-    case LogicalOp::kProject:
-      return "project";
-    case LogicalOp::kJoin:
-      return "join";
-    case LogicalOp::kAggregate:
-      return "aggregate";
-    case LogicalOp::kDistinct:
-      return "distinct";
-    case LogicalOp::kSetOp:
-      return "setop";
-    case LogicalOp::kSort:
-      return "sort";
-    case LogicalOp::kTopK:
-      return "topk";
-    case LogicalOp::kLimit:
-      return "limit";
-  }
-  return "unknown";
-}
-
 PlanBuilder PlanBuilder::Scan(TableSource source) {
   OVC_CHECK(source.schema != nullptr);
   OVC_CHECK(source.factory != nullptr);
@@ -274,115 +248,6 @@ PlanBuilder& PlanBuilder::Limit(uint64_t n) {
 std::unique_ptr<LogicalNode> PlanBuilder::Build() {
   OVC_CHECK(root_ != nullptr);
   return std::move(root_);
-}
-
-namespace {
-
-void InferRequirementsRecursive(LogicalNode* node,
-                                const OrderRequirement& from_parent) {
-  node->required = from_parent;
-  switch (node->op) {
-    case LogicalOp::kScan:
-      break;
-    case LogicalOp::kFilter:
-    case LogicalOp::kLimit:
-      // Order-transparent: whatever the parent wants of this node, the
-      // node wants of its child (filter and limit preserve order and
-      // codes).
-      InferRequirementsRecursive(node->children[0].get(), from_parent);
-      break;
-    case LogicalOp::kProject: {
-      // A projection can only preserve order the child provides on the key
-      // prefix the mapping keeps in place; pass the parent's wish through
-      // clamped to the child's arity.
-      OrderRequirement down = from_parent;
-      down.prefix =
-          std::min(down.prefix, node->children[0]->schema.key_arity());
-      InferRequirementsRecursive(node->children[0].get(), down);
-      break;
-    }
-    case LogicalOp::kJoin: {
-      // Merge join consumes order and codes on the full join key of both
-      // inputs -- the classic "interesting order".
-      const uint32_t key = node->children[0]->schema.key_arity();
-      InferRequirementsRecursive(node->children[0].get(),
-                                 OrderRequirement::Codes(key));
-      InferRequirementsRecursive(node->children[1].get(),
-                                 OrderRequirement::Codes(key));
-      break;
-    }
-    case LogicalOp::kAggregate:
-      // In-stream aggregation consumes order on the grouping prefix; codes
-      // make the boundary test a single integer comparison (Section 4.5).
-      InferRequirementsRecursive(node->children[0].get(),
-                                 OrderRequirement::Codes(node->group_prefix));
-      break;
-    case LogicalOp::kDistinct:
-      // Code-only duplicate detection needs the full key (Section 4.4).
-      InferRequirementsRecursive(
-          node->children[0].get(),
-          OrderRequirement::Codes(node->children[0]->schema.key_arity()));
-      break;
-    case LogicalOp::kSetOp:
-      for (auto& child : node->children) {
-        InferRequirementsRecursive(
-            child.get(), OrderRequirement::Codes(child->schema.key_arity()));
-      }
-      break;
-    case LogicalOp::kSort:
-    case LogicalOp::kTopK:
-      // A sort (or the sort inside top-k) is *elided* when its input
-      // already arrives fully sorted with codes -- so that is exactly the
-      // order a child below should find interesting.
-      InferRequirementsRecursive(
-          node->children[0].get(),
-          OrderRequirement::Codes(node->children[0]->schema.key_arity()));
-      break;
-  }
-}
-
-void AppendNode(const LogicalNode& node, int depth, std::string* out) {
-  out->append(static_cast<size_t>(depth) * 2, ' ');
-  *out += LogicalOpName(node.op);
-  switch (node.op) {
-    case LogicalOp::kScan:
-      *out += "(" + node.source.name + ", " + node.source.order.ToString() +
-              ")";
-      break;
-    case LogicalOp::kJoin:
-      *out += std::string("(") + JoinTypeName(node.join_type) + ")";
-      break;
-    case LogicalOp::kAggregate:
-      *out += "(group=" + std::to_string(node.group_prefix) +
-              ", aggs=" + std::to_string(node.aggregates.size()) + ")";
-      break;
-    case LogicalOp::kTopK:
-    case LogicalOp::kLimit:
-      *out += "(k=" + std::to_string(node.limit) + ")";
-      break;
-    default:
-      break;
-  }
-  *out += " [" + node.schema.ToString();
-  if (node.required.interested()) {
-    *out += ", wants " + node.required.ToString();
-  }
-  *out += "]\n";
-  for (const auto& child : node.children) {
-    AppendNode(*child, depth + 1, out);
-  }
-}
-
-}  // namespace
-
-void InferOrderRequirements(LogicalNode* root) {
-  InferRequirementsRecursive(root, OrderRequirement::None());
-}
-
-std::string LogicalPlanToString(const LogicalNode& root) {
-  std::string out;
-  AppendNode(root, 0, &out);
-  return out;
 }
 
 }  // namespace ovc::plan

@@ -5,7 +5,9 @@
 // algorithms -- whether a join runs as merge join or hash join, whether an
 // aggregation streams over sorted input, folds into a sort, or hashes, and
 // where explicit sorts go, are all decisions of the physical planner
-// (plan/physical_plan.h), driven by the order properties inferred here.
+// (plan/physical_plan.h), driven by the order properties the leaves
+// declare. The planner only reads a built tree, so one tree can be planned
+// by several threads at once.
 //
 // Leaf sources declare their order properties up front: a plain buffer is
 // unsorted, while scans over sorted storage (in-memory runs, the B-tree,
@@ -88,7 +90,10 @@ struct TableSource {
   /// additionally fills key_distinct for generated tables. Either may stay
   /// unknown -- the cost model then falls back to its defaults.
   TableStats stats;
-  /// Creates a fresh scan operator (called once per physical plan).
+  /// Creates a fresh scan operator (called once per physical plan). A
+  /// shared bound tree is planned by several threads at once, so the
+  /// factories below only read their storage; LsmSource's is the one
+  /// exception.
   std::function<std::unique_ptr<Operator>()> factory;
   /// Seekable sources only (null otherwise): creates a scan of the rows
   /// whose key prefix lies inside `range`, with the source's order and
@@ -114,7 +119,9 @@ TableSource BTreeSource(std::string name, const BTree* tree);
 /// arithmetic alone).
 TableSource ColumnStoreSource(std::string name, const RleColumnStore* store);
 /// Sorted, coded scan over an LSM forest (merges runs + memtable on the
-/// fly; flushes the memtable when the scan is created).
+/// fly; flushes the memtable when the scan is created). The flush writes
+/// the forest, so plans over one LsmSource must not be built concurrently;
+/// no SQL catalog table is an LsmSource.
 TableSource LsmSource(std::string name, LsmForest* forest);
 
 /// Logical operations.
@@ -130,9 +137,6 @@ enum class LogicalOp : uint8_t {
   kTopK,
   kLimit,
 };
-
-/// Short lowercase name, e.g. "aggregate".
-const char* LogicalOpName(LogicalOp op);
 
 /// One node of a logical plan tree. Fields beyond `op` / `children` /
 /// `schema` are meaningful only for the matching LogicalOp.
@@ -158,20 +162,6 @@ struct LogicalNode {
   SetOpType set_op = SetOpType::kUnion;  // kSetOp
   bool set_all = false;                  // kSetOp
   uint64_t limit = 0;                    // kTopK, kLimit
-
-  // --- analysis annotations (filled by the planner passes) ---
-  /// Interesting order: what this node's parent could exploit.
-  OrderRequirement required = OrderRequirement::None();
-  /// Order property the planner's decision rules will deliver for this
-  /// subtree -- the memoized form of InferOrderProperty, filled bottom-up
-  /// once per Plan() so the parallel-shape pre-decisions are O(1) per node
-  /// instead of a subtree recursion each.
-  OrderProperty inferred = OrderProperty::Unsorted();
-  /// Estimated output cardinality (rows + distinct key prefixes), filled
-  /// bottom-up by AnnotateCardinalities (plan/cost_model.h) once per
-  /// Plan(). card.rows == 0 marks a node not yet annotated; the cost-based
-  /// decision rules then estimate on the fly.
-  CardEstimate card;
 };
 
 /// Fluent builder for logical plans. Each call wraps the current tree in a
@@ -249,17 +239,6 @@ class PlanBuilder {
 
   std::unique_ptr<LogicalNode> root_;
 };
-
-/// Top-down "interesting orders" pass: annotates every node's `required`
-/// field with the order its parent could exploit (join keys for joins,
-/// grouping prefixes for aggregations, full keys for distinct / set
-/// operations / sorts). The physical planner consults these annotations
-/// when choosing between order-producing and hash-based algorithms.
-void InferOrderRequirements(LogicalNode* root);
-
-/// Multi-line indented rendering of the logical tree with schemas and
-/// interesting-order annotations.
-std::string LogicalPlanToString(const LogicalNode& root);
 
 }  // namespace ovc::plan
 

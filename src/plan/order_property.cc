@@ -9,11 +9,4 @@ std::string OrderProperty::ToString() const {
   return s;
 }
 
-std::string OrderRequirement::ToString() const {
-  if (prefix == 0) return "none";
-  std::string s = "order(" + std::to_string(prefix) + ")";
-  if (needs_ovc) s += "+ovc";
-  return s;
-}
-
 }  // namespace ovc::plan

@@ -63,10 +63,10 @@ struct OrderProperty {
 };
 
 /// What a consumer would like its input to provide: the planner's
-/// "interesting order" annotation, propagated top-down. A requirement is a
-/// wish, not a contract -- the physical planner decides per node whether
-/// satisfying it (with a sort or an order-producing operator) beats a
-/// hash-based alternative.
+/// "interesting order", propagated top-down by AnalyzePlan. A requirement
+/// is a wish, not a contract -- the physical planner decides per node
+/// whether satisfying it (with a sort or an order-producing operator)
+/// beats a hash-based alternative.
 struct OrderRequirement {
   /// Sorted columns the parent could exploit (0 = order is of no use).
   uint32_t prefix = 0;
@@ -84,9 +84,6 @@ struct OrderRequirement {
     return needs_ovc ? available.SortedWithCodes(prefix)
                      : available.SortedOn(prefix);
   }
-
-  /// e.g. "order(2)+ovc", "none".
-  std::string ToString() const;
 };
 
 }  // namespace ovc::plan

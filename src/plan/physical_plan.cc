@@ -103,9 +103,9 @@ double SortCostFor(const CostModel& model, const CardEstimate& card,
 }
 
 // ---------------------------------------------------------------------------
-// Pure decision rules, shared by the instantiating planner and the pure
-// inference entry point so the two can never disagree. The open calls
-// compare cost estimates.
+// Pure decision rules, shared by the analysis pass and the operator-building
+// walk so the two can never disagree. They read the node's facts; the open
+// calls compare cost estimates.
 // ---------------------------------------------------------------------------
 
 struct JoinDecision {
@@ -139,9 +139,10 @@ JoinTypeHash ToHashType(JoinType type) {
   return JoinTypeHash::kInner;
 }
 
-JoinDecision DecideJoin(const LogicalNode& node, const OrderProperty& left,
+JoinDecision DecideJoin(const PlanFacts& f, const OrderProperty& left,
                         const OrderProperty& right,
                         const PlannerOptions& options) {
+  const LogicalNode& node = *f.node;
   const Schema& ls = node.children[0]->schema;
   const Schema& rs = node.children[1]->schema;
   const bool l_ok = SortedWithCodesOn(left, ls);
@@ -163,9 +164,9 @@ JoinDecision DecideJoin(const LogicalNode& node, const OrderProperty& left,
   }
   const bool hash_allowed = !options.prefer_sort_based && HashSupports(type);
   const CostModel model = ModelFor(options);
-  const CardEstimate lc = CardOf(*node.children[0], options.cost_constants);
-  const CardEstimate rc = CardOf(*node.children[1], options.cost_constants);
-  const double out_rows = CardOf(node, options.cost_constants).rows;
+  const CardEstimate& lc = f.children[0].card;
+  const CardEstimate& rc = f.children[1].card;
+  const double out_rows = f.card.rows;
   // The sort-based fallback: sorts exactly where order or codes are
   // missing, then merge join (spilling gracefully past the sort memory
   // budget).
@@ -221,9 +222,9 @@ struct UnaryDecision {
   OrderProperty out;
 };
 
-UnaryDecision DecideAggregate(const LogicalNode& node,
-                              const OrderProperty& child,
+UnaryDecision DecideAggregate(const PlanFacts& f, const OrderProperty& child,
                               const PlannerOptions& options) {
+  const LogicalNode& node = *f.node;
   UnaryDecision d;
   if (child.SortedOn(node.group_prefix)) {
     // Sorted input: group boundaries are one integer test per row when
@@ -233,7 +234,7 @@ UnaryDecision DecideAggregate(const LogicalNode& node,
     d.out = OrderProperty::Sorted(node.group_prefix, child.has_ovc);
     return d;
   }
-  if (node.required.interested() || options.prefer_sort_based) {
+  if (f.required.interested() || options.prefer_sort_based) {
     // The parent can exploit order (or sort-based planning is forced):
     // aggregate inside the sort, collapsing duplicates at every stage
     // (Figure 5's sort-based plan). This gate stays ahead of the cost
@@ -253,7 +254,7 @@ UnaryDecision DecideAggregate(const LogicalNode& node,
   // by the group count -- the point where Figure 5's sort-based plan
   // takes over.
   const CostModel model = ModelFor(options);
-  const CardEstimate cc = CardOf(*node.children[0], options.cost_constants);
+  const CardEstimate& cc = f.children[0].card;
   const double groups = cc.DistinctPrefix(node.group_prefix);
   const double in_sort =
       model.InSortAggregate(cc.rows, groups, node.group_prefix, groups,
@@ -270,10 +271,9 @@ UnaryDecision DecideAggregate(const LogicalNode& node,
   return d;
 }
 
-UnaryDecision DecideDistinct(const LogicalNode& node,
-                             const OrderProperty& child,
+UnaryDecision DecideDistinct(const PlanFacts& f, const OrderProperty& child,
                              const PlannerOptions& options) {
-  const Schema& schema = node.schema;
+  const Schema& schema = f.node->schema;
   UnaryDecision d;
   if (SortedWithCodesOn(child, schema)) {
     // Duplicates are rows whose code offset equals the arity: removal
@@ -284,11 +284,10 @@ UnaryDecision DecideDistinct(const LogicalNode& node,
   }
   const bool keeps_payloads = schema.payload_columns() > 0;
   if (!keeps_payloads && !options.prefer_sort_based &&
-      !node.required.interested()) {
+      !f.required.interested()) {
     // Same open call as the aggregate above, over the full key.
     const CostModel model = ModelFor(options);
-    const CardEstimate cc =
-        CardOf(*node.children[0], options.cost_constants);
+    const CardEstimate& cc = f.children[0].card;
     const double groups = cc.DistinctPrefix(schema.key_arity());
     const double in_sort =
         model.InSortAggregate(cc.rows, groups, schema.key_arity(), groups,
@@ -374,35 +373,35 @@ OrderProperty FilterOutput(const OrderProperty& child) {
 }
 
 /// The single rule table behind order-property inference: the property
-/// this node's chosen physical form delivers, given its children's
-/// properties. Both the public recursive InferOrderProperty and the
-/// planner's memoizing AnnotateInferred pass are thin wrappers over this,
-/// so the two can never disagree.
-OrderProperty NodeOutputProperty(const LogicalNode& node,
-                                 const OrderProperty* child_props,
+/// this node's chosen physical form delivers, given its children's facts.
+OrderProperty NodeOutputProperty(const PlanFacts& f,
                                  const PlannerOptions& options) {
+  const LogicalNode& node = *f.node;
+  const auto child = [&f](size_t i) -> const OrderProperty& {
+    return f.children[i].order;
+  };
   switch (node.op) {
     case LogicalOp::kScan:
       return node.source.order;
     case LogicalOp::kFilter:
-      return FilterOutput(child_props[0]);
+      return FilterOutput(child(0));
     case LogicalOp::kProject:
-      return ProjectOutput(node, child_props[0]);
+      return ProjectOutput(node, child(0));
     case LogicalOp::kJoin:
-      return DecideJoin(node, child_props[0], child_props[1], options).out;
+      return DecideJoin(f, child(0), child(1), options).out;
     case LogicalOp::kAggregate:
-      return DecideAggregate(node, child_props[0], options).out;
+      return DecideAggregate(f, child(0), options).out;
     case LogicalOp::kDistinct:
-      return DecideDistinct(node, child_props[0], options).out;
+      return DecideDistinct(f, child(0), options).out;
     case LogicalOp::kSetOp:
       return OrderProperty::Sorted(node.schema.key_arity(), /*ovc=*/true);
     case LogicalOp::kSort:
-      return DecideSort(node, child_props[0], options).out;
+      return DecideSort(node, child(0), options).out;
     case LogicalOp::kTopK:
-      return DecideTopK(node, child_props[0], options).out;
+      return DecideTopK(node, child(0), options).out;
     case LogicalOp::kLimit:
       // Truncation preserves whatever the child delivers.
-      return child_props[0];
+      return child(0);
   }
   return OrderProperty::Unsorted();
 }
@@ -448,33 +447,63 @@ std::string ExplainLine(PhysicalAlg alg, const OrderProperty& prop,
   return ProfileLabel(alg, prop, detail) + " " + RenderEstimate(est) + "\n";
 }
 
-}  // namespace
-
-OrderProperty InferOrderProperty(const LogicalNode& node,
-                                 const PlannerOptions& options) {
-  OrderProperty child_props[2];
-  for (size_t i = 0; i < node.children.size() && i < 2; ++i) {
-    child_props[i] = InferOrderProperty(*node.children[i], options);
+/// What `node`'s input `child` should find interesting, given what the
+/// parent wants of `node`.
+OrderRequirement ChildRequirement(const LogicalNode& node,
+                                  const LogicalNode& child,
+                                  const OrderRequirement& from_parent) {
+  switch (node.op) {
+    case LogicalOp::kFilter:
+    case LogicalOp::kLimit:
+      // Order-transparent: filter and limit preserve order and codes.
+      return from_parent;
+    case LogicalOp::kProject: {
+      // A projection can only preserve order the child provides on the key
+      // prefix the mapping keeps in place; pass the parent's wish through
+      // clamped to the child's arity.
+      OrderRequirement down = from_parent;
+      down.prefix = std::min(down.prefix, child.schema.key_arity());
+      return down;
+    }
+    case LogicalOp::kAggregate:
+      // In-stream aggregation consumes order on the grouping prefix; codes
+      // make the boundary test a single integer comparison (Section 4.5).
+      return OrderRequirement::Codes(node.group_prefix);
+    default:
+      // Merge join (on the shared key of both inputs), code-only duplicate
+      // removal (Section 4.4), set operations, and a sort or top-k -- elided
+      // when its input arrives sorted with codes -- all consume the child's
+      // full key with codes: the classic "interesting order".
+      return OrderRequirement::Codes(child.schema.key_arity());
   }
-  return NodeOutputProperty(node, child_props, options);
 }
 
-namespace {
-
-/// Bottom-up pass caching each node's decision-rule property in
-/// `node->inferred` -- the memoized form of InferOrderProperty (one
-/// NodeOutputProperty call per node for the whole tree).
-OrderProperty AnnotateInferred(LogicalNode* node,
-                               const PlannerOptions& options) {
-  OrderProperty child_props[2];
-  for (size_t i = 0; i < node->children.size() && i < 2; ++i) {
-    child_props[i] = AnnotateInferred(node->children[i].get(), options);
+void Analyze(const LogicalNode& node, const OrderRequirement& required,
+             const PlannerOptions& options, PlanFacts* f) {
+  f->node = &node;
+  f->required = required;
+  f->children.resize(node.children.size());
+  OVC_DCHECK(node.children.size() <= 2);
+  CardEstimate child_cards[2];
+  for (size_t i = 0; i < node.children.size(); ++i) {
+    const LogicalNode& child = *node.children[i];
+    Analyze(child, ChildRequirement(node, child, required), options,
+            &f->children[i]);
+    child_cards[i] = f->children[i].card;
   }
-  node->inferred = NodeOutputProperty(*node, child_props, options);
-  return node->inferred;
+  // Cardinality first: the decision rules behind the order property
+  // consult it.
+  f->card = EstimateCardinality(node, child_cards, options.cost_constants);
+  f->order = NodeOutputProperty(*f, options);
 }
 
 }  // namespace
+
+PlanFacts AnalyzePlan(const LogicalNode& root, const PlannerOptions& options) {
+  PlanFacts facts;
+  Analyze(root, OrderRequirement::None(), options, &facts);
+  return facts;
+}
 
 Planner::Planner(QueryCounters* counters, TempFileManager* temp,
                  PlannerOptions options)
@@ -484,15 +513,11 @@ Planner::Planner(QueryCounters* counters, TempFileManager* temp,
       cost_model_(options_.cost_constants, options_.sort_config,
                   options_.hash_memory_rows) {}
 
-PhysicalPlan Planner::Plan(LogicalNode* root) {
-  InferOrderRequirements(root);
-  // Cardinalities first: the decision rules behind the inferred-property
-  // pass consult them.
-  AnnotateCardinalities(root, options_.cost_constants);
-  AnnotateInferred(root, options_);
+PhysicalPlan Planner::Plan(const LogicalNode* root) {
+  const PlanFacts facts = AnalyzePlan(*root, options_);
   PhysicalPlan plan;
   if (options_.profile) plan.profile_ = std::make_unique<QueryProfile>();
-  Built built = BuildNode(root, &plan, counters_);
+  Built built = BuildNode(facts, &plan, counters_);
   plan.root_ = built.op;
   plan.explain_ = built.explain;
   plan.root_order_ = built.prop;
@@ -534,23 +559,22 @@ void Planner::SetProfileLine(PhysicalPlan* plan, const Meter& m,
                            est.cost, children, table);
 }
 
-Planner::Built Planner::BuildRangeScan(const LogicalNode& filter,
+Planner::Built Planner::BuildRangeScan(const PlanFacts& filter,
                                        PhysicalPlan* plan,
                                        QueryCounters* ctrs) {
-  const LogicalNode& scan = *filter.children[0];
+  const KeyRange& range = *filter.node->key_range;
+  const LogicalNode& scan = *filter.node->children[0];
   const Meter m = NewMeter(plan, ctrs);
   Built built;
-  built.op = Wrap(plan,
-                  plan->Own(scan.source.range_factory(*filter.key_range,
-                                                      m.ctrs)),
+  built.op = Wrap(plan, plan->Own(scan.source.range_factory(range, m.ctrs)),
                   m);
   built.prop = scan.source.order;
-  const CardEstimate table = CardOf(scan, options_.cost_constants);
-  const double rows = KeyRangeRows(filter, table, options_.cost_constants);
+  const CardEstimate& table = filter.children[0].card;
+  const double rows =
+      KeyRangeRows(*filter.node, table, options_.cost_constants);
   built.est = {rows, cost_model_.RangeScan(table.rows, rows)};
   plan->RecordAlg(PhysicalAlg::kScan, built.est);
-  const std::string detail = scan.source.name + " range " +
-                             filter.key_range->text;
+  const std::string detail = scan.source.name + " range " + range.text;
   built.explain = ExplainLine(PhysicalAlg::kScan, built.prop, detail,
                               built.est);
   // No feedback table: the rows a range returns say nothing about the
@@ -562,7 +586,7 @@ Planner::Built Planner::BuildRangeScan(const LogicalNode& filter,
 }
 
 Planner::Built Planner::InsertSort(Built child,
-                                   const LogicalNode* logical_child,
+                                   const PlanFacts& logical_child,
                                    PhysicalPlan* plan, QueryCounters* ctrs) {
   // Planner-inserted sorts always feed code-consuming operators (merge
   // join, dedup, set operation), so the configured sort must deliver
@@ -570,11 +594,11 @@ Planner::Built Planner::InsertSort(Built child,
   // of deep inside a downstream operator's precondition check.
   OVC_CHECK(options_.sort_config.use_ovc ||
             options_.sort_config.naive_output_codes);
-  const Schema& schema = logical_child->schema;
-  const CardEstimate cc = CardOf(*logical_child, options_.cost_constants);
+  const Schema& schema = logical_child.node->schema;
   const OrderProperty prop = SortOutput(schema, options_.sort_config);
   const NodeEstimate est = {
-      child.est.rows, child.est.cost + SortCostFor(cost_model_, cc, schema)};
+      child.est.rows,
+      child.est.cost + SortCostFor(cost_model_, logical_child.card, schema)};
   ++plan->inserted_sorts_;
   if (child.open()) {
     // One sort per worker above its partition stream, each the sole
@@ -739,70 +763,71 @@ Planner::Built Planner::CloseRegion(Built region, QueryCounters* ctrs,
   return built;
 }
 
-Planner::Built Planner::BuildNode(LogicalNode* node, PhysicalPlan* plan,
+Planner::Built Planner::BuildNode(const PlanFacts& f, PhysicalPlan* plan,
                                   QueryCounters* ctrs) {
-  Built built = BuildOpen(node, plan, ctrs);
+  Built built = BuildOpen(f, plan, ctrs);
   if (!built.open()) return built;
   return CloseRegion(std::move(built), ctrs, plan);
 }
 
-Planner::Built Planner::BuildOpen(LogicalNode* node, PhysicalPlan* plan,
+Planner::Built Planner::BuildOpen(const PlanFacts& f, PhysicalPlan* plan,
                                   QueryCounters* ctrs) {
+  const LogicalNode& node = *f.node;
   Built result;
   std::string explain;
   const CostModel& model = cost_model_;
-  const double out_rows = node->card.rows;
+  const double out_rows = f.card.rows;
 
-  switch (node->op) {
+  switch (node.op) {
     case LogicalOp::kScan: {
       const Meter m = NewMeter(plan, ctrs);
-      result.op = Wrap(plan, plan->Own(node->source.factory()), m);
-      result.prop = node->source.order;
+      result.op = Wrap(plan, plan->Own(node.source.factory()), m);
+      result.prop = node.source.order;
       result.est = {out_rows, model.Scan(out_rows)};
       plan->RecordAlg(PhysicalAlg::kScan, result.est);
       explain = ExplainLine(PhysicalAlg::kScan, result.prop,
-                            node->source.name, result.est);
-      SetProfileLine(plan, m, PhysicalAlg::kScan, node->source.name,
-                     result.prop, result.est, {}, node->source.name);
+                            node.source.name, result.est);
+      SetProfileLine(plan, m, PhysicalAlg::kScan, node.source.name,
+                     result.prop, result.est, {}, node.source.name);
       result.pnode = m.node;
       break;
     }
 
     case LogicalOp::kFilter: {
-      LogicalNode* input = node->children[0].get();
+      const LogicalNode& input = *node.children[0];
       // A key range over a seekable scan always seeks: the filter stays on
       // top with the whole predicate, so no residual is split off.
-      Built child = node->key_range.has_value() &&
-                            input->op == LogicalOp::kScan &&
-                            input->source.range_factory != nullptr
-                        ? BuildRangeScan(*node, plan, ctrs)
-                        : BuildNode(input, plan, ctrs);
+      Built child = node.key_range.has_value() &&
+                            input.op == LogicalOp::kScan &&
+                            input.source.range_factory != nullptr
+                        ? BuildRangeScan(f, plan, ctrs)
+                        : BuildNode(f.children[0], plan, ctrs);
       const Meter m = NewMeter(plan, ctrs);
       result.op = Wrap(plan,
                        plan->Own(std::make_unique<FilterOperator>(
-                           child.op, node->predicate, node->block_predicate)),
+                           child.op, node.predicate, node.block_predicate)),
                        m);
       result.prop = FilterOutput(child.prop);
       result.est = {out_rows, child.est.cost +
                                   model.Filter(child.est.rows, out_rows)};
       plan->RecordAlg(PhysicalAlg::kFilter, result.est);
       explain = ExplainLine(PhysicalAlg::kFilter, result.prop,
-                            node->predicate_text, result.est) +
+                            node.predicate_text, result.est) +
                 IndentBlock(child.explain);
-      SetProfileLine(plan, m, PhysicalAlg::kFilter, node->predicate_text,
+      SetProfileLine(plan, m, PhysicalAlg::kFilter, node.predicate_text,
                      result.prop, result.est, {child.pnode});
       result.pnode = m.node;
       break;
     }
 
     case LogicalOp::kProject: {
-      Built child = BuildNode(node->children[0].get(), plan, ctrs);
+      Built child = BuildNode(f.children[0], plan, ctrs);
       const Meter m = NewMeter(plan, ctrs);
       result.op = Wrap(plan,
                        plan->Own(std::make_unique<ProjectOperator>(
-                           child.op, node->schema, node->mapping)),
+                           child.op, node.schema, node.mapping)),
                        m);
-      result.prop = ProjectOutput(*node, child.prop);
+      result.prop = ProjectOutput(node, child.prop);
       result.est = {out_rows, child.est.cost + model.Project(out_rows)};
       plan->RecordAlg(PhysicalAlg::kProject, result.est);
       explain = ExplainLine(PhysicalAlg::kProject, result.prop, "",
@@ -822,16 +847,16 @@ Planner::Built Planner::BuildOpen(LogicalNode* node, PhysicalPlan* plan,
       // its own region counters rather than the consumer thread's.
       const bool pre_parallel_join =
           ParallelEnabled() &&
-          DecideJoin(*node, node->children[0]->inferred,
-                     node->children[1]->inferred, options_)
+          DecideJoin(f, f.children[0].order,
+                     f.children[1].order, options_)
                   .alg == PhysicalAlg::kMergeJoin;
       QueryCounters* left_ctrs =
           pre_parallel_join ? plan->NewWorkerCounters() : ctrs;
       QueryCounters* right_ctrs =
           pre_parallel_join ? plan->NewWorkerCounters() : ctrs;
-      Built left = BuildNode(node->children[0].get(), plan, left_ctrs);
-      Built right = BuildNode(node->children[1].get(), plan, right_ctrs);
-      JoinDecision d = DecideJoin(*node, left.prop, right.prop, options_);
+      Built left = BuildNode(f.children[0], plan, left_ctrs);
+      Built right = BuildNode(f.children[1], plan, right_ctrs);
+      JoinDecision d = DecideJoin(f, left.prop, right.prop, options_);
       if (pre_parallel_join && d.alg == PhysicalAlg::kMergeJoin) {
         // Co-partitioned parallel merge join: hash-split both raw inputs
         // on the join key with the same hash, so each key lands in the
@@ -840,26 +865,26 @@ Planner::Built Planner::BuildOpen(LogicalNode* node, PhysicalPlan* plan,
         // through the split by the filter theorem); one merge join per
         // partition pair. The region stays open for a co-partitioned
         // consumer; BuildNode closes it with one merging exchange.
-        const uint32_t key = node->children[0]->schema.key_arity();
+        const uint32_t key = node.children[0]->schema.key_arity();
         const std::vector<QueryCounters*> wcs = RegionWorkerCounters(plan);
         // Per-worker sorts charge their workers' counters, not `ctrs`.
         left = SplitRegion(std::move(left), left_ctrs,
                            SplitExchange::Policy::kHashKey, key, wcs, plan);
         if (d.sort_left) {
-          left = InsertSort(std::move(left), node->children[0].get(), plan,
+          left = InsertSort(std::move(left), f.children[0], plan,
                             /*ctrs=*/nullptr);
         }
         right = SplitRegion(std::move(right), right_ctrs,
                             SplitExchange::Policy::kHashKey, key, wcs, plan);
         if (d.sort_right) {
-          right = InsertSort(std::move(right), node->children[1].get(), plan,
+          right = InsertSort(std::move(right), f.children[1], plan,
                              /*ctrs=*/nullptr);
         }
         const NodeEstimate est = {
             out_rows, left.est.cost + right.est.cost +
                           model.MergeJoin(left.est.rows, right.est.rows,
                                           out_rows)};
-        const JoinType type = node->join_type;
+        const JoinType type = node.join_type;
         return AppendToRegion(
             {std::move(left), std::move(right)}, d.alg,
             std::string(JoinTypeName(type)) + ", per worker", d.out, est,
@@ -869,11 +894,11 @@ Planner::Built Planner::BuildOpen(LogicalNode* node, PhysicalPlan* plan,
             });
       }
       if (d.sort_left) {
-        left = InsertSort(std::move(left), node->children[0].get(), plan,
+        left = InsertSort(std::move(left), f.children[0], plan,
                           ctrs);
       }
       if (d.sort_right) {
-        right = InsertSort(std::move(right), node->children[1].get(), plan,
+        right = InsertSort(std::move(right), f.children[1], plan,
                            ctrs);
       }
       double alg_cost = 0;
@@ -888,8 +913,8 @@ Planner::Built Planner::BuildOpen(LogicalNode* node, PhysicalPlan* plan,
         case PhysicalAlg::kGraceHashJoin:
           alg_cost = model.GraceHashJoin(
               left.est.rows, right.est.rows, out_rows,
-              node->children[0]->schema.total_columns(),
-              node->children[1]->schema.total_columns());
+              node.children[0]->schema.total_columns(),
+              node.children[1]->schema.total_columns());
           break;
         default:
           OVC_CHECK(false);
@@ -909,18 +934,18 @@ Planner::Built Planner::BuildOpen(LogicalNode* node, PhysicalPlan* plan,
       switch (d.alg) {
         case PhysicalAlg::kMergeJoin:
           join = plan->Own(std::make_unique<MergeJoin>(
-              left.op, right.op, node->join_type, jm.ctrs));
+              left.op, right.op, node.join_type, jm.ctrs));
           break;
         case PhysicalAlg::kOrderPreservingHashJoin:
           join = plan->Own(std::make_unique<OrderPreservingHashJoin>(
-              left.op, right.op, node->children[0]->schema.key_arity(),
-              ToHashType(node->join_type), options_.hash_memory_rows,
+              left.op, right.op, node.children[0]->schema.key_arity(),
+              ToHashType(node.join_type), options_.hash_memory_rows,
               jm.ctrs));
           break;
         case PhysicalAlg::kGraceHashJoin:
           join = plan->Own(std::make_unique<GraceHashJoin>(
-              left.op, right.op, node->children[0]->schema.key_arity(),
-              ToHashType(node->join_type), options_.hash_memory_rows,
+              left.op, right.op, node.children[0]->schema.key_arity(),
+              ToHashType(node.join_type), options_.hash_memory_rows,
               jm.ctrs, temp_, kHashPartitions, options_.fallback,
               options_.sort_config));
           break;
@@ -932,8 +957,8 @@ Planner::Built Planner::BuildOpen(LogicalNode* node, PhysicalPlan* plan,
         // build columns, indicator); project back to the canonical merge
         // layout (key, left payloads, right payloads, indicator) so every
         // physical alternative yields identical rows.
-        const Schema& ls = node->children[0]->schema;
-        const Schema& rs = node->children[1]->schema;
+        const Schema& ls = node.children[0]->schema;
+        const Schema& rs = node.children[1]->schema;
         const uint32_t key = ls.key_arity();
         std::vector<uint32_t> mapping;
         for (uint32_t c = 0; c < key + ls.payload_columns(); ++c) {
@@ -945,15 +970,15 @@ Planner::Built Planner::BuildOpen(LogicalNode* node, PhysicalPlan* plan,
         }
         mapping.push_back(build_base + rs.total_columns());  // indicator
         join = plan->Own(
-            std::make_unique<ProjectOperator>(join, node->schema, mapping));
+            std::make_unique<ProjectOperator>(join, node.schema, mapping));
       }
       result.op = Wrap(plan, join, jm);
       result.prop = d.out;
-      SetProfileLine(plan, jm, d.alg, JoinTypeName(node->join_type),
+      SetProfileLine(plan, jm, d.alg, JoinTypeName(node.join_type),
                      result.prop, result.est, {left.pnode, right.pnode});
       result.pnode = jm.node;
       explain = ExplainLine(d.alg, result.prop,
-                            JoinTypeName(node->join_type), result.est) +
+                            JoinTypeName(node.join_type), result.est) +
                 IndentBlock(left.explain) + IndentBlock(right.explain);
       break;
     }
@@ -967,19 +992,19 @@ Planner::Built Planner::BuildOpen(LogicalNode* node, PhysicalPlan* plan,
       // the in-sort flavor produces its own. Pre-decide on the inferred
       // child property: the child subtree of a split executes on producer
       // threads, so it is built with region counters.
-      const uint32_t q = node->group_prefix;
+      const uint32_t q = node.group_prefix;
       const auto parallel_agg_for = [&](const OrderProperty& child_prop) {
         if (!ParallelEnabled() || q < 1) return false;
-        UnaryDecision p = DecideAggregate(*node, child_prop, options_);
+        UnaryDecision p = DecideAggregate(f, child_prop, options_);
         return (p.alg == PhysicalAlg::kInStreamAggregate &&
                 child_prop.has_ovc) ||
                p.alg == PhysicalAlg::kInSortAggregate;
       };
       const bool pre_parallel_agg =
-          parallel_agg_for(node->children[0]->inferred);
+          parallel_agg_for(f.children[0].order);
       QueryCounters* region_ctrs =
           pre_parallel_agg ? plan->NewWorkerCounters() : ctrs;
-      Built child = BuildOpen(node->children[0].get(), plan, region_ctrs);
+      Built child = BuildOpen(f.children[0], plan, region_ctrs);
       // An open region whose workers are hash-partitioned on p <= q
       // grouping columns already holds every group in one partition: the
       // aggregate joins it, one in-stream aggregate per worker, and the
@@ -992,7 +1017,7 @@ Planner::Built Planner::BuildOpen(LogicalNode* node, PhysicalPlan* plan,
       if (child.open() && !in_region) {
         child = CloseRegion(std::move(child), region_ctrs, plan);
       }
-      UnaryDecision d = DecideAggregate(*node, child.prop, options_);
+      UnaryDecision d = DecideAggregate(f, child.prop, options_);
       const bool parallel_agg =
           !in_region && pre_parallel_agg && parallel_agg_for(child.prop);
       double alg_cost = 0;
@@ -1004,11 +1029,11 @@ Planner::Built Planner::BuildOpen(LogicalNode* node, PhysicalPlan* plan,
         case PhysicalAlg::kInSortAggregate:
           alg_cost = model.InSortAggregate(child.est.rows, out_rows, q,
                                            out_rows,
-                                           node->schema.total_columns());
+                                           node.schema.total_columns());
           break;
         case PhysicalAlg::kHashAggregate:
           alg_cost = model.HashAggregate(child.est.rows, out_rows,
-                                         node->schema.total_columns());
+                                         node.schema.total_columns());
           break;
         default:
           OVC_CHECK(false);
@@ -1019,7 +1044,7 @@ Planner::Built Planner::BuildOpen(LogicalNode* node, PhysicalPlan* plan,
                               SplitExchange::Policy::kHashKey, q,
                               RegionWorkerCounters(plan), plan);
         }
-        const std::vector<AggregateSpec>& aggregates = node->aggregates;
+        const std::vector<AggregateSpec>& aggregates = node.aggregates;
         const bool in_stream = d.alg == PhysicalAlg::kInStreamAggregate;
         TempFileManager* temp = temp_;
         const SortConfig& sort_config = options_.sort_config;
@@ -1046,17 +1071,17 @@ Planner::Built Planner::BuildOpen(LogicalNode* node, PhysicalPlan* plan,
           InStreamAggregate::Options agg_options;
           agg_options.use_ovc_boundaries = child.prop.has_ovc;
           result.op = plan->Own(std::make_unique<InStreamAggregate>(
-              child.op, q, node->aggregates, m.ctrs, agg_options));
+              child.op, q, node.aggregates, m.ctrs, agg_options));
           break;
         }
         case PhysicalAlg::kInSortAggregate:
           result.op = plan->Own(std::make_unique<InSortAggregate>(
-              child.op, q, node->aggregates, m.ctrs, temp_,
+              child.op, q, node.aggregates, m.ctrs, temp_,
               options_.sort_config));
           break;
         case PhysicalAlg::kHashAggregate:
           result.op = plan->Own(std::make_unique<HashAggregate>(
-              child.op, q, node->aggregates, options_.hash_memory_rows,
+              child.op, q, node.aggregates, options_.hash_memory_rows,
               m.ctrs, temp_, kHashPartitions, options_.fallback,
               options_.sort_config));
           break;
@@ -1075,10 +1100,10 @@ Planner::Built Planner::BuildOpen(LogicalNode* node, PhysicalPlan* plan,
     }
 
     case LogicalOp::kDistinct: {
-      Built child = BuildNode(node->children[0].get(), plan, ctrs);
-      UnaryDecision d = DecideDistinct(*node, child.prop, options_);
+      Built child = BuildNode(f.children[0], plan, ctrs);
+      UnaryDecision d = DecideDistinct(f, child.prop, options_);
       if (d.sort_child) {
-        child = InsertSort(std::move(child), node->children[0].get(), plan,
+        child = InsertSort(std::move(child), f.children[0], plan,
                            ctrs);
       }
       double alg_cost = 0;
@@ -1088,13 +1113,13 @@ Planner::Built Planner::BuildOpen(LogicalNode* node, PhysicalPlan* plan,
           break;
         case PhysicalAlg::kInSortDistinct:
           alg_cost = model.InSortAggregate(child.est.rows, out_rows,
-                                           node->schema.key_arity(),
+                                           node.schema.key_arity(),
                                            out_rows,
-                                           node->schema.total_columns());
+                                           node.schema.total_columns());
           break;
         case PhysicalAlg::kHashDistinct:
           alg_cost = model.HashAggregate(child.est.rows, out_rows,
-                                         node->schema.total_columns());
+                                         node.schema.total_columns());
           break;
         default:
           OVC_CHECK(false);
@@ -1108,13 +1133,13 @@ Planner::Built Planner::BuildOpen(LogicalNode* node, PhysicalPlan* plan,
           break;
         case PhysicalAlg::kInSortDistinct:
           result.op = plan->Own(std::make_unique<InSortAggregate>(
-              child.op, node->schema.key_arity(),
+              child.op, node.schema.key_arity(),
               std::vector<AggregateSpec>(), m.ctrs, temp_,
               options_.sort_config));
           break;
         case PhysicalAlg::kHashDistinct:
           result.op = plan->Own(std::make_unique<HashAggregate>(
-              child.op, node->schema.key_arity(),
+              child.op, node.schema.key_arity(),
               std::vector<AggregateSpec>(), options_.hash_memory_rows,
               m.ctrs, temp_, kHashPartitions, options_.fallback,
               options_.sort_config));
@@ -1133,14 +1158,14 @@ Planner::Built Planner::BuildOpen(LogicalNode* node, PhysicalPlan* plan,
     }
 
     case LogicalOp::kSetOp: {
-      Built left = BuildNode(node->children[0].get(), plan, ctrs);
-      Built right = BuildNode(node->children[1].get(), plan, ctrs);
-      if (!SortedWithCodesOn(left.prop, node->children[0]->schema)) {
-        left = InsertSort(std::move(left), node->children[0].get(), plan,
+      Built left = BuildNode(f.children[0], plan, ctrs);
+      Built right = BuildNode(f.children[1], plan, ctrs);
+      if (!SortedWithCodesOn(left.prop, node.children[0]->schema)) {
+        left = InsertSort(std::move(left), f.children[0], plan,
                           ctrs);
       }
-      if (!SortedWithCodesOn(right.prop, node->children[1]->schema)) {
-        right = InsertSort(std::move(right), node->children[1].get(), plan,
+      if (!SortedWithCodesOn(right.prop, node.children[1]->schema)) {
+        right = InsertSort(std::move(right), f.children[1], plan,
                            ctrs);
       }
       result.est = {out_rows,
@@ -1150,17 +1175,17 @@ Planner::Built Planner::BuildOpen(LogicalNode* node, PhysicalPlan* plan,
       const Meter m = NewMeter(plan, ctrs);
       result.op = Wrap(plan,
                        plan->Own(std::make_unique<SetOperation>(
-                           left.op, right.op, node->set_op, node->set_all,
+                           left.op, right.op, node.set_op, node.set_all,
                            m.ctrs)),
                        m);
       result.prop =
-          OrderProperty::Sorted(node->schema.key_arity(), /*ovc=*/true);
+          OrderProperty::Sorted(node.schema.key_arity(), /*ovc=*/true);
       plan->RecordAlg(PhysicalAlg::kSetOperation, result.est);
       explain = ExplainLine(PhysicalAlg::kSetOperation, result.prop,
-                            node->set_all ? "all" : "distinct", result.est) +
+                            node.set_all ? "all" : "distinct", result.est) +
                 IndentBlock(left.explain) + IndentBlock(right.explain);
       SetProfileLine(plan, m, PhysicalAlg::kSetOperation,
-                     node->set_all ? "all" : "distinct", result.prop,
+                     node.set_all ? "all" : "distinct", result.prop,
                      result.est, {left.pnode, right.pnode});
       result.pnode = m.node;
       break;
@@ -1176,19 +1201,19 @@ Planner::Built Planner::BuildOpen(LogicalNode* node, PhysicalPlan* plan,
       // region counters (it executes on producer threads).
       const auto parallel_sort_for = [&](const OrderProperty& child_prop) {
         if (!ParallelEnabled()) return false;
-        UnaryDecision p = DecideSort(*node, child_prop, options_);
+        UnaryDecision p = DecideSort(node, child_prop, options_);
         return p.alg == PhysicalAlg::kSort && p.out.has_ovc;
       };
       const bool pre_parallel_sort =
-          parallel_sort_for(node->children[0]->inferred);
+          parallel_sort_for(f.children[0].order);
       QueryCounters* region_ctrs =
           pre_parallel_sort ? plan->NewWorkerCounters() : ctrs;
-      Built child = BuildNode(node->children[0].get(), plan, region_ctrs);
-      UnaryDecision d = DecideSort(*node, child.prop, options_);
+      Built child = BuildNode(f.children[0], plan, region_ctrs);
+      UnaryDecision d = DecideSort(node, child.prop, options_);
       const double sort_cost =
           d.alg == PhysicalAlg::kElidedSort
               ? 0.0
-              : SortCostFor(model, node->card, node->schema);
+              : SortCostFor(model, f.card, node.schema);
       if (d.alg == PhysicalAlg::kSort) ++plan->explicit_sorts_;
       if (pre_parallel_sort && parallel_sort_for(child.prop)) {
         child = SplitRegion(std::move(child), region_ctrs,
@@ -1234,26 +1259,26 @@ Planner::Built Planner::BuildOpen(LogicalNode* node, PhysicalPlan* plan,
     }
 
     case LogicalOp::kTopK: {
-      Built child = BuildNode(node->children[0].get(), plan, ctrs);
-      UnaryDecision d = DecideTopK(*node, child.prop, options_);
+      Built child = BuildNode(f.children[0], plan, ctrs);
+      UnaryDecision d = DecideTopK(node, child.prop, options_);
       Operator* input = child.op;
       if (d.sort_child) {
-        child = InsertSort(std::move(child), node->children[0].get(), plan,
+        child = InsertSort(std::move(child), f.children[0], plan,
                            ctrs);
         input = child.op;
       }
       const Meter m = NewMeter(plan, ctrs);
       result.op = Wrap(
-          plan, plan->Own(std::make_unique<LimitOperator>(input, node->limit)),
+          plan, plan->Own(std::make_unique<LimitOperator>(input, node.limit)),
           m);
       result.prop = d.out;
       result.est = {out_rows, child.est.cost + model.Limit(out_rows)};
       plan->RecordAlg(PhysicalAlg::kLimit, result.est);
       explain = ExplainLine(PhysicalAlg::kLimit, result.prop,
-                            "k=" + std::to_string(node->limit), result.est) +
+                            "k=" + std::to_string(node.limit), result.est) +
                 IndentBlock(child.explain);
       SetProfileLine(plan, m, PhysicalAlg::kLimit,
-                     "k=" + std::to_string(node->limit), result.prop,
+                     "k=" + std::to_string(node.limit), result.prop,
                      result.est, {child.pnode});
       result.pnode = m.node;
       break;
@@ -1262,20 +1287,20 @@ Planner::Built Planner::BuildOpen(LogicalNode* node, PhysicalPlan* plan,
     case LogicalOp::kLimit: {
       // A bare limit (no order requested): truncate the child's stream in
       // whatever order it arrives, passing order and codes through.
-      Built child = BuildNode(node->children[0].get(), plan, ctrs);
+      Built child = BuildNode(f.children[0], plan, ctrs);
       const Meter m = NewMeter(plan, ctrs);
       result.op = Wrap(plan,
                        plan->Own(std::make_unique<LimitOperator>(
-                           child.op, node->limit)),
+                           child.op, node.limit)),
                        m);
       result.prop = child.prop;
       result.est = {out_rows, child.est.cost + model.Limit(out_rows)};
       plan->RecordAlg(PhysicalAlg::kLimit, result.est);
       explain = ExplainLine(PhysicalAlg::kLimit, result.prop,
-                            "k=" + std::to_string(node->limit), result.est) +
+                            "k=" + std::to_string(node.limit), result.est) +
                 IndentBlock(child.explain);
       SetProfileLine(plan, m, PhysicalAlg::kLimit,
-                     "k=" + std::to_string(node->limit), result.prop,
+                     "k=" + std::to_string(node.limit), result.prop,
                      result.est, {child.pnode});
       result.pnode = m.node;
       break;

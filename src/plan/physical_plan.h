@@ -1,8 +1,12 @@
 // Physical planning: from a logical plan to an executable operator tree.
 //
-// The planner walks the logical tree bottom-up, tracking each subtree's
-// OrderProperty, and picks physical algorithms by matching available
-// properties against required ones:
+// The planner never writes the logical tree. One analysis pass
+// (AnalyzePlan) first gathers what each node's decision needs into a facts
+// tree that lives for one Plan call: the order the parent could exploit
+// (interesting orders, top-down), the estimated cardinality and the order
+// property the decision rules will deliver (both bottom-up). The planner
+// then walks the tree again, building operators, and picks physical
+// algorithms by matching available properties against required ones:
 //
 //  * A Sort node whose input is already sorted with offset-value codes is
 //    *elided* -- the paper's headline planner win: order and codes flowing
@@ -161,6 +165,30 @@ struct PlannerOptions {
   bool profile = false;
 };
 
+/// What the planner knows about one logical node before it picks the
+/// node's algorithm. The facts tree mirrors the logical tree node for node.
+struct PlanFacts {
+  /// The logical node these facts describe.
+  const LogicalNode* node = nullptr;
+  /// Interesting order: what the node's parent could exploit (join keys
+  /// for joins, grouping prefixes for aggregations, full keys for distinct,
+  /// set operations and sorts; passed through filters, limits and
+  /// key-preserving projections).
+  OrderRequirement required = OrderRequirement::None();
+  /// Estimated output cardinality.
+  CardEstimate card;
+  /// Order property the planner's decision rules deliver for the subtree.
+  OrderProperty order = OrderProperty::Unsorted();
+  /// Facts of node->children, in the same order.
+  std::vector<PlanFacts> children;
+};
+
+/// The planner's one analysis pass: requirements flow down from the root,
+/// then each node's cardinality (EstimateCardinality) and order property
+/// (the same decision rules Planner::Plan applies) are computed from its
+/// children's on the way up. Pure: reads `root` and writes nothing into it.
+PlanFacts AnalyzePlan(const LogicalNode& root, const PlannerOptions& options);
+
 /// An executable physical plan: owns its operator tree.
 class PhysicalPlan {
  public:
@@ -296,10 +324,11 @@ class Planner {
   Planner(QueryCounters* counters, TempFileManager* temp,
           PlannerOptions options = PlannerOptions());
 
-  /// Runs the interesting-orders pass over `root`, then builds the
-  /// physical operator tree. `root` (and the storage behind its scans)
+  /// Analyzes `root` (AnalyzePlan), then builds the physical operator
+  /// tree. Reads `root` only, so threads may plan one tree concurrently,
+  /// each with its own Planner. `root` (and the storage behind its scans)
   /// must outlive the returned plan.
-  PhysicalPlan Plan(LogicalNode* root);
+  PhysicalPlan Plan(const LogicalNode* root);
 
   const PlannerOptions& options() const { return options_; }
 
@@ -357,7 +386,7 @@ class Planner {
                       const std::vector<int>& children,
                       const std::string& table = std::string());
 
-  /// Builds `node`'s subtree as one stream: an open exchange region the
+  /// Builds `f.node`'s subtree as one stream: an open exchange region the
   /// subtree ends in is closed with a merging exchange metered by `ctrs`.
   ///
   /// `ctrs` is the counters instance for operators this subtree constructs
@@ -365,22 +394,23 @@ class Planner {
   /// parallel region (everything below a splitting exchange executes on
   /// whichever producer thread pumps the split, so it must never share the
   /// consumer thread's counters).
-  Built BuildNode(LogicalNode* node, PhysicalPlan* plan, QueryCounters* ctrs);
+  Built BuildNode(const PlanFacts& f, PhysicalPlan* plan, QueryCounters* ctrs);
   /// BuildNode without the final close: a parallel merge join, sort or
   /// aggregate returns its region open, so a co-partitioned aggregate can
   /// append its own per-worker operator. An open result does not use
   /// `ctrs`; whoever closes the region passes its own.
-  Built BuildOpen(LogicalNode* node, PhysicalPlan* plan, QueryCounters* ctrs);
+  Built BuildOpen(const PlanFacts& f, PhysicalPlan* plan, QueryCounters* ctrs);
   /// The seek below `filter` (a filter with a key range over a seekable
   /// scan): a scan of the range only, estimated at the range's rows.
-  Built BuildRangeScan(const LogicalNode& filter, PhysicalPlan* plan,
+  Built BuildRangeScan(const PlanFacts& filter, PhysicalPlan* plan,
                        QueryCounters* ctrs);
   /// Sorts `child` with a planner-inserted SortOperator metered by `ctrs`,
   /// or, when `child` is an open region, with one per worker, each
   /// charging its worker's counters and producing its partition's codes.
   /// Either way it counts as one inserted sort. `logical_child` provides
-  /// the cardinality estimate for the sort's cost annotation.
-  Built InsertSort(Built child, const LogicalNode* logical_child,
+  /// the schema and the cardinality estimate for the sort's cost
+  /// annotation.
+  Built InsertSort(Built child, const PlanFacts& logical_child,
                    PhysicalPlan* plan, QueryCounters* ctrs);
 
   /// True when exchange-parallel shapes are enabled and usable.
@@ -428,14 +458,6 @@ class Planner {
   /// the per-node EXPLAIN annotations.
   CostModel cost_model_;
 };
-
-/// Pure order-property inference: the property the planner's chosen
-/// physical plan will deliver for `node`, computed without constructing any
-/// operator. Requirement annotations must be in place (the function runs
-/// the same decision rules as Planner::Plan; a freshly built tree should
-/// first pass through InferOrderRequirements).
-OrderProperty InferOrderProperty(const LogicalNode& node,
-                                 const PlannerOptions& options);
 
 }  // namespace ovc::plan
 

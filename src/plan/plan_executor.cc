@@ -12,17 +12,17 @@ PlanExecutor::PlanExecutor(QueryCounters* counters, TempFileManager* temp,
                            Options options)
     : counters_(counters), temp_(temp), options_(std::move(options)) {}
 
-PhysicalPlan PlanExecutor::Plan(LogicalNode* root) {
+PhysicalPlan PlanExecutor::Plan(const LogicalNode* root) {
   return Plan(root, options_.planner);
 }
 
-PhysicalPlan PlanExecutor::Plan(LogicalNode* root,
+PhysicalPlan PlanExecutor::Plan(const LogicalNode* root,
                                 const PlannerOptions& planner_options) {
   Planner planner(counters_, temp_, planner_options);
   return planner.Plan(root);
 }
 
-ExecutionResult PlanExecutor::Run(LogicalNode* root) {
+ExecutionResult PlanExecutor::Run(const LogicalNode* root) {
   last_plan_ = std::make_unique<PhysicalPlan>(Plan(root));
   return Run(last_plan_.get());
 }

@@ -73,20 +73,22 @@ class PlanExecutor {
                Options options);
 
   /// Plans `root` and returns the physical plan without running it.
-  PhysicalPlan Plan(LogicalNode* root);
+  /// Planning reads `root` only (see Planner::Plan).
+  PhysicalPlan Plan(const LogicalNode* root);
 
   /// Same, with one-off planner options (how EXPLAIN ANALYZE turns on
   /// PlannerOptions::profile for a single statement).
-  PhysicalPlan Plan(LogicalNode* root, const PlannerOptions& planner_options);
+  PhysicalPlan Plan(const LogicalNode* root,
+                    const PlannerOptions& planner_options);
 
   /// Plans and runs `root`; materializes the full output. The logical plan
   /// (and the storage behind its scans) must stay alive for the call.
-  ExecutionResult Run(LogicalNode* root);
+  ExecutionResult Run(const LogicalNode* root);
 
   /// Runs an already-built physical plan.
   ExecutionResult Run(PhysicalPlan* plan);
 
-  /// The physical plan of the most recent Run(LogicalNode*) call.
+  /// The physical plan of the most recent Run(const LogicalNode*) call.
   const PhysicalPlan* last_plan() const { return last_plan_.get(); }
 
   const Options& options() const { return options_; }

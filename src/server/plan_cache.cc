@@ -26,17 +26,23 @@ metrics::Counter& CacheEvictions() {
                             "Plan-cache entries evicted by LRU pressure");
 }
 
+/// The cache key of a tokenized statement (see NormalizeSql).
+std::string KeyOf(const std::vector<sql::Token>& tokens) {
+  std::string key;
+  for (const sql::Token& token : tokens) {
+    if (token.type == sql::TokenType::kEnd) break;
+    if (!key.empty()) key.push_back(' ');
+    key.append(token.normalized);
+  }
+  return key;
+}
+
 }  // namespace
 
 bool NormalizeSql(std::string_view sql, std::string* normalized) {
   sql::SqlResult<std::vector<sql::Token>> tokens = sql::Tokenize(sql);
   if (!tokens.ok()) return false;
-  normalized->clear();
-  for (const sql::Token& token : tokens.value()) {
-    if (token.type == sql::TokenType::kEnd) break;
-    if (!normalized->empty()) normalized->push_back(' ');
-    normalized->append(token.normalized);
-  }
+  *normalized = KeyOf(tokens.value());
   return true;
 }
 
@@ -45,34 +51,33 @@ PlanCache::PlanCache(size_t capacity) : capacity_(capacity) {}
 PlanCache::Lookup PlanCache::GetOrBind(std::string_view sql,
                                        const sql::Catalog* catalog) {
   Lookup result;
-  std::string key;
-  if (!NormalizeSql(sql, &key)) {
-    // Does not lex; fall through to Prepare for the real diagnostic.
+  sql::SqlResult<std::vector<sql::Token>> tokens = sql::Tokenize(sql);
+  // A statement that does not lex falls through to Prepare for the real
+  // diagnostic. EXPLAIN [ANALYZE] output depends on per-execution planner
+  // state (profiling); it stays on the uncached Prepare path too.
+  if (!tokens.ok() || tokens.value().front().IsKeyword("EXPLAIN")) {
     result.cacheable = false;
     return result;
   }
+  std::string key = KeyOf(tokens.value());
   MutexLock lock(mu_);
   auto it = entries_.find(key);
   if (it != entries_.end()) {
     lru_.splice(lru_.begin(), lru_, it->second.lru_pos);
-    result.entry = it->second.entry;
+    result.bound = it->second.bound;
     result.hit = true;
     hits_.fetch_add(1, std::memory_order_relaxed);
     CacheHits().Increment();
     return result;
   }
 
-  // Miss: parse + bind under the lock (microseconds; see header).
-  sql::SqlResult<sql::Statement> stmt = sql::ParseStatement(sql);
+  // Miss: parse the key's tokens + bind under the lock (microseconds; see
+  // header).
+  sql::SqlResult<sql::Statement> stmt =
+      sql::ParseTokens(std::move(tokens).value());
   if (!stmt.ok()) {
     result.has_error = true;
     result.error = stmt.error();
-    return result;
-  }
-  if (stmt.value().explain) {
-    // EXPLAIN [ANALYZE] output depends on per-execution planner state
-    // (profiling); it stays on the uncached Prepare path.
-    result.cacheable = false;
     return result;
   }
   sql::Binder binder(catalog);
@@ -85,12 +90,12 @@ PlanCache::Lookup PlanCache::GetOrBind(std::string_view sql,
 
   misses_.fetch_add(1, std::memory_order_relaxed);
   CacheMisses().Increment();
-  result.entry = std::make_shared<Entry>();
-  result.entry->bound = std::move(bound).value();
+  result.bound =
+      std::make_shared<const sql::BoundQuery>(std::move(bound).value());
   if (capacity_ == 0) return result;  // cache disabled: hand out, don't keep
 
   lru_.push_front(key);
-  entries_[std::move(key)] = Slot{result.entry, lru_.begin()};
+  entries_[std::move(key)] = Slot{result.bound, lru_.begin()};
   while (entries_.size() > capacity_) {
     entries_.erase(lru_.back());
     lru_.pop_back();

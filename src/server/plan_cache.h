@@ -1,26 +1,24 @@
 // Process-wide prepared-plan cache for the ovcd server.
 //
-// Caching happens at the *bound* level: an entry owns the BoundQuery
+// Caching happens at the *bound* level: an entry is the BoundQuery
 // (logical plan + output columns) produced by parse + bind, which is the
 // text-processing cost worth amortizing. Physical planning is NOT cached
 // -- each execution re-runs the planner against the shared logical tree
 // via SqlSession::Instantiate, which binds fresh operators to the calling
 // session's counters and temp-file manager. That split is what lets two
 // clients run the same cached statement concurrently: planning is
-// microseconds, and the resulting PhysicalPlans share nothing mutable but
-// the logical tree they point into.
-//
-// The planner annotates that shared logical tree in place (order
-// requirements), so Instantiate calls against one entry must hold the
-// entry's plan_mu. Execution of the instantiated plans needs no lock.
+// microseconds and only reads the shared tree, so neither planning nor
+// execution takes a lock on it.
 //
 // Keying: the normalized statement text (lowercased identifiers,
 // canonical keywords, comments and whitespace collapsed -- see
 // NormalizeSql), so `SELECT a FROM t` and `select  A from t -- x` share
 // one entry. Planner options never reach binding, so they are not part of
 // the key.
-// EXPLAIN [ANALYZE] statements and statements that fail to parse or bind
-// are not cached.
+// A statement is tokenized once: the key is built from its tokens, and a
+// miss parses those same tokens. EXPLAIN [ANALYZE] statements (known by
+// their first token) and statements that fail to parse or bind are not
+// cached.
 //
 // The catalog is frozen while a server runs (tables are registered before
 // Serve), so entries never need invalidation; Clear() exists for tests
@@ -51,30 +49,21 @@ bool NormalizeSql(std::string_view sql, std::string* normalized);
 
 class PlanCache {
  public:
-  /// One cached statement. Shared out so an entry evicted mid-use stays
-  /// alive until every borrowing session drops it.
-  struct Entry {
-    sql::BoundQuery bound;
-    /// Serializes SqlSession::Instantiate calls over `bound` (physical
-    /// planning annotates the shared logical tree in place). Never held
-    /// during execution.
-    Mutex plan_mu;
-  };
-
   /// `capacity` 0 disables caching entirely (every lookup misses and
   /// nothing is stored) -- the cold-cache benchmark configuration.
   explicit PlanCache(size_t capacity);
 
   struct Lookup {
     /// Set when the statement is cacheable and parse + bind succeeded
-    /// (whether found or just inserted).
-    std::shared_ptr<Entry> entry;
+    /// (whether found or just inserted). Shared out so an entry evicted
+    /// mid-use stays alive until every borrowing session drops it.
+    std::shared_ptr<const sql::BoundQuery> bound;
     bool hit = false;
     /// False for EXPLAIN [ANALYZE] statements and statements that fail
     /// to lex: the caller falls back to SqlSession::Prepare.
     bool cacheable = true;
     /// Parse / bind failure of a cacheable statement, reported with the
-    /// source position; `entry` is null and nothing was cached.
+    /// source position; `bound` is null and nothing was cached.
     bool has_error = false;
     sql::SqlError error;
   };
@@ -102,7 +91,7 @@ class PlanCache {
 
  private:
   struct Slot {
-    std::shared_ptr<Entry> entry;
+    std::shared_ptr<const sql::BoundQuery> bound;
     /// Position in lru_ (front = most recently used).
     std::list<std::string>::iterator lru_pos;
   };

@@ -76,7 +76,7 @@ class ServerSession {
     /// Keeps a cached entry alive (and its logical tree valid) while this
     /// statement handle references plans pointing into it. Null for
     /// uncacheable statements (EXPLAIN).
-    std::shared_ptr<PlanCache::Entry> cache_entry;
+    std::shared_ptr<const sql::BoundQuery> cached;
     std::unique_ptr<sql::PreparedQuery> prepared;
   };
 
@@ -125,11 +125,8 @@ class ServerSession {
     }
 
     std::unique_ptr<sql::PreparedQuery> prepared;
-    if (lookup.entry != nullptr) {
-      // Physical planning annotates the shared logical tree; serialize it
-      // per entry. Execution below runs lock-free against other sessions.
-      MutexLock plan_lock(lookup.entry->plan_mu);
-      prepared = session_.Instantiate(&lookup.entry->bound);
+    if (lookup.bound != nullptr) {
+      prepared = session_.Instantiate(*lookup.bound);
     } else {
       sql::SqlResult<std::unique_ptr<sql::PreparedQuery>> result =
           session_.Prepare(sql);
@@ -153,10 +150,9 @@ class ServerSession {
       return SendError(lookup.error);
     }
     PreparedSlot slot;
-    if (lookup.entry != nullptr) {
-      MutexLock plan_lock(lookup.entry->plan_mu);
-      slot.prepared = session_.Instantiate(&lookup.entry->bound);
-      slot.cache_entry = std::move(lookup.entry);
+    if (lookup.bound != nullptr) {
+      slot.prepared = session_.Instantiate(*lookup.bound);
+      slot.cached = std::move(lookup.bound);
     } else {
       sql::SqlResult<std::unique_ptr<sql::PreparedQuery>> result =
           session_.Prepare(sql);

@@ -290,7 +290,11 @@ class Parser {
 SqlResult<Statement> ParseStatement(std::string_view sql) {
   SqlResult<std::vector<Token>> tokens = Tokenize(sql);
   if (!tokens.ok()) return tokens.error();
-  Parser parser(std::move(tokens).value());
+  return ParseTokens(std::move(tokens).value());
+}
+
+SqlResult<Statement> ParseTokens(std::vector<Token> tokens) {
+  Parser parser(std::move(tokens));
   Statement stmt;
   if (!parser.ParseStatement(&stmt)) return parser.error();
   if (!parser.ExpectEnd()) return parser.error();

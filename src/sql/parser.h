@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "sql/ast.h"
+#include "sql/lexer.h"
 #include "sql/sql_error.h"
 
 namespace ovc::sql {
@@ -16,6 +17,10 @@ namespace ovc::sql {
 /// Parses exactly one statement (a trailing ';' is allowed). Fails on
 /// trailing input past the statement.
 SqlResult<Statement> ParseStatement(std::string_view sql);
+
+/// ParseStatement over the tokens Tokenize returned for the statement, for
+/// callers that already tokenized it. Error positions are the same.
+SqlResult<Statement> ParseTokens(std::vector<Token> tokens);
 
 /// Parses a ';'-separated script into its statements. Empty statements
 /// (stray semicolons) are skipped.

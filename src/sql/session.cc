@@ -27,16 +27,17 @@ SqlSession::SqlSession(const Catalog* catalog, Options options,
       temp_(parent_temp),
       executor_(&counters_, &temp_, options) {}
 
-std::unique_ptr<PreparedQuery> SqlSession::Instantiate(BoundQuery* bound) {
+std::unique_ptr<PreparedQuery> SqlSession::Instantiate(
+    const BoundQuery& bound) {
   auto prepared = std::make_unique<PreparedQuery>();
-  prepared->columns = bound->columns;
+  prepared->columns = bound.columns;
   // prepared->bound stays empty: the shared BoundQuery owns the logical
   // tree and the predicates this plan's operators point into; the caller
-  // keeps it alive (the plan cache hands out shared_ptr entries).
+  // keeps it alive (the plan cache hands out shared_ptrs to it).
   {
     OVC_TRACE_SPAN("sql.plan");
     prepared->physical = std::make_unique<plan::PhysicalPlan>(
-        executor_.Plan(bound->plan.get()));
+        executor_.Plan(bound.plan.get()));
   }
   return prepared;
 }

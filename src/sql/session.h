@@ -100,11 +100,10 @@ class SqlSession {
   /// session's counters and spill into *this* session's temp files --
   /// the step that lets many sessions run one cached bound plan
   /// concurrently, each through its own instantiation. Skips parse and
-  /// bind entirely. `bound` must outlive the returned query, and because
-  /// planning annotates the shared logical tree in place, concurrent
-  /// Instantiate calls over the same BoundQuery must be serialized
-  /// externally (the plan cache's per-entry mutex does exactly that).
-  std::unique_ptr<PreparedQuery> Instantiate(BoundQuery* bound);
+  /// bind entirely. Planning only reads `bound`, so sessions may
+  /// instantiate one BoundQuery at the same time without a lock. `bound`
+  /// must outlive the returned query.
+  std::unique_ptr<PreparedQuery> Instantiate(const BoundQuery& bound);
 
   /// Physical plan text for one statement (EXPLAIN prefix optional).
   SqlResult<std::string> Explain(std::string_view sql);

@@ -24,7 +24,7 @@
 namespace ovc {
 namespace {
 
-using plan::AnnotateCardinalities;
+using plan::AnalyzePlan;
 using plan::BufferSource;
 using plan::CardEstimate;
 using plan::CostConstants;
@@ -86,23 +86,23 @@ TEST_F(CostModelTest, ScanCardinalityComesFromStats) {
   RowBuffer table = testing::MakeTable(schema, 600, 4, /*seed=*/1);
   auto logical =
       PlanBuilder::Scan(StatsSource("t", &schema, &table, 4.0)).Build();
-  AnnotateCardinalities(logical.get(), CostConstants::Calibrated());
+  const CardEstimate card = AnalyzePlan(*logical, PlannerOptions()).card;
 
-  EXPECT_DOUBLE_EQ(logical->card.rows, 600.0);
-  EXPECT_DOUBLE_EQ(logical->card.DistinctPrefix(1), 4.0);
-  EXPECT_DOUBLE_EQ(logical->card.DistinctPrefix(2), 16.0);
+  EXPECT_DOUBLE_EQ(card.rows, 600.0);
+  EXPECT_DOUBLE_EQ(card.DistinctPrefix(1), 4.0);
+  EXPECT_DOUBLE_EQ(card.DistinctPrefix(2), 16.0);
 }
 
 TEST_F(CostModelTest, ScanCardinalityDefaultsWithoutStats) {
   Schema schema(1, 0);
   RowBuffer table = testing::MakeTable(schema, 1000, 10, /*seed=*/1);
   auto logical = PlanBuilder::Scan(BufferSource("t", &schema, &table)).Build();
-  AnnotateCardinalities(logical.get(), CostConstants::Calibrated());
+  const CardEstimate card = AnalyzePlan(*logical, PlannerOptions()).card;
 
   // Row count comes from the buffer even without explicit statistics;
   // distinct falls back to rows^(2/3).
-  EXPECT_DOUBLE_EQ(logical->card.rows, 1000.0);
-  EXPECT_NEAR(logical->card.DistinctPrefix(1), 100.0, 1.0);
+  EXPECT_DOUBLE_EQ(card.rows, 1000.0);
+  EXPECT_NEAR(card.DistinctPrefix(1), 100.0, 1.0);
 }
 
 TEST_F(CostModelTest, FilterJoinAggregatePropagation) {
@@ -117,17 +117,19 @@ TEST_F(CostModelTest, FilterJoinAggregatePropagation) {
           .Aggregate(1, {{AggFn::kCount, 0}})
           .Build();
   const CostConstants c = CostConstants::Calibrated();
-  AnnotateCardinalities(logical.get(), c);
+  PlannerOptions options;
+  options.cost_constants = c;
+  const plan::PlanFacts facts = AnalyzePlan(*logical, options);
 
-  const LogicalNode* aggregate = logical.get();
-  const LogicalNode* join = aggregate->children[0].get();
-  const LogicalNode* filter = join->children[0].get();
+  const plan::PlanFacts& aggregate = facts;
+  const plan::PlanFacts& join = aggregate.children[0];
+  const plan::PlanFacts& filter = join.children[0];
 
-  EXPECT_DOUBLE_EQ(filter->card.rows, 1000.0 * c.filter_selectivity);
+  EXPECT_DOUBLE_EQ(filter.card.rows, 1000.0 * c.filter_selectivity);
   // Equi-join estimate: |L| * |R| / max(d_l, d_r).
-  EXPECT_NEAR(join->card.rows, filter->card.rows * 200.0 / 50.0, 1e-6);
+  EXPECT_NEAR(join.card.rows, filter.card.rows * 200.0 / 50.0, 1e-6);
   // The aggregate's output is the distinct grouping prefix.
-  EXPECT_NEAR(aggregate->card.rows, 50.0, 1e-6);
+  EXPECT_NEAR(aggregate.card.rows, 50.0, 1e-6);
 }
 
 TEST_F(CostModelTest, LimitCapsCardinality) {
@@ -136,8 +138,7 @@ TEST_F(CostModelTest, LimitCapsCardinality) {
   auto logical = PlanBuilder::Scan(StatsSource("t", &schema, &table, 16.0))
                      .Limit(7)
                      .Build();
-  AnnotateCardinalities(logical.get(), CostConstants::Calibrated());
-  EXPECT_DOUBLE_EQ(logical->card.rows, 7.0);
+  EXPECT_DOUBLE_EQ(AnalyzePlan(*logical, PlannerOptions()).card.rows, 7.0);
 }
 
 /// The served point-lookup table: 50,000 rows sorted on k, 5,000 distinct
@@ -155,15 +156,18 @@ class KeyRangeEstimateTest : public CostModelTest {
                   .ok());
   }
 
-  /// The bound plan of `sql` with cardinalities annotated.
+  /// The bound plan of `sql`.
   std::unique_ptr<LogicalNode> Bind(const std::string& sql) {
     auto stmt = sql::ParseStatement(sql);
     EXPECT_TRUE(stmt.ok()) << sql;
     auto bound = sql::Binder(&catalog_).Bind(stmt.value().select);
     EXPECT_TRUE(bound.ok()) << sql;
-    std::unique_ptr<LogicalNode> root = std::move(bound.value().plan);
-    AnnotateCardinalities(root.get(), CostConstants::Calibrated());
-    return root;
+    return std::move(bound.value().plan);
+  }
+
+  /// The cardinality the planner's analysis estimates for `sql`'s root.
+  CardEstimate Estimate(const std::string& sql) {
+    return AnalyzePlan(*Bind(sql), PlannerOptions()).card;
   }
 
   sql::Catalog catalog_;
@@ -173,8 +177,9 @@ TEST_F(KeyRangeEstimateTest, EqualityOnTheKeyUsesKeyDistinct) {
   // rows / key_distinct[0] = 50,000 / 5,000 -- not 50,000 x 0.33.
   auto logical = Bind("SELECT * FROM events WHERE k = 17");
   ASSERT_EQ(logical->op, plan::LogicalOp::kFilter);
-  EXPECT_NEAR(logical->card.rows, 10.0, 0.01);
-  EXPECT_DOUBLE_EQ(logical->card.DistinctPrefix(1), 1.0);
+  const CardEstimate card = AnalyzePlan(*logical, PlannerOptions()).card;
+  EXPECT_NEAR(card.rows, 10.0, 0.01);
+  EXPECT_DOUBLE_EQ(card.DistinctPrefix(1), 1.0);
   // The range scan's EXPLAIN line carries the range estimate.
   PhysicalPlan plan = Plan(logical.get());
   const std::string text = plan.ToString();
@@ -185,22 +190,22 @@ TEST_F(KeyRangeEstimateTest, EqualityOnTheKeyUsesKeyDistinct) {
 
 TEST_F(KeyRangeEstimateTest, RangeOnColumnZeroInterpolatesBetweenKeyBounds) {
   // 500 of 5,000 key values: a tenth of the table.
-  EXPECT_NEAR(Bind("SELECT * FROM events WHERE k < 500")->card.rows, 5000.0,
+  EXPECT_NEAR(Estimate("SELECT * FROM events WHERE k < 500").rows, 5000.0,
               0.01);
   EXPECT_NEAR(
-      Bind("SELECT * FROM events WHERE k >= 4000 AND k <= 4999")->card.rows,
+      Estimate("SELECT * FROM events WHERE k >= 4000 AND k <= 4999").rows,
       10000.0, 0.01);
   // Past the last key: nothing to interpolate, the one-row floor.
-  EXPECT_DOUBLE_EQ(Bind("SELECT * FROM events WHERE k > 9000")->card.rows,
+  EXPECT_DOUBLE_EQ(Estimate("SELECT * FROM events WHERE k > 9000").rows,
                    1.0);
 }
 
 TEST_F(KeyRangeEstimateTest, OpaqueConjunctsKeepFilterSelectivity) {
   const CostConstants c = CostConstants::Calibrated();
-  EXPECT_NEAR(Bind("SELECT * FROM events WHERE v = 17")->card.rows,
+  EXPECT_NEAR(Estimate("SELECT * FROM events WHERE v = 17").rows,
               50000.0 * c.filter_selectivity, 1e-6);
   // A residual conjunct beside the range multiplies in the default.
-  EXPECT_NEAR(Bind("SELECT * FROM events WHERE k = 17 AND v > 3")->card.rows,
+  EXPECT_NEAR(Estimate("SELECT * FROM events WHERE k = 17 AND v > 3").rows,
               10.0 * c.filter_selectivity, 0.01);
 }
 
@@ -445,7 +450,7 @@ TEST_F(CostModelTest, TinyHashBudgetFlipsJoinToSortMergeAndMeasurementAgrees) {
   const CostModel model(exec_options.planner.cost_constants,
                         exec_options.planner.sort_config,
                         exec_options.planner.hash_memory_rows);
-  const double out_rows = logical_a->card.rows;
+  const double out_rows = sort_exec.last_plan()->root_estimate().rows;
   const double est_grace =
       2 * model.Scan(20000.0) +
       model.GraceHashJoin(20000.0, 20000.0, out_rows, schema.total_columns(),

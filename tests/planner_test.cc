@@ -4,6 +4,7 @@
 
 #include <memory>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -12,15 +13,18 @@
 #include "plan/logical_plan.h"
 #include "plan/order_property.h"
 #include "plan/physical_plan.h"
+#include "sql/binder.h"
+#include "sql/catalog.h"
+#include "sql/parser.h"
 #include "storage/btree.h"
 #include "tests/test_util.h"
 
 namespace ovc {
 namespace {
 
+using plan::AnalyzePlan;
 using plan::BufferSource;
 using plan::BTreeSource;
-using plan::InferOrderProperty;
 using plan::LogicalNode;
 using plan::LogicalOp;
 using plan::OrderProperty;
@@ -28,6 +32,7 @@ using plan::OrderRequirement;
 using plan::PhysicalAlg;
 using plan::PhysicalPlan;
 using plan::PlanBuilder;
+using plan::PlanFacts;
 using plan::Planner;
 using plan::PlannerOptions;
 using testing::RowVec;
@@ -84,8 +89,8 @@ TEST_F(PlannerTest, ScanPropertiesComeFromTheSource) {
       PlanBuilder::Scan(BufferSource("t", &schema_, &table_)).Build();
   auto sorted = PlanBuilder::Scan(BTreeSource("bt", &tree_)).Build();
 
-  EXPECT_EQ(InferOrderProperty(*unsorted, {}), OrderProperty::Unsorted());
-  EXPECT_EQ(InferOrderProperty(*sorted, {}),
+  EXPECT_EQ(AnalyzePlan(*unsorted, {}).order, OrderProperty::Unsorted());
+  EXPECT_EQ(AnalyzePlan(*sorted, {}).order,
             OrderProperty::Sorted(2, /*ovc=*/true));
 }
 
@@ -372,20 +377,21 @@ TEST_F(PlannerTest, RequirementAnnotationsFollowInterestingOrders) {
                      .Aggregate(1, {{AggFn::kCount, 0}})
                      .Distinct()
                      .Build();
-  plan::InferOrderRequirements(logical.get());
+  const PlanFacts facts = AnalyzePlan(*logical, PlannerOptions());
 
-  const LogicalNode* distinct = logical.get();
-  const LogicalNode* aggregate = distinct->children[0].get();
-  const LogicalNode* filter = aggregate->children[0].get();
-  const LogicalNode* scan = filter->children[0].get();
+  const PlanFacts& distinct = facts;
+  const PlanFacts& aggregate = distinct.children[0];
+  const PlanFacts& filter = aggregate.children[0];
+  const PlanFacts& scan = filter.children[0];
+  EXPECT_EQ(scan.node, logical->children[0]->children[0]->children[0].get());
 
   // Distinct wants its child sorted with codes on the aggregate's full key.
-  EXPECT_EQ(aggregate->required.prefix, 1u);
-  EXPECT_TRUE(aggregate->required.needs_ovc);
+  EXPECT_EQ(aggregate.required.prefix, 1u);
+  EXPECT_TRUE(aggregate.required.needs_ovc);
   // The aggregation wants its child ordered on the grouping prefix, and
   // the filter passes that wish through to the scan.
-  EXPECT_EQ(filter->required.prefix, 1u);
-  EXPECT_EQ(scan->required.prefix, 1u);
+  EXPECT_EQ(filter.required.prefix, 1u);
+  EXPECT_EQ(scan.required.prefix, 1u);
 }
 
 TEST_F(PlannerTest, InferenceMatchesConstructedPlans) {
@@ -409,7 +415,7 @@ TEST_F(PlannerTest, InferenceMatchesConstructedPlans) {
             .Build());
     for (auto& logical : plans) {
       PhysicalPlan plan = Plan(logical.get(), options);
-      EXPECT_EQ(InferOrderProperty(*logical, options), plan.root_order())
+      EXPECT_EQ(AnalyzePlan(*logical, options).order, plan.root_order())
           << plan.ToString();
     }
   };
@@ -429,6 +435,85 @@ TEST_F(PlannerTest, ExplainMentionsChosenAlgorithms) {
   EXPECT_NE(text.find("in-stream-aggregate"), std::string::npos) << text;
   EXPECT_NE(text.find("elided-sort"), std::string::npos) << text;
   EXPECT_NE(text.find("bt"), std::string::npos) << text;
+}
+
+// Planning only reads the logical tree: threads that plan one shared bound
+// tree at once, each with its own counters and temp files and no lock, get
+// the plans sequential planning gets. The trees reach both scan factories
+// of the SQL catalog and the run's seek factory. A race here shows under
+// TSan.
+TEST(PlannerConcurrencyTest, ThreadsPlanOneSharedTreeWithoutALock) {
+  sql::Catalog catalog;
+  sql::Catalog::GeneratedSpec spec;
+  spec.distinct_per_column = 100;
+  spec.seed = 1;
+  ASSERT_TRUE(catalog
+                  .RegisterGenerated("lineitem", {"orderkey", "qty"},
+                                     Schema(1, 1), 2000, spec)
+                  .ok());
+  spec.seed = 2;
+  spec.sorted = true;
+  ASSERT_TRUE(catalog
+                  .RegisterGenerated("orders", {"orderkey", "custkey"},
+                                     Schema(1, 1), 500, spec)
+                  .ok());
+  const char* const kSql[2] = {
+      "SELECT o.orderkey, COUNT(*) AS n, SUM(l.qty) AS total "
+      "FROM orders o INNER JOIN lineitem l ON o.orderkey = l.orderkey "
+      "GROUP BY o.orderkey ORDER BY o.orderkey",
+      "SELECT orderkey, custkey FROM orders WHERE orderkey = 17"};
+  std::vector<sql::BoundQuery> bound;
+  for (const char* text : kSql) {
+    auto stmt = sql::ParseStatement(text);
+    ASSERT_TRUE(stmt.ok()) << text;
+    auto query = sql::Binder(&catalog).Bind(stmt.value().select);
+    ASSERT_TRUE(query.ok()) << text;
+    bound.push_back(std::move(query).value());
+  }
+
+  // reference[q][o]: statement q planned sequentially under options[o].
+  PlannerOptions options[2];
+  options[1].parallelism = 4;
+  std::string reference[2][2];
+  for (int q = 0; q < 2; ++q) {
+    for (int o = 0; o < 2; ++o) {
+      QueryCounters counters;
+      TempFileManager temp;
+      reference[q][o] = Planner(&counters, &temp, options[o])
+                            .Plan(bound[q].plan.get())
+                            .ToString();
+    }
+  }
+  ASSERT_EQ(reference[0][0].find("merge-exchange"), std::string::npos)
+      << reference[0][0];
+  ASSERT_NE(reference[0][1].find("merge-exchange"), std::string::npos)
+      << reference[0][1];
+  ASSERT_NE(reference[1][0].find("scan(orders range orderkey = 17)"),
+            std::string::npos)
+      << reference[1][0];
+
+  constexpr int kThreads = 4;
+  constexpr int kPlansPerThread = 50;
+  std::vector<int> mismatches(kThreads, 0);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      QueryCounters counters;
+      TempFileManager temp;
+      for (int i = 0; i < kPlansPerThread; ++i) {
+        const int o = (t + i) % 2;
+        for (int q = 0; q < 2; ++q) {
+          const PhysicalPlan plan =
+              Planner(&counters, &temp, options[o]).Plan(bound[q].plan.get());
+          if (plan.ToString() != reference[q][o]) ++mismatches[t];
+        }
+      }
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+  for (int t = 0; t < kThreads; ++t) {
+    EXPECT_EQ(mismatches[t], 0) << "thread " << t;
+  }
 }
 
 }  // namespace

@@ -2,6 +2,8 @@
 // ToString round-trip property, and rejection cases with exact error
 // positions and caret rendering.
 
+#include <utility>
+
 #include <gtest/gtest.h>
 
 #include "sql/ast.h"
@@ -174,6 +176,20 @@ SqlError MustFail(std::string_view sql) {
   auto result = ParseStatement(sql);
   EXPECT_FALSE(result.ok()) << "unexpectedly parsed: " << sql;
   if (result.ok()) return SqlError{};
+  // Parsing the statement's tokens reports the same error at the same
+  // position (the served plan cache parses the tokens it keyed on).
+  auto tokens = Tokenize(sql);
+  EXPECT_TRUE(tokens.ok()) << sql;
+  if (tokens.ok()) {
+    auto from_tokens = ParseTokens(std::move(tokens).value());
+    EXPECT_FALSE(from_tokens.ok()) << sql;
+    if (!from_tokens.ok()) {
+      EXPECT_EQ(from_tokens.error().message, result.error().message);
+      EXPECT_EQ(from_tokens.error().line, result.error().line);
+      EXPECT_EQ(from_tokens.error().column, result.error().column);
+      EXPECT_EQ(from_tokens.error().token, result.error().token);
+    }
+  }
   return result.error();
 }
 
