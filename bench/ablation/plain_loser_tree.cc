@@ -1,23 +1,16 @@
-#include "pq/plain_loser_tree.h"
-
-#include <cstring>
+#include "bench/ablation/plain_loser_tree.h"
 
 #include "common/bits.h"
-#include "core/ovc_reference.h"
 
-namespace ovc {
+namespace ovc::ablation {
 
-PlainMerger::PlainMerger(const OvcCodec* codec, const KeyComparator* comparator,
-                         std::vector<MergeSource*> sources, Options options)
-    : codec_(codec),
-      comparator_(comparator),
-      sources_(std::move(sources)),
-      options_(options) {
+PlainMerger::PlainMerger(const KeyComparator* comparator,
+                         std::vector<MergeSource*> sources)
+    : comparator_(comparator), sources_(std::move(sources)) {
   OVC_CHECK(!sources_.empty());
   capacity_ = CeilToPowerOfTwo(static_cast<uint32_t>(sources_.size()));
   nodes_.assign(capacity_, Entry{0, true});
   rows_.assign(capacity_, nullptr);
-  prev_row_.assign(codec_->schema().total_columns(), 0);
 }
 
 PlainMerger::Entry PlainMerger::LeafEntry(uint32_t slot) {
@@ -95,36 +88,19 @@ bool PlainMerger::Next(RowRef* out) {
   if (winner_.exhausted) {
     return false;
   }
-  const uint64_t* row = rows_[winner_.slot];
-  out->cols = row;
+  out->cols = rows_[winner_.slot];
   out->ovc = 0;
-  if (options_.derive_output_codes) {
-    // The naive method: one more full comparison per output row.
-    out->ovc = has_prev_ ? reference::AscendingOvc(*codec_, prev_row_.data(),
-                                                   row)
-                         : codec_->MakeInitial(row);
-    std::memcpy(prev_row_.data(), row,
-                codec_->schema().total_columns() * sizeof(uint64_t));
-    has_prev_ = true;
-    if (comparator_->counters() != nullptr) {
-      comparator_->counters()->column_comparisons +=
-          codec_->OffsetOf(out->ovc) + (codec_->IsDuplicate(out->ovc) ? 0 : 1);
-      ++comparator_->counters()->row_comparisons;
-    }
-  }
   return true;
 }
 
-PlainPqSorter::PlainPqSorter(const OvcCodec* codec,
-                             const KeyComparator* comparator)
-    : codec_(codec), comparator_(comparator) {}
+PlainPqSorter::PlainPqSorter(const KeyComparator* comparator)
+    : comparator_(comparator) {}
 
 void PlainPqSorter::Reset(const uint64_t* const* rows, uint32_t count) {
   rows_ = rows;
   count_ = count;
   capacity_ = CeilToPowerOfTwo(count == 0 ? 1 : count);
   nodes_.assign(capacity_, Entry{0, true});
-  done_.assign(count, false);
   started_ = false;
   winner_ = Entry{0, true};
 }
@@ -193,4 +169,4 @@ bool PlainPqSorter::Next(RowRef* out) {
   return true;
 }
 
-}  // namespace ovc
+}  // namespace ovc::ablation

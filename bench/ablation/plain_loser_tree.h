@@ -1,13 +1,15 @@
-// Baseline tree-of-losers priority queue WITHOUT offset-value coding.
+// Baseline tree-of-losers priority queues WITHOUT offset-value coding.
 //
 // Identical tournament structure to pq/loser_tree.h, but every match is a
 // full key comparison starting at column 0. This is the comparison point for
 // the paper's claim 1 ("offset-value coding can speed up external merge
 // sort and also its consumers"): same algorithm, same memory layout, only
-// the coding is missing.
+// the coding is missing. It keeps its branches, so the gap the benchmarks
+// measure includes the coded tournament's branch-free match as well as the
+// saved column comparisons.
 
-#ifndef OVC_PQ_PLAIN_LOSER_TREE_H_
-#define OVC_PQ_PLAIN_LOSER_TREE_H_
+#ifndef OVC_BENCH_ABLATION_PLAIN_LOSER_TREE_H_
+#define OVC_BENCH_ABLATION_PLAIN_LOSER_TREE_H_
 
 #include <cstdint>
 #include <vector>
@@ -16,28 +18,16 @@
 #include "pq/loser_tree.h"
 #include "row/comparator.h"
 
-namespace ovc {
+namespace ovc::ablation {
 
-/// Merges F sorted inputs with full key comparisons (no codes). Output rows
-/// carry no usable offset-value code (RowRef::ovc is the duplicate-free
-/// naive recomputation only if requested via `derive_output_codes`, priced
-/// at one extra row comparison per output row -- the expensive method the
-/// paper's introduction describes).
+/// Merges F sorted inputs with full key comparisons. Input codes are
+/// ignored, and output rows carry code 0.
 class PlainMerger {
  public:
-  struct Options {
-    /// When true, the merger derives output codes the naive way: comparing
-    /// each output row to its predecessor, column by column.
-    bool derive_output_codes;
+  PlainMerger(const KeyComparator* comparator,
+              std::vector<MergeSource*> sources);
 
-    Options() : derive_output_codes(false) {}
-  };
-
-  PlainMerger(const OvcCodec* codec, const KeyComparator* comparator,
-              std::vector<MergeSource*> sources, Options options = Options());
-
-  /// Next merged row. RowRef::ovc is meaningful only with
-  /// `derive_output_codes`.
+  /// Next merged row.
   bool Next(RowRef* out);
 
  private:
@@ -51,16 +41,12 @@ class PlainMerger {
   Entry BuildWinner(uint32_t node);
   Entry PlayMatch(uint32_t node, Entry a, Entry b);
 
-  const OvcCodec* codec_;
   const KeyComparator* comparator_;
   std::vector<MergeSource*> sources_;
-  Options options_;
 
   uint32_t capacity_ = 0;
   std::vector<Entry> nodes_;
   std::vector<const uint64_t*> rows_;
-  std::vector<uint64_t> prev_row_;  // for naive output-code derivation
-  bool has_prev_ = false;
   Entry winner_{0, true};
   bool started_ = false;
 };
@@ -68,7 +54,7 @@ class PlainMerger {
 /// Sorts an in-memory batch with a plain loser tree (full comparisons).
 class PlainPqSorter {
  public:
-  PlainPqSorter(const OvcCodec* codec, const KeyComparator* comparator);
+  explicit PlainPqSorter(const KeyComparator* comparator);
 
   void Reset(const uint64_t* const* rows, uint32_t count);
   bool Next(RowRef* out);
@@ -82,17 +68,15 @@ class PlainPqSorter {
   Entry BuildWinner(uint32_t node);
   Entry PlayMatch(uint32_t node, Entry a, Entry b);
 
-  const OvcCodec* codec_;
   const KeyComparator* comparator_;
   uint32_t capacity_ = 0;
   uint32_t count_ = 0;
   std::vector<Entry> nodes_;
-  std::vector<bool> done_;
   const uint64_t* const* rows_ = nullptr;
   Entry winner_{0, true};
   bool started_ = false;
 };
 
-}  // namespace ovc
+}  // namespace ovc::ablation
 
-#endif  // OVC_PQ_PLAIN_LOSER_TREE_H_
+#endif  // OVC_BENCH_ABLATION_PLAIN_LOSER_TREE_H_

@@ -8,9 +8,9 @@
 
 #include <benchmark/benchmark.h>
 
+#include "bench/ablation/plain_loser_tree.h"
 #include "bench_util.h"
 #include "pq/loser_tree.h"
-#include "pq/plain_loser_tree.h"
 
 namespace ovc {
 namespace {
@@ -32,7 +32,7 @@ void SortOnce(const Schema& schema, const RowBuffer& table, bool use_ovc,
     while (sorter.Next(&ref)) {
     }
   } else {
-    PlainPqSorter sorter(&codec, &comparator);
+    ablation::PlainPqSorter sorter(&comparator);
     sorter.Reset(ptrs.data(), static_cast<uint32_t>(ptrs.size()));
     while (sorter.Next(&ref)) {
     }

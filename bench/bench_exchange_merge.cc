@@ -1,8 +1,9 @@
 // Claim 1, order-preserving (merging) exchange (Section 4.10): the
 // many-to-one merge with offset-value codes vs the same merge with full
-// comparisons. Single-threaded pull mode isolates comparison costs from
-// thread scheduling, per the paper's single-thread methodology; a threaded
-// configuration is included for completeness.
+// comparisons (bench/ablation/plain_merge_exchange.h). Single-threaded pull
+// mode isolates comparison costs from thread scheduling, per the paper's
+// single-thread methodology; a threaded configuration is included for
+// completeness.
 
 #include <algorithm>
 #include <memory>
@@ -10,6 +11,7 @@
 
 #include <benchmark/benchmark.h>
 
+#include "bench/ablation/plain_merge_exchange.h"
 #include "bench_util.h"
 #include "exec/exchange.h"
 #include "exec/scan.h"
@@ -51,11 +53,16 @@ void RunExchange(benchmark::State& state, bool use_ovc, bool threaded) {
       scans.push_back(std::make_unique<RunScan>(&fixture.schema, run.get()));
       inputs.push_back(scans.back().get());
     }
-    MergeExchange::Options options;
-    options.use_ovc = use_ovc;
-    options.threaded = threaded;
-    MergeExchange exchange(inputs, &counters, options);
-    const uint64_t n = DrainAndCount(&exchange);
+    std::unique_ptr<Operator> exchange;
+    if (use_ovc) {
+      MergeExchange::Options options;
+      options.threaded = threaded;
+      exchange = std::make_unique<MergeExchange>(inputs, &counters, options);
+    } else {
+      exchange =
+          std::make_unique<ablation::PlainMergeExchange>(inputs, &counters);
+    }
+    const uint64_t n = DrainAndCount(exchange.get());
     benchmark::DoNotOptimize(n);
   }
   state.SetItemsProcessed(state.iterations() * kTotalRows);

@@ -16,9 +16,9 @@
 
 #include <benchmark/benchmark.h>
 
+#include "bench/ablation/plain_loser_tree.h"
 #include "bench_util.h"
 #include "pq/loser_tree.h"
-#include "pq/plain_loser_tree.h"
 
 namespace ovc {
 namespace {
@@ -96,7 +96,6 @@ void OvcMergeLowDup(benchmark::State& state) {
 void PlainMerge(benchmark::State& state) {
   const uint32_t fan_in = static_cast<uint32_t>(state.range(0));
   Fixture& fixture = GetFixture(kDuplicateHeavy, fan_in);
-  OvcCodec codec(&fixture.schema);
   QueryCounters counters;
   KeyComparator comparator(&fixture.schema, &counters);
   for (auto _ : state) {
@@ -106,7 +105,7 @@ void PlainMerge(benchmark::State& state) {
       sources.push_back(std::make_unique<InMemoryRunSource>(run.get()));
       raw.push_back(sources.back().get());
     }
-    PlainMerger merger(&codec, &comparator, raw);
+    ablation::PlainMerger merger(&comparator, raw);
     RowRef ref;
     uint64_t n = 0;
     while (merger.Next(&ref)) ++n;

@@ -1,10 +1,11 @@
 // Section 3 / Section 5 run generation: merging single-row runs (one big
 // tournament, the ablation baseline), cache-sized mini-runs (the default),
 // replacement selection (longer runs, one extra comparison per row), and the
-// std::sort baseline. Reports run counts, code and column comparisons per
-// row and merge-bypass rows next to time: replacement selection halves the
-// run count, and mini-runs trade a few code comparisons for a tournament
-// that stays in cache.
+// std::sort baseline with naive codes. Reports run counts, code and column
+// comparisons per row and merge-bypass rows next to time: replacement
+// selection halves the run count, and mini-runs trade a few code
+// comparisons for a tournament that stays in cache. The last two are
+// AblationSorts (bench/ablation/ablation_sort.h).
 //
 // Shapes ({rows, key columns, distinct values per column, payload columns,
 // memory rows, presorted}):
@@ -25,6 +26,7 @@
 
 #include <benchmark/benchmark.h>
 
+#include "bench/ablation/ablation_sort.h"
 #include "bench_util.h"
 #include "sort/external_sort.h"
 
@@ -67,20 +69,19 @@ const RowBuffer& GetTable(const Shape& shape) {
   return *it->second;
 }
 
-void RunGen(benchmark::State& state, RunGenMode mode,
-            bool replacement_selection) {
+/// Sorts with a `Sort` (ExternalSort or AblationSort) configured by
+/// `config` and the shape's memory.
+template <typename Sort, typename Config>
+void RunGen(benchmark::State& state, Config config) {
   const Shape shape = Shape::From(state);
   Schema schema(shape.arity, shape.payload);
   const RowBuffer& table = GetTable(shape);
   QueryCounters counters;
   uint64_t runs = 0;
+  config.memory_rows = shape.memory_rows;
   for (auto _ : state) {
     TempFileManager temp;
-    SortConfig config;
-    config.memory_rows = shape.memory_rows;
-    config.run_gen = mode;
-    config.replacement_selection = replacement_selection;
-    ExternalSort sort(&schema, &counters, &temp, config);
+    Sort sort(&schema, &counters, &temp, config);
     for (size_t i = 0; i < table.size(); ++i) sort.Add(table.row(i));
     OVC_CHECK_OK(sort.Finish());
     RowRef ref;
@@ -104,16 +105,23 @@ void RunGen(benchmark::State& state, RunGenMode mode,
 
 void SingleRowRuns(benchmark::State& state) {
   state.SetLabel("ablation baseline");
-  RunGen(state, RunGenMode::kPqSingleRowRuns, false);
+  SortConfig config;
+  config.mini_run_rows = ablation::kSingleTournamentRows;
+  RunGen<ExternalSort>(state, config);
 }
 void MiniRuns(benchmark::State& state) {
-  RunGen(state, RunGenMode::kPqMiniRuns, false);
+  RunGen<ExternalSort>(state, SortConfig());
 }
 void StdSortRuns(benchmark::State& state) {
-  RunGen(state, RunGenMode::kStdSort, false);
+  ablation::AblationSortConfig config;
+  config.run_gen = ablation::RunGen::kStdSort;
+  config.naive_codes = true;
+  RunGen<ablation::AblationSort>(state, config);
 }
 void ReplacementSelectionRuns(benchmark::State& state) {
-  RunGen(state, RunGenMode::kPqMiniRuns, true);
+  ablation::AblationSortConfig config;
+  config.run_gen = ablation::RunGen::kReplacementSelection;
+  RunGen<ablation::AblationSort>(state, config);
 }
 
 #define RUN_GEN_SHAPES                            \

@@ -2,8 +2,9 @@
 // external sort (same run sizes, same fan-in, same spill format family)
 // with OVC on vs off, and against the std::sort baseline, across row counts
 // and key-column counts. OvcSort and PlainTreeSort generate runs with one
-// tournament over each memory batch (the ablation baseline);
-// OvcMiniRunSort is the engine's default, cache-sized mini-runs.
+// tournament over each memory batch; OvcMiniRunSort is the engine's
+// default, cache-sized mini-runs. PlainTreeSort and StdSortBaseline are
+// the code-free AblationSort (bench/ablation/ablation_sort.h).
 
 #include <algorithm>
 #include <map>
@@ -11,6 +12,7 @@
 
 #include <benchmark/benchmark.h>
 
+#include "bench/ablation/ablation_sort.h"
 #include "bench_util.h"
 #include "sort/external_sort.h"
 
@@ -40,19 +42,19 @@ const RowBuffer& GetTable(uint64_t rows, uint32_t arity) {
   return *it->second;
 }
 
-void RunSort(benchmark::State& state, bool use_ovc, RunGenMode mode) {
+/// Sorts with a `Sort` (ExternalSort or AblationSort) configured by
+/// `config`, whose memory holds a tenth of the input.
+template <typename Sort, typename Config>
+void RunSort(benchmark::State& state, Config config) {
   const uint64_t rows = static_cast<uint64_t>(state.range(0));
   const uint32_t arity = static_cast<uint32_t>(state.range(1));
   Schema schema(arity);
   const RowBuffer& table = GetTable(rows, arity);
   QueryCounters counters;
+  config.memory_rows = std::max<uint64_t>(2, rows / 10);
   for (auto _ : state) {
     TempFileManager temp;
-    SortConfig config;
-    config.memory_rows = std::max<uint64_t>(2, rows / 10);
-    config.use_ovc = use_ovc;
-    config.run_gen = mode;
-    ExternalSort sort(&schema, &counters, &temp, config);
+    Sort sort(&schema, &counters, &temp, config);
     for (size_t i = 0; i < table.size(); ++i) sort.Add(table.row(i));
     OVC_CHECK_OK(sort.Finish());
     RowRef ref;
@@ -68,16 +70,20 @@ void RunSort(benchmark::State& state, bool use_ovc, RunGenMode mode) {
 
 void OvcSort(benchmark::State& state) {
   state.SetLabel("single-row runs: ablation baseline");
-  RunSort(state, /*use_ovc=*/true, RunGenMode::kPqSingleRowRuns);
+  SortConfig config;
+  config.mini_run_rows = ablation::kSingleTournamentRows;
+  RunSort<ExternalSort>(state, config);
 }
 void PlainTreeSort(benchmark::State& state) {
-  RunSort(state, /*use_ovc=*/false, RunGenMode::kPqSingleRowRuns);
+  RunSort<ablation::AblationSort>(state, ablation::AblationSortConfig());
 }
 void StdSortBaseline(benchmark::State& state) {
-  RunSort(state, /*use_ovc=*/false, RunGenMode::kStdSort);
+  ablation::AblationSortConfig config;
+  config.run_gen = ablation::RunGen::kStdSort;
+  RunSort<ablation::AblationSort>(state, config);
 }
 void OvcMiniRunSort(benchmark::State& state) {
-  RunSort(state, /*use_ovc=*/true, RunGenMode::kPqMiniRuns);
+  RunSort<ExternalSort>(state, SortConfig());
 }
 
 // Sweep rows x key columns ("many rows and many key columns").

@@ -1,16 +1,16 @@
 #!/usr/bin/env bash
 # Runs the key benchmarks with --benchmark_format=json and aggregates all
-# results into a single JSON file. Each PR commits its aggregate as
-# BENCH_PR<n>.json at the repo root (the benchmark trajectory); the output
-# name is parametrized -- pass -o or set $BENCH_OUT, the default below
-# names the current PR's aggregate.
+# results into a single JSON file. Committed aggregates are named
+# BENCH_PR<n>.json at the repo root (the benchmark trajectory that
+# tools/compare_bench.py reads). There is no default output name: pass -o
+# or set $BENCH_OUT.
 #
 # Usage:
-#   bench/run_benches.sh [-B build_dir] [-o out.json] [--smoke]
+#   bench/run_benches.sh [-B build_dir] (-o out.json | $BENCH_OUT) [--smoke]
 #
 #   -B dir    build directory holding the bench binaries (default: build)
-#   -o file   aggregate output path (default: $BENCH_OUT, else the
-#             current PR's BENCH_PR<n>.json)
+#   -o file   aggregate output path (default: $BENCH_OUT; without either
+#             the script prints this usage and exits 2)
 #   --smoke   CI mode: tiny --benchmark_min_time so the binaries and this
 #             script are exercised end-to-end without burning CI minutes
 #
@@ -41,7 +41,7 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 BUILD_DIR=build
-OUT=${BENCH_OUT:-BENCH_PR13.json}
+OUT=${BENCH_OUT:-}
 MIN_TIME=0.5
 BENCHES=(bench_batch_pipeline bench_pq_merge bench_sort_ovc
          bench_run_generation bench_run_file bench_exchange_merge
@@ -56,6 +56,12 @@ while [[ $# -gt 0 ]]; do
     *) echo "unknown argument: $1" >&2; exit 2 ;;
   esac
 done
+
+if [[ -z "$OUT" ]]; then
+  sed -n 's/^#   bench/usage: bench/p' "$0" >&2
+  echo "run_benches.sh: name the aggregate with -o FILE or \$BENCH_OUT" >&2
+  exit 2
+fi
 
 for bench in "${BENCHES[@]}"; do
   if [[ ! -x "$BUILD_DIR/$bench" ]]; then

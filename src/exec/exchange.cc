@@ -3,7 +3,6 @@
 #include "common/metrics.h"
 #include "common/trace.h"
 #include "exec/hash_join.h"  // HashKeyPrefix
-#include "pq/plain_loser_tree.h"
 
 namespace ovc {
 
@@ -310,18 +309,12 @@ void MergeExchange::Open() {
     }
     inline_inputs_open_ = true;
   }
-  if (options_.use_ovc) {
-    merger_ = std::make_unique<OvcMerger>(&codec_, &comparator_, raw_sources);
-  } else {
-    plain_merger_ = std::make_unique<PlainMerger>(&codec_, &comparator_,
-                                                  raw_sources);
-  }
+  merger_ = std::make_unique<OvcMerger>(&codec_, &comparator_, raw_sources);
 }
 
 uint32_t MergeExchange::NextBatch(RowBlock* out) {
   OVC_DCHECK(out->width() == schema().total_columns());
   if (merger_ != nullptr) return merger_->NextBlock(out);
-  if (plain_merger_ != nullptr) return FillBlock(plain_merger_.get(), out);
   out->Clear();
   return 0;
 }
@@ -340,7 +333,6 @@ void MergeExchange::StopThreads() {
 void MergeExchange::ResetState() {
   StopThreads();
   merger_.reset();
-  plain_merger_.reset();
   sources_.clear();
   // Threaded producers close their own input at thread exit (normal or
   // cancelled); inline mode opened the inputs on this thread, so balance

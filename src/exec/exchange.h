@@ -13,6 +13,8 @@
 // exploits the input codes and produces output codes. Producer threads
 // drive the inputs and hand whole row batches to the consumer through
 // bounded queues; a single-threaded mode serves deterministic benchmarks.
+// The same merge with full comparisons and no codes, the paper's baseline,
+// is bench/ablation/plain_merge_exchange.h.
 //
 // Many-to-many shuffle is deliberately not provided (the paper: "usually
 // not recommended due to its danger ... of deadlock"); compose a merging
@@ -32,7 +34,6 @@
 #include "common/thread_annotations.h"
 #include "core/accumulator.h"
 #include "exec/operator.h"
-#include "pq/plain_loser_tree.h"
 #include "row/row_block.h"
 #include "sort/run.h"
 
@@ -211,12 +212,8 @@ class MergeExchange : public Operator {
     uint32_t batch_rows;
     /// Batches buffered per input queue.
     size_t queue_batches;
-    /// Ablation: merge with a plain tree (full comparisons, codeless
-    /// output).
-    bool use_ovc;
 
-    Options()
-        : threaded(true), batch_rows(1024), queue_batches(4), use_ovc(true) {}
+    Options() : threaded(true), batch_rows(1024), queue_batches(4) {}
   };
 
   /// All inputs must be sorted with codes and share the first input's
@@ -232,7 +229,7 @@ class MergeExchange : public Operator {
   void Close() override;
   const Schema& schema() const override { return inputs_[0]->schema(); }
   bool sorted() const override { return true; }
-  bool has_ovc() const override { return options_.use_ovc; }
+  bool has_ovc() const override { return true; }
 
  private:
   class QueueMergeSource;
@@ -252,7 +249,6 @@ class MergeExchange : public Operator {
   std::vector<std::thread> producers_;
   std::vector<std::unique_ptr<MergeSource>> sources_;
   std::unique_ptr<OvcMerger> merger_;
-  std::unique_ptr<PlainMerger> plain_merger_;
   /// True while inline (non-threaded) mode holds its inputs open; they are
   /// closed by ResetState (Close, or a re-entrant Open).
   bool inline_inputs_open_ = false;

@@ -140,12 +140,9 @@ void HashAggregate::BeginSortMergeFallback() {
   OVC_METRIC_COUNTER("hash_aggregate.fallbacks",
                      "Hash aggregations that degraded to in-sort")
       .Increment();
-  // Replacement selection cannot collapse; the fallback generates runs in
-  // batches whatever the plan's sort configuration says.
-  SortConfig config = sort_config_;
-  config.replacement_selection = false;
-  fb_sort_ = std::make_unique<ExternalSort>(
-      &output_schema_, StateMergeFns(aggregates_), counters_, temp_, config);
+  fb_sort_ = std::make_unique<ExternalSort>(&output_schema_,
+                                            StateMergeFns(aggregates_),
+                                            counters_, temp_, sort_config_);
   // Resident rows are wider than state rows when there are no aggregates
   // (the table pads to one accumulator column); Add copies exactly the
   // state schema's columns, so passing the wider row is safe.

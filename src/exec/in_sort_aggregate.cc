@@ -16,7 +16,6 @@ InSortAggregate::InSortAggregate(Operator* child, uint32_t group_prefix,
       config_(config) {
   OVC_CHECK(group_prefix >= 1);
   OVC_CHECK(group_prefix <= child->schema().total_columns());
-  OVC_CHECK(!config_.replacement_selection);
   for (const AggregateSpec& spec : aggregates_) {
     OVC_CHECK(spec.fn == AggFn::kCount ||
               spec.input_col < child->schema().total_columns());

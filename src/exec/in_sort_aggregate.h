@@ -36,9 +36,8 @@ class InSortAggregate : public Operator {
  public:
   /// Groups on the first `group_prefix` columns of `child` (which need not
   /// be sorted). Output schema: the group columns as sort keys, one payload
-  /// column per aggregate. `config` supplies memory/fan-in knobs; its
-  /// run-generation fields and duplicate_bypass are honored, replacement
-  /// selection is not supported here.
+  /// column per aggregate. `config` supplies the sort's memory, fan-in and
+  /// mini-run sizes.
   InSortAggregate(Operator* child, uint32_t group_prefix,
                   std::vector<AggregateSpec> aggregates,
                   QueryCounters* counters, TempFileManager* temp,

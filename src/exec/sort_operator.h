@@ -14,7 +14,7 @@
 namespace ovc {
 
 /// Sorts its input on the schema's key prefix, producing a sorted stream
-/// with offset-value codes (subject to SortConfig's ablation switches).
+/// with offset-value codes.
 class SortOperator : public Operator {
  public:
   /// `child`, `counters` (optional), and `temp` must outlive the operator.
@@ -61,9 +61,7 @@ class SortOperator : public Operator {
 
   const Schema& schema() const override { return child_->schema(); }
   bool sorted() const override { return true; }
-  bool has_ovc() const override {
-    return config_.use_ovc || config_.naive_output_codes;
-  }
+  bool has_ovc() const override { return true; }
 
   /// Runs spilled by the most recent execution (survives Close()).
   uint64_t spilled_runs() const {

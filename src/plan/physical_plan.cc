@@ -82,10 +82,9 @@ bool SortedWithCodesOn(const OrderProperty& prop, const Schema& schema) {
   return prop.SortedWithCodes(schema.key_arity());
 }
 
-/// Property a SortOperator configured with `config` delivers.
-OrderProperty SortOutput(const Schema& schema, const SortConfig& config) {
-  return OrderProperty::Sorted(schema.key_arity(),
-                               config.use_ovc || config.naive_output_codes);
+/// Property a SortOperator delivers: sorted on the full key, with codes.
+OrderProperty SortOutput(const Schema& schema) {
+  return OrderProperty::Sorted(schema.key_arity(), true);
 }
 
 /// CostModel matching `options` (constants + memory budgets).
@@ -319,8 +318,7 @@ UnaryDecision DecideDistinct(const PlanFacts& f, const OrderProperty& child,
   return d;
 }
 
-UnaryDecision DecideSort(const LogicalNode& node, const OrderProperty& child,
-                         const PlannerOptions& options) {
+UnaryDecision DecideSort(const LogicalNode& node, const OrderProperty& child) {
   UnaryDecision d;
   if (SortedWithCodesOn(child, node.schema)) {
     // The planner's key property payoff: input already sorted and coded
@@ -330,19 +328,18 @@ UnaryDecision DecideSort(const LogicalNode& node, const OrderProperty& child,
     return d;
   }
   d.alg = PhysicalAlg::kSort;
-  d.out = SortOutput(node.schema, options.sort_config);
+  d.out = SortOutput(node.schema);
   return d;
 }
 
-UnaryDecision DecideTopK(const LogicalNode& node, const OrderProperty& child,
-                         const PlannerOptions& options) {
+UnaryDecision DecideTopK(const LogicalNode& node, const OrderProperty& child) {
   UnaryDecision d;
   d.alg = PhysicalAlg::kLimit;
   if (SortedWithCodesOn(child, node.schema)) {
     d.out = child;
   } else {
     d.sort_child = true;
-    d.out = SortOutput(node.schema, options.sort_config);
+    d.out = SortOutput(node.schema);
   }
   return d;
 }
@@ -396,9 +393,9 @@ OrderProperty NodeOutputProperty(const PlanFacts& f,
     case LogicalOp::kSetOp:
       return OrderProperty::Sorted(node.schema.key_arity(), /*ovc=*/true);
     case LogicalOp::kSort:
-      return DecideSort(node, child(0), options).out;
+      return DecideSort(node, child(0)).out;
     case LogicalOp::kTopK:
-      return DecideTopK(node, child(0), options).out;
+      return DecideTopK(node, child(0)).out;
     case LogicalOp::kLimit:
       // Truncation preserves whatever the child delivers.
       return child(0);
@@ -588,14 +585,8 @@ Planner::Built Planner::BuildRangeScan(const PlanFacts& filter,
 Planner::Built Planner::InsertSort(Built child,
                                    const PlanFacts& logical_child,
                                    PhysicalPlan* plan, QueryCounters* ctrs) {
-  // Planner-inserted sorts always feed code-consuming operators (merge
-  // join, dedup, set operation), so the configured sort must deliver
-  // codes; catch a code-free ablation config here, at plan time, instead
-  // of deep inside a downstream operator's precondition check.
-  OVC_CHECK(options_.sort_config.use_ovc ||
-            options_.sort_config.naive_output_codes);
   const Schema& schema = logical_child.node->schema;
-  const OrderProperty prop = SortOutput(schema, options_.sort_config);
+  const OrderProperty prop = SortOutput(schema);
   const NodeEstimate est = {
       child.est.rows,
       child.est.cost + SortCostFor(cost_model_, logical_child.card, schema)};
@@ -1201,7 +1192,7 @@ Planner::Built Planner::BuildOpen(const PlanFacts& f, PhysicalPlan* plan,
       // region counters (it executes on producer threads).
       const auto parallel_sort_for = [&](const OrderProperty& child_prop) {
         if (!ParallelEnabled()) return false;
-        UnaryDecision p = DecideSort(node, child_prop, options_);
+        UnaryDecision p = DecideSort(node, child_prop);
         return p.alg == PhysicalAlg::kSort && p.out.has_ovc;
       };
       const bool pre_parallel_sort =
@@ -1209,7 +1200,7 @@ Planner::Built Planner::BuildOpen(const PlanFacts& f, PhysicalPlan* plan,
       QueryCounters* region_ctrs =
           pre_parallel_sort ? plan->NewWorkerCounters() : ctrs;
       Built child = BuildNode(f.children[0], plan, region_ctrs);
-      UnaryDecision d = DecideSort(node, child.prop, options_);
+      UnaryDecision d = DecideSort(node, child.prop);
       const double sort_cost =
           d.alg == PhysicalAlg::kElidedSort
               ? 0.0
@@ -1260,7 +1251,7 @@ Planner::Built Planner::BuildOpen(const PlanFacts& f, PhysicalPlan* plan,
 
     case LogicalOp::kTopK: {
       Built child = BuildNode(f.children[0], plan, ctrs);
-      UnaryDecision d = DecideTopK(node, child.prop, options_);
+      UnaryDecision d = DecideTopK(node, child.prop);
       Operator* input = child.op;
       if (d.sort_child) {
         child = InsertSort(std::move(child), f.children[0], plan,

@@ -120,10 +120,7 @@ struct PlannerOptions {
   /// hash-based operator would serve an order-indifferent consumer.
   bool prefer_sort_based = false;
   /// Configuration for planner-inserted sorts and in-sort aggregation
-  /// (memory budget, fan-in, run generation). Planner-inserted sorts feed
-  /// code-consuming operators, so the config must produce output codes:
-  /// use_ovc == false requires naive_output_codes == true (the paper's
-  /// expensive strawman); the planner checks this when it inserts a sort.
+  /// (memory budget, fan-in, mini-run size).
   SortConfig sort_config;
   /// True lets the planner pick the order-preserving in-memory hash join
   /// (Section 4.9) for a sorted probe over an unsorted build. That
@@ -152,9 +149,7 @@ struct PlannerOptions {
   /// Merging-exchange knobs for parallel shapes. `threaded` true runs one
   /// producer thread per worker pipeline (real parallelism); false pulls
   /// workers inline on one thread (deterministic mode for tests and
-  /// benchmarks). Parallel shapes require `use_ovc` (the exchange must
-  /// reproduce codes for downstream operators); with `use_ovc` false the
-  /// planner falls back to serial shapes.
+  /// benchmarks).
   MergeExchange::Options exchange;
   /// True builds the plan with a QueryProfile: every operator is wrapped in
   /// a ProfiledOperator and constructed against its own per-node (and,
@@ -413,10 +408,8 @@ class Planner {
   Built InsertSort(Built child, const PlanFacts& logical_child,
                    PhysicalPlan* plan, QueryCounters* ctrs);
 
-  /// True when exchange-parallel shapes are enabled and usable.
-  bool ParallelEnabled() const {
-    return options_.parallelism > 1 && options_.exchange.use_ovc;
-  }
+  /// True when exchange-parallel shapes are enabled.
+  bool ParallelEnabled() const { return options_.parallelism > 1; }
   /// Builds one per-worker operator from the worker's input streams (one
   /// per input region, co-indexed) and the counters it must charge.
   using WorkerFactory = std::function<std::unique_ptr<Operator>(

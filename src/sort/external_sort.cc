@@ -18,11 +18,6 @@ ExternalSort::ExternalSort(const Schema* schema, QueryCounters* counters,
       buffer_(schema->total_columns()) {
   OVC_CHECK(config_.memory_rows >= 2);
   OVC_CHECK(config_.fan_in >= 2);
-  if (config_.replacement_selection) {
-    rs_ = std::make_unique<ReplacementSelection>(
-        schema_, counters_, temp_,
-        static_cast<uint32_t>(config_.memory_rows));
-  }
 }
 
 ExternalSort::ExternalSort(const Schema* schema,
@@ -30,12 +25,9 @@ ExternalSort::ExternalSort(const Schema* schema,
                            QueryCounters* counters, TempFileManager* temp,
                            SortConfig config)
     : ExternalSort(schema, counters, temp, config) {
-  OVC_CHECK(!config_.replacement_selection);
   OVC_CHECK(collapse_fns.size() == schema->payload_columns());
   collapse_ = true;
   collapse_fns_ = std::move(collapse_fns);
-  config_.use_ovc = true;
-  config_.naive_output_codes = false;
 }
 
 ExternalSort::~ExternalSort() = default;
@@ -43,10 +35,6 @@ ExternalSort::~ExternalSort() = default;
 void ExternalSort::Add(const uint64_t* row) {
   OVC_CHECK(!finished_);
   if (!deferred_error_.ok()) return;  // intake degraded; Finish() reports
-  if (rs_ != nullptr) {
-    DeferError(rs_->Add(row));
-    return;
-  }
   buffer_.AppendRow(row);
   if (buffer_.size() >= config_.memory_rows) {
     DeferError(SpillBuffer());
@@ -56,15 +44,6 @@ void ExternalSort::Add(const uint64_t* row) {
 void ExternalSort::AddBlock(const RowBlock& block) {
   OVC_CHECK(!finished_);
   if (!deferred_error_.ok()) return;
-  if (rs_ != nullptr) {
-    // Replacement selection is inherently row-at-a-time (each row plays one
-    // tournament match on entry).
-    for (uint32_t i = 0; i < block.size(); ++i) {
-      DeferError(rs_->Add(block.row(i)));
-      if (!deferred_error_.ok()) return;
-    }
-    return;
-  }
   uint32_t taken = 0;
   while (taken < block.size()) {
     const uint64_t room = config_.memory_rows - buffer_.size();
@@ -100,9 +79,7 @@ void ExternalSort::FeedRun(RunSink* sink, Feed feed) {
 
 void ExternalSort::SortBuffer(RunSink* sink) {
   OVC_TRACE_SPAN("sort.run_generation");
-  BatchSorter sorter(schema_, counters_, config_.run_gen,
-                     config_.mini_run_rows, config_.use_ovc,
-                     config_.naive_output_codes);
+  BatchSorter sorter(schema_, counters_, config_.mini_run_rows);
   FeedRun(sink, [&](RunSink* s) { sorter.Sort(buffer_, s); });
 }
 
@@ -131,14 +108,6 @@ Status ExternalSort::Finish() {
   // A spill error during intake fails the whole sort; Next()/NextBlock()
   // then serve nothing (no merger is prepared).
   if (!deferred_error_.ok()) return deferred_error_;
-
-  if (rs_ != nullptr) {
-    OVC_RETURN_IF_ERROR(rs_->Finish());
-    std::vector<SpilledRun> runs = rs_->TakeRuns();
-    spilled_runs_ = runs.size();
-    if (runs.empty()) return Status::Ok();  // empty input
-    return PrepareMerge(std::move(runs));
-  }
 
   if (runs_.empty()) {
     // Input fits in memory: sort and serve without spilling.
@@ -182,25 +151,13 @@ Status ExternalSort::PrepareMerge(std::vector<SpilledRun> runs) {
       const std::string path = temp_->NewPath("merge");
       OVC_RETURN_IF_ERROR(writer.Open(path));
       FileRunSink sink(&writer);
-      RowRef ref;
-      if (config_.use_ovc) {
-        OvcMergerT<RunFileReader>::Options options;
-        options.duplicate_bypass = config_.duplicate_bypass;
-        OvcMergerT<RunFileReader> merger(&codec_, &comparator_, sources,
-                                         options);
-        FeedRun(&sink, [&](RunSink* s) {
-          while (sink.status().ok() && merger.Next(&ref)) {
-            s->Accept(ref.cols, ref.ovc);
-          }
-        });
-      } else {
-        std::vector<MergeSource*> plain_sources(sources.begin(),
-                                                sources.end());
-        PlainMerger merger(&codec_, &comparator_, plain_sources);
+      OvcMergerT<RunFileReader> merger(&codec_, &comparator_, sources);
+      FeedRun(&sink, [&](RunSink* s) {
+        RowRef ref;
         while (sink.status().ok() && merger.Next(&ref)) {
-          sink.Accept(ref.cols, codec_.MakeFromRow(ref.cols, 0));
+          s->Accept(ref.cols, ref.ovc);
         }
-      }
+      });
       OVC_RETURN_IF_ERROR(sink.status());
       OVC_RETURN_IF_ERROR(writer.Close());
       next_level.push_back(SpilledRun{path, writer.rows()});
@@ -215,24 +172,14 @@ Status ExternalSort::PrepareMerge(std::vector<SpilledRun> runs) {
     OVC_RETURN_IF_ERROR(readers_.back()->Open(run.path));
     sources.push_back(readers_.back().get());
   }
-  if (config_.use_ovc) {
-    OvcMergerT<RunFileReader>::Options options;
-    options.duplicate_bypass = config_.duplicate_bypass;
-    merger_ = std::make_unique<OvcMergerT<RunFileReader>>(
-        &codec_, &comparator_, sources, options);
-    if (collapse_) {
-      merger_source_ =
-          std::make_unique<RowRefSource<OvcMergerT<RunFileReader>>>(
-              merger_.get());
-      collapsed_output_ = std::make_unique<CollapsingSource>(
-          schema_, collapse_fns_, merger_source_.get());
-    }
-  } else {
-    std::vector<MergeSource*> plain_sources(sources.begin(), sources.end());
-    PlainMerger::Options options;
-    options.derive_output_codes = config_.naive_output_codes;
-    plain_merger_ = std::make_unique<PlainMerger>(&codec_, &comparator_,
-                                                  plain_sources, options);
+  merger_ = std::make_unique<OvcMergerT<RunFileReader>>(&codec_, &comparator_,
+                                                       sources);
+  if (collapse_) {
+    merger_source_ =
+        std::make_unique<RowRefSource<OvcMergerT<RunFileReader>>>(
+            merger_.get());
+    collapsed_output_ = std::make_unique<CollapsingSource>(
+        schema_, collapse_fns_, merger_source_.get());
   }
   return Status::Ok();
 }
@@ -258,9 +205,6 @@ bool ExternalSort::Next(RowRef* out) {
   if (merger_ != nullptr) {
     return merger_->Next(out);
   }
-  if (plain_merger_ != nullptr) {
-    return plain_merger_->Next(out);
-  }
   return false;  // empty input
 }
 
@@ -275,7 +219,6 @@ uint32_t ExternalSort::NextBlock(RowBlock* out) {
   if (merger_ != nullptr) {
     return merger_->NextBlock(out);
   }
-  if (plain_merger_ != nullptr) return FillBlock(plain_merger_.get(), out);
   return 0;  // empty input
 }
 

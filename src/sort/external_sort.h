@@ -1,11 +1,13 @@
 // External merge sort with offset-value coding (Sections 3 and 5).
 //
-// Pipeline: consume unsorted rows -> generate sorted runs (in memory when
-// the input fits, spilled to prefix-truncated run files otherwise) -> merge
-// with a tree-of-losers priority queue, cascading in multiple levels when
-// the run count exceeds the merge fan-in. Offset-value codes are produced
-// during run generation, stored in the run format (as truncated prefixes),
-// exploited during merging, and delivered with every output row.
+// Pipeline: consume unsorted rows -> generate sorted runs from cache-sized
+// mini-runs (in memory when the input fits, spilled to prefix-truncated run
+// files otherwise) -> merge with a tree-of-losers priority queue and the
+// duplicate bypass, cascading in multiple levels when the run count exceeds
+// the merge fan-in. Offset-value codes are produced during run generation,
+// stored in the run format (as truncated prefixes), exploited during
+// merging, and delivered with every output row. This is the one path; the
+// code-free sorts the paper compares against are in bench/ablation/.
 //
 // Given merge functions for its payload columns, the sort also aggregates
 // early (in-sort aggregation, Figure 5's sort-based plan): every stage --
@@ -26,7 +28,6 @@
 #include "core/ovc.h"
 #include "core/row_ref.h"
 #include "pq/loser_tree.h"
-#include "pq/plain_loser_tree.h"
 #include "row/row_block.h"
 #include "row/row_buffer.h"
 #include "sort/group_collapse.h"
@@ -36,30 +37,15 @@
 
 namespace ovc {
 
-/// Tuning and ablation knobs for ExternalSort.
+/// Tuning knobs for ExternalSort.
 struct SortConfig {
   /// Rows buffered in memory before a run is spilled (the paper's
   /// "operator's memory holds ... rows").
   uint64_t memory_rows = uint64_t{1} << 20;
   /// Maximum merge fan-in; more runs cascade into intermediate merges.
   uint32_t fan_in = 128;
-  /// In-memory run-generation strategy. Cache-sized mini-runs by default;
-  /// kPqSingleRowRuns (one tournament over the whole batch) is the
-  /// benchmarks' ablation baseline.
-  RunGenMode run_gen = RunGenMode::kPqMiniRuns;
-  /// Mini-run size for RunGenMode::kPqMiniRuns.
+  /// Rows per cache-sized mini-run of run generation (sort/run_generation.h).
   uint32_t mini_run_rows = 1024;
-  /// Continuous run generation by replacement selection instead of batch
-  /// modes (expected run length twice memory_rows).
-  bool replacement_selection = false;
-  /// Ablation: false disables offset-value coding end to end (plain
-  /// tournaments, full-row run files, full comparisons in merges).
-  bool use_ovc = true;
-  /// Section 5 duplicate bypass in merge steps.
-  bool duplicate_bypass = true;
-  /// With use_ovc == false: derive output codes anyway, the naive way
-  /// (row by row, column by column) -- the paper's expensive strawman.
-  bool naive_output_codes = false;
 };
 
 /// Sorts a stream of rows. Push rows with Add(), call Finish(), then pull
@@ -72,8 +58,7 @@ class ExternalSort {
   /// A sort that collapses key-duplicates at every stage, merging payload
   /// column p of duplicate rows with `collapse_fns[p]` (one entry per
   /// payload column; none for duplicate removal). Duplicates are found by
-  /// code, so the sort runs with `use_ovc` on and `naive_output_codes`
-  /// off whatever `config` says; replacement selection is unsupported.
+  /// their duplicate codes.
   ExternalSort(const Schema* schema, std::vector<StateMergeFn> collapse_fns,
                QueryCounters* counters, TempFileManager* temp,
                SortConfig config);
@@ -131,24 +116,22 @@ class ExternalSort {
   std::vector<StateMergeFn> collapse_fns_;
 
   RowBuffer buffer_;
-  std::unique_ptr<ReplacementSelection> rs_;
   std::vector<SpilledRun> runs_;
   uint64_t spilled_runs_ = 0;
   uint32_t merge_levels_ = 0;
   bool finished_ = false;
   Status deferred_error_ = Status::Ok();
 
-  // Output plumbing: the memory run, the collapsed final merge, the final
-  // merge or the plain merger serves Next(). The final OVC merge runs over
-  // concrete RunFileReader sources so the tournament's refill calls
-  // devirtualize (see pq/loser_tree.h).
+  // Output plumbing: the memory run, the collapsed final merge or the final
+  // merge serves Next(). The final merge runs over concrete RunFileReader
+  // sources so the tournament's refill calls devirtualize (see
+  // pq/loser_tree.h).
   std::unique_ptr<InMemoryRun> memory_run_;
   std::unique_ptr<InMemoryRunSource> memory_source_;
   std::vector<std::unique_ptr<RunFileReader>> readers_;
   std::unique_ptr<OvcMergerT<RunFileReader>> merger_;
   std::unique_ptr<MergeSource> merger_source_;
   std::unique_ptr<CollapsingSource> collapsed_output_;
-  std::unique_ptr<PlainMerger> plain_merger_;
 };
 
 }  // namespace ovc

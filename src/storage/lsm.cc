@@ -106,9 +106,7 @@ void LsmForest::Insert(const uint64_t* row) {
 
 void LsmForest::Flush() {
   if (memtable_.empty()) return;
-  BatchSorter sorter(schema_, counters_, RunGenMode::kPqMiniRuns,
-                     /*mini_run_rows=*/1024, /*use_ovc=*/true,
-                     /*naive_codes=*/false);
+  BatchSorter sorter(schema_, counters_, /*mini_run_rows=*/1024);
   RunFileWriter writer(schema_, counters_);
   const std::string path = temp_->NewPath("lsm-run");
   OVC_CHECK_OK(writer.Open(path));

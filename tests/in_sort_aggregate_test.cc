@@ -157,8 +157,6 @@ TEST(HashAggregateFallback, CollapsesWhileGeneratingRuns) {
   // A group table of 16 overflows on 64 groups and degrades to the
   // sort-based plan. The fallback sort folds groups in every run it writes,
   // so it spills at most one row per group per run, not every input row.
-  // It finds duplicates by code, so a sort configuration with codes off
-  // must not turn the folding off.
   Schema schema(2, 1);
   constexpr uint64_t kRows = 20000;
   constexpr uint64_t kGroups = 64;  // 8 x 8 key values
@@ -179,38 +177,34 @@ TEST(HashAggregateFallback, CollapsesWhileGeneratingRuns) {
   }
   ASSERT_EQ(reference.size(), kGroups);
 
-  for (const bool use_ovc : {true, false}) {
-    SCOPED_TRACE(::testing::Message() << "use_ovc " << use_ovc);
-    QueryCounters counters;
-    TempFileManager temp;
-    BufferScan scan(&schema, &table);
-    SortConfig config;
-    config.memory_rows = 1000;
-    config.use_ovc = use_ovc;
-    HashAggregate agg(&scan, /*group_prefix=*/2,
-                      {{AggFn::kCount, 0},
-                       {AggFn::kSum, 2},
-                       {AggFn::kMin, 2},
-                       {AggFn::kMax, 2}},
-                      kMemoryGroups, &counters, &temp, /*partitions=*/16,
-                      FallbackPolicy::kSortMerge, config);
-    RowVec out = DrainValidated(&agg, /*check_codes=*/false);
-    ASSERT_EQ(out.size(), reference.size());
-    for (const auto& row : out) {
-      const Ref& r = reference[{row[0], row[1]}];
-      EXPECT_EQ(row[2], r.count);
-      EXPECT_EQ(row[3], r.sum);
-      EXPECT_EQ(row[4], r.min);
-      EXPECT_EQ(row[5], r.max);
-    }
-    EXPECT_EQ(counters.hash_agg_fallbacks, 1u);
-    // The sort takes the resident groups plus the rest of the input.
-    const uint64_t max_runs =
-        (kRows + kMemoryGroups + config.memory_rows - 1) / config.memory_rows;
-    EXPECT_GT(counters.rows_spilled, 0u);
-    EXPECT_LE(counters.rows_spilled, max_runs * kGroups);
-    EXPECT_LT(max_runs * kGroups, kRows);
+  QueryCounters counters;
+  TempFileManager temp;
+  BufferScan scan(&schema, &table);
+  SortConfig config;
+  config.memory_rows = 1000;
+  HashAggregate agg(&scan, /*group_prefix=*/2,
+                    {{AggFn::kCount, 0},
+                     {AggFn::kSum, 2},
+                     {AggFn::kMin, 2},
+                     {AggFn::kMax, 2}},
+                    kMemoryGroups, &counters, &temp, /*partitions=*/16,
+                    FallbackPolicy::kSortMerge, config);
+  RowVec out = DrainValidated(&agg, /*check_codes=*/false);
+  ASSERT_EQ(out.size(), reference.size());
+  for (const auto& row : out) {
+    const Ref& r = reference[{row[0], row[1]}];
+    EXPECT_EQ(row[2], r.count);
+    EXPECT_EQ(row[3], r.sum);
+    EXPECT_EQ(row[4], r.min);
+    EXPECT_EQ(row[5], r.max);
   }
+  EXPECT_EQ(counters.hash_agg_fallbacks, 1u);
+  // The sort takes the resident groups plus the rest of the input.
+  const uint64_t max_runs =
+      (kRows + kMemoryGroups + config.memory_rows - 1) / config.memory_rows;
+  EXPECT_GT(counters.rows_spilled, 0u);
+  EXPECT_LE(counters.rows_spilled, max_runs * kGroups);
+  EXPECT_LT(max_runs * kGroups, kRows);
 }
 
 TEST(CollapsingSink, FoldsAdjacentDuplicates) {

@@ -12,7 +12,6 @@
 #include "common/rng.h"
 #include "core/ovc_checker.h"
 #include "pq/loser_tree.h"
-#include "pq/plain_loser_tree.h"
 #include "sort/run.h"
 #include "test_util.h"
 
@@ -84,37 +83,6 @@ TEST(PqSorter, EmptyInput) {
   sorter.Reset(nullptr, 0);
   RowRef ref;
   EXPECT_FALSE(sorter.Next(&ref));
-}
-
-TEST(PlainPqSorter, MatchesReference) {
-  Schema schema(3);
-  OvcCodec codec(&schema);
-  QueryCounters counters;
-  KeyComparator comparator(&schema, &counters);
-  RowBuffer table = MakeTable(schema, 500, 3, /*seed=*/9);
-  std::vector<const uint64_t*> ptrs;
-  for (size_t i = 0; i < table.size(); ++i) ptrs.push_back(table.row(i));
-  PlainPqSorter sorter(&codec, &comparator);
-  sorter.Reset(ptrs.data(), static_cast<uint32_t>(ptrs.size()));
-  RowVec out;
-  RowRef ref;
-  while (sorter.Next(&ref)) {
-    out.emplace_back(ref.cols, ref.cols + schema.total_columns());
-  }
-  RowVec expected = ReferenceSort(schema, table);
-  ::ovc::testing::Canonicalize(&out);
-  ::ovc::testing::Canonicalize(&expected);
-  EXPECT_EQ(out, expected);
-  // No N x K guarantee for the plain tree: with a low-cardinality domain it
-  // must exceed the OVC comparison count (sanity-check the baseline is
-  // actually more expensive).
-  QueryCounters ovc_counters;
-  KeyComparator ovc_comparator(&schema, &ovc_counters);
-  PqSorter ovc_sorter(&codec, &ovc_comparator);
-  ovc_sorter.Reset(ptrs.data(), static_cast<uint32_t>(ptrs.size()));
-  while (ovc_sorter.Next(&ref)) {
-  }
-  EXPECT_GT(counters.column_comparisons, ovc_counters.column_comparisons);
 }
 
 // Builds an InMemoryRun from sorted rows with correct codes.
@@ -269,29 +237,6 @@ TEST(OvcMerger, StableOnEqualKeys) {
   EXPECT_EQ(payloads, (std::vector<uint64_t>{100, 101, 200, 201}));
 }
 
-TEST(PlainMerger, NaiveOutputCodesAreValid) {
-  Schema schema(3);
-  RowBuffer t1 = MakeTable(schema, 200, 3, /*seed=*/5, /*sorted=*/true);
-  RowBuffer t2 = MakeTable(schema, 150, 3, /*seed=*/6, /*sorted=*/true);
-  InMemoryRun a = MakeRun(schema, ::ovc::testing::ToRowVec(t1));
-  InMemoryRun b = MakeRun(schema, ::ovc::testing::ToRowVec(t2));
-  InMemoryRunSource sa(&a), sb(&b);
-  OvcCodec codec(&schema);
-  QueryCounters counters;
-  KeyComparator comparator(&schema, &counters);
-  PlainMerger::Options options;
-  options.derive_output_codes = true;
-  PlainMerger merger(&codec, &comparator, {&sa, &sb}, options);
-  OvcStreamChecker checker(&schema);
-  RowRef ref;
-  uint64_t n = 0;
-  while (merger.Next(&ref)) {
-    ASSERT_TRUE(checker.Observe(ref.cols, ref.ovc)) << checker.error();
-    ++n;
-  }
-  EXPECT_EQ(n, 350u);
-}
-
 /// Counts the pulls a merger makes on one of its inputs.
 class CountingSource final : public MergeSource {
  public:
@@ -313,29 +258,22 @@ TEST(Mergers, DoNoWorkAfterReportingExhaustion) {
   InMemoryRun a = MakeRun(schema, {{1, 1}, {3, 1}, {5, 2}});
   InMemoryRun b = MakeRun(schema, {{2, 1}, {3, 1}, {4, 4}});
   OvcCodec codec(&schema);
-  for (const bool plain : {false, true}) {
-    SCOPED_TRACE(plain ? "PlainMerger" : "OvcMerger");
-    CountingSource sa(&a), sb(&b);
-    QueryCounters counters;
-    KeyComparator comparator(&schema, &counters);
-    OvcMerger ovc_merger(&codec, &comparator, {&sa, &sb});
-    PlainMerger plain_merger(&codec, &comparator, {&sa, &sb});
-    auto next = [&](RowRef* ref) {
-      return plain ? plain_merger.Next(ref) : ovc_merger.Next(ref);
-    };
-    RowRef ref;
-    uint64_t n = 0;
-    while (next(&ref)) ++n;
-    EXPECT_EQ(n, 6u);
-    const QueryCounters drained = counters;
-    const uint64_t pulls = sa.pulls + sb.pulls;
-    EXPECT_FALSE(next(&ref));
-    EXPECT_FALSE(next(&ref));
-    EXPECT_EQ(counters.column_comparisons, drained.column_comparisons);
-    EXPECT_EQ(counters.code_comparisons, drained.code_comparisons);
-    EXPECT_EQ(counters.row_comparisons, drained.row_comparisons);
-    EXPECT_EQ(sa.pulls + sb.pulls, pulls);
-  }
+  CountingSource sa(&a), sb(&b);
+  QueryCounters counters;
+  KeyComparator comparator(&schema, &counters);
+  OvcMerger merger(&codec, &comparator, {&sa, &sb});
+  RowRef ref;
+  uint64_t n = 0;
+  while (merger.Next(&ref)) ++n;
+  EXPECT_EQ(n, 6u);
+  const QueryCounters drained = counters;
+  const uint64_t pulls = sa.pulls + sb.pulls;
+  EXPECT_FALSE(merger.Next(&ref));
+  EXPECT_FALSE(merger.Next(&ref));
+  EXPECT_EQ(counters.column_comparisons, drained.column_comparisons);
+  EXPECT_EQ(counters.code_comparisons, drained.code_comparisons);
+  EXPECT_EQ(counters.row_comparisons, drained.row_comparisons);
+  EXPECT_EQ(sa.pulls + sb.pulls, pulls);
 }
 
 // ---------------------------------------------------------------------------

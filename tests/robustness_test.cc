@@ -1,7 +1,6 @@
 // Robustness and edge-case coverage: descending sort directions end to
-// end, saturated 48-bit value images, adversarial replacement-selection
-// inputs, B-tree mutation fuzzing against a reference container, and
-// missing, torn or corrupt spill files.
+// end, saturated 48-bit value images, B-tree mutation fuzzing against a
+// reference container, and missing, torn or corrupt spill files.
 
 #include <algorithm>
 #include <filesystem>
@@ -21,7 +20,6 @@
 #include "exec/sort_operator.h"
 #include "plan/logical_plan.h"
 #include "sort/run_file.h"
-#include "sort/run_generation.h"
 #include "sql/catalog.h"
 #include "sql/session.h"
 #include "storage/btree.h"
@@ -198,81 +196,6 @@ TEST(Saturation, FilterTheoremStillHolds) {
     return (index++ % 3) == 1;
   });
   DrainValidated(&filter);
-}
-
-// ---------------------------------------------------------------------------
-// Replacement selection, adversarial inputs.
-
-TEST(ReplacementSelectionAdversarial, ReverseSortedInput) {
-  // Strictly descending input: every fresh row starts the next run, so run
-  // lengths collapse to the memory size -- the classic worst case. Output
-  // must stay perfectly coded.
-  Schema schema(2);
-  QueryCounters counters;
-  TempFileManager temp;
-  ReplacementSelection rs(&schema, &counters, &temp, /*capacity=*/64);
-  for (uint64_t i = 0; i < 4000; ++i) {
-    const uint64_t row[2] = {4000 - i, i};
-    ASSERT_TRUE(rs.Add(row).ok());
-  }
-  ASSERT_TRUE(rs.Finish().ok());
-  std::vector<SpilledRun> runs = rs.TakeRuns();
-  // Worst case: about N / capacity runs.
-  EXPECT_GE(runs.size(), 4000u / 64 - 2);
-  uint64_t total = 0;
-  for (const SpilledRun& run : runs) {
-    total += run.rows;
-    RunFileReader reader(&schema);
-    ASSERT_TRUE(reader.Open(run.path).ok());
-    OvcStreamChecker checker(&schema);
-    const uint64_t* row = nullptr;
-    Ovc code = 0;
-    while (reader.Next(&row, &code)) {
-      ASSERT_TRUE(checker.Observe(row, code)) << checker.error();
-    }
-  }
-  EXPECT_EQ(total, 4000u);
-}
-
-TEST(ReplacementSelectionAdversarial, ConstantInput) {
-  // All-equal keys: everything is a duplicate of the first winner; one run.
-  Schema schema(2);
-  TempFileManager temp;
-  QueryCounters counters;
-  ReplacementSelection rs(&schema, &counters, &temp, /*capacity=*/32);
-  for (uint64_t i = 0; i < 1000; ++i) {
-    const uint64_t row[2] = {7, 7};
-    ASSERT_TRUE(rs.Add(row).ok());
-  }
-  ASSERT_TRUE(rs.Finish().ok());
-  EXPECT_EQ(rs.run_count(), 1u);
-}
-
-TEST(ReplacementSelectionAdversarial, SawtoothInput) {
-  Schema schema(2);
-  TempFileManager temp;
-  QueryCounters counters;
-  ReplacementSelection rs(&schema, &counters, &temp, /*capacity=*/128);
-  Rng rng(31);
-  for (uint64_t i = 0; i < 10000; ++i) {
-    const uint64_t row[2] = {(i * 37) % 1000, rng.Uniform(5)};
-    ASSERT_TRUE(rs.Add(row).ok());
-  }
-  ASSERT_TRUE(rs.Finish().ok());
-  std::vector<SpilledRun> runs = rs.TakeRuns();
-  uint64_t total = 0;
-  for (const SpilledRun& run : runs) {
-    total += run.rows;
-    RunFileReader reader(&schema);
-    ASSERT_TRUE(reader.Open(run.path).ok());
-    OvcStreamChecker checker(&schema);
-    const uint64_t* row = nullptr;
-    Ovc code = 0;
-    while (reader.Next(&row, &code)) {
-      ASSERT_TRUE(checker.Observe(row, code)) << checker.error();
-    }
-  }
-  EXPECT_EQ(total, 10000u);
 }
 
 // ---------------------------------------------------------------------------

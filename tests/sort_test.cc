@@ -1,5 +1,5 @@
-// External merge sort: run files, all run-generation modes, spilling and
-// merge cascading, replacement selection, segmented sort.
+// External merge sort: run files, mini-run generation, spilling and merge
+// cascading, segmented sort.
 
 #include <filesystem>
 #include <fstream>
@@ -12,6 +12,7 @@
 
 #include "common/rng.h"
 #include "core/ovc_checker.h"
+#include "pq/loser_tree.h"
 #include "sort/external_sort.h"
 #include "sort/run_file.h"
 #include "sort/run_generation.h"
@@ -162,9 +163,6 @@ TEST(RunFile, OnDiskFormatIsPinned) {
 }
 
 struct ExternalSortParam {
-  RunGenMode mode;
-  bool replacement_selection;
-  bool use_ovc;
   uint64_t rows;
   uint64_t memory_rows;
   uint32_t fan_in;
@@ -184,11 +182,7 @@ TEST_P(ExternalSortTest, SortsCorrectly) {
   SortConfig config;
   config.memory_rows = p.memory_rows;
   config.fan_in = p.fan_in;
-  config.run_gen = p.mode;
   config.mini_run_rows = p.mini_run_rows;
-  config.replacement_selection = p.replacement_selection;
-  config.use_ovc = p.use_ovc;
-  config.naive_output_codes = !p.use_ovc;  // codes still wanted for checking
 
   ExternalSort sort(&schema, &counters, &temp, config);
   for (size_t i = 0; i < table.size(); ++i) {
@@ -208,58 +202,33 @@ TEST_P(ExternalSortTest, SortsCorrectly) {
   Canonicalize(&expected);
   EXPECT_EQ(out, expected);
 
-  if (p.use_ovc && p.mode != RunGenMode::kStdSort) {
-    // Column comparisons across run generation and all merge levels stay
-    // within N x K per processed level; with at most 2 extra levels this is
-    // a loose but meaningful ceiling. (kStdSort is the baseline that
-    // deliberately breaks this bound: N log N row comparisons.)
-    const uint64_t levels = 2 + sort.intermediate_merge_levels();
-    EXPECT_LE(counters.column_comparisons,
-              p.rows * schema.key_arity() * levels);
-  }
+  // Column comparisons across run generation and all merge levels stay
+  // within N x K per processed level; with at most 2 extra levels this is
+  // a loose but meaningful ceiling.
+  const uint64_t levels = 2 + sort.intermediate_merge_levels();
+  EXPECT_LE(counters.column_comparisons,
+            p.rows * schema.key_arity() * levels);
   if (p.rows > p.memory_rows) {
     EXPECT_GT(sort.spilled_runs(), 0u);
-  } else if (!p.replacement_selection) {
+  } else {
     EXPECT_EQ(sort.spilled_runs(), 0u);
+  }
+  if (sort.spilled_runs() > p.fan_in) {
+    EXPECT_GT(sort.intermediate_merge_levels(), 0u);
   }
 }
 
 INSTANTIATE_TEST_SUITE_P(
     Modes, ExternalSortTest,
     ::testing::Values(
-        ExternalSortParam{RunGenMode::kPqSingleRowRuns, false, true, 5000, 512,
-                          8, "pq_spill"},
-        ExternalSortParam{RunGenMode::kPqSingleRowRuns, false, true, 400, 512,
-                          8, "pq_memory"},
-        ExternalSortParam{RunGenMode::kPqMiniRuns, false, true, 5000, 512, 8,
-                          "mini_spill"},
-        ExternalSortParam{RunGenMode::kStdSort, false, true, 5000, 512, 8,
-                          "std_spill"},
-        ExternalSortParam{RunGenMode::kPqSingleRowRuns, false, true, 9000, 256,
-                          4, "cascade"},
-        ExternalSortParam{RunGenMode::kPqSingleRowRuns, true, true, 5000, 512,
-                          8, "replacement"},
-        ExternalSortParam{RunGenMode::kPqSingleRowRuns, true, true, 12000, 128,
-                          4, "replacement_cascade"},
-        ExternalSortParam{RunGenMode::kPqSingleRowRuns, false, false, 5000,
-                          512, 8, "plain_spill"},
-        ExternalSortParam{RunGenMode::kPqMiniRuns, false, false, 3000, 512, 8,
-                          "plain_mini"},
-        // In memory without OVC: the single tournament still derives the
-        // naive codes it was asked for.
-        ExternalSortParam{RunGenMode::kPqSingleRowRuns, false, false, 400,
-                          512, 8, "plain_memory"},
+        ExternalSortParam{5000, 512, 8, "pq_spill"},
+        ExternalSortParam{400, 512, 8, "pq_memory"},
+        // 36 runs at fan-in 4 cascade through intermediate merge levels.
+        ExternalSortParam{9000, 256, 4, "cascade"},
         // Several mini-runs per memory batch (64 of 512 rows), so run
-        // generation merges mini-runs: in memory and spilled, with OVC and
-        // without.
-        ExternalSortParam{RunGenMode::kPqMiniRuns, false, true, 500, 512, 8,
-                          "mini64_memory", 64},
-        ExternalSortParam{RunGenMode::kPqMiniRuns, false, true, 5000, 512, 8,
-                          "mini64_spill", 64},
-        ExternalSortParam{RunGenMode::kPqMiniRuns, false, false, 500, 512, 8,
-                          "plain_mini64_memory", 64},
-        ExternalSortParam{RunGenMode::kPqMiniRuns, false, false, 5000, 512, 8,
-                          "plain_mini64_spill", 64}),
+        // generation merges mini-runs: in memory and spilled.
+        ExternalSortParam{500, 512, 8, "mini64_memory", 64},
+        ExternalSortParam{5000, 512, 8, "mini64_spill", 64}),
     [](const ::testing::TestParamInfo<ExternalSortParam>& info) {
       return info.param.name;
     });
@@ -315,12 +284,17 @@ TEST(BatchSorter, MiniRunsMatchSingleTournamentRowForRowAndCodeForCode) {
     }
     const uint64_t bound = kRows * schema.key_arity();
 
+    // The reference: one tournament over the whole batch.
     QueryCounters single_counters;
-    BatchSorter single(&schema, &single_counters,
-                       RunGenMode::kPqSingleRowRuns, /*mini_run_rows=*/1024,
-                       /*use_ovc=*/true, /*naive_codes=*/false);
+    OvcCodec codec(&schema);
+    KeyComparator comparator(&schema, &single_counters);
+    std::vector<const uint64_t*> ptrs;
+    for (size_t i = 0; i < input.size(); ++i) ptrs.push_back(input.row(i));
+    PqSorter single(&codec, &comparator);
+    single.Reset(ptrs.data(), static_cast<uint32_t>(ptrs.size()));
     CollectSink expected(schema.total_columns());
-    single.Sort(input, &expected);
+    RowRef ref;
+    while (single.Next(&ref)) expected.Accept(ref.cols, ref.ovc);
     ASSERT_EQ(expected.run.size(), kRows);
     OvcStreamChecker checker(&schema);
     for (size_t i = 0; i < kRows; ++i) {
@@ -336,8 +310,7 @@ TEST(BatchSorter, MiniRunsMatchSingleTournamentRowForRowAndCodeForCode) {
     for (const uint32_t mini : {2u, 64u, 1000u, 4096u}) {
       SCOPED_TRACE(mini);
       QueryCounters counters;
-      BatchSorter sorter(&schema, &counters, RunGenMode::kPqMiniRuns, mini,
-                         /*use_ovc=*/true, /*naive_codes=*/false);
+      BatchSorter sorter(&schema, &counters, mini);
       CollectSink got(schema.total_columns());
       sorter.Sort(input, &got);
       ASSERT_EQ(got.run.size(), kRows);
@@ -382,68 +355,6 @@ TEST(ExternalSort, PresortedInputHasMinimalComparisons) {
   while (sort.Next(&ref)) ++n;
   EXPECT_EQ(n, 4000u);
   EXPECT_LE(counters.column_comparisons, 2 * 4000u * schema.key_arity());
-}
-
-TEST(ReplacementSelection, RunsLongerThanMemory) {
-  // Random input: expected run length ~ 2x memory.
-  Schema schema(3);
-  QueryCounters counters;
-  TempFileManager temp;
-  ReplacementSelection rs(&schema, &counters, &temp, /*capacity=*/256);
-  RowBuffer table = MakeTable(schema, 10000, 50, /*seed=*/77);
-  for (size_t i = 0; i < table.size(); ++i) {
-    ASSERT_TRUE(rs.Add(table.row(i)).ok());
-  }
-  ASSERT_TRUE(rs.Finish().ok());
-  std::vector<SpilledRun> runs = rs.TakeRuns();
-  ASSERT_FALSE(runs.empty());
-  uint64_t total = 0;
-  for (const SpilledRun& run : runs) total += run.rows;
-  EXPECT_EQ(total, 10000u);
-  const double avg = static_cast<double>(total) / runs.size();
-  EXPECT_GT(avg, 256 * 1.5) << "replacement selection should produce runs "
-                               "substantially longer than memory";
-
-  // Every run is itself a valid sorted coded stream.
-  for (const SpilledRun& run : runs) {
-    RunFileReader reader(&schema);
-    ASSERT_TRUE(reader.Open(run.path).ok());
-    OvcStreamChecker checker(&schema);
-    const uint64_t* row = nullptr;
-    Ovc code = 0;
-    while (reader.Next(&row, &code)) {
-      ASSERT_TRUE(checker.Observe(row, code)) << checker.error();
-    }
-  }
-}
-
-TEST(ReplacementSelection, SortedInputYieldsSingleRun) {
-  Schema schema(3);
-  TempFileManager temp;
-  ReplacementSelection rs(&schema, nullptr, &temp, /*capacity=*/64);
-  RowBuffer table = MakeTable(schema, 5000, 10, /*seed=*/3, /*sorted=*/true);
-  for (size_t i = 0; i < table.size(); ++i) {
-    ASSERT_TRUE(rs.Add(table.row(i)).ok());
-  }
-  ASSERT_TRUE(rs.Finish().ok());
-  EXPECT_EQ(rs.run_count(), 1u);
-}
-
-TEST(ReplacementSelection, BaseTagFallbacksAmortize) {
-  // The guarded comparisons (different base tags -> full key comparison)
-  // must stay rare: well below one per input row.
-  Schema schema(4);
-  QueryCounters counters;
-  TempFileManager temp;
-  ReplacementSelection rs(&schema, &counters, &temp, /*capacity=*/512);
-  RowBuffer table = MakeTable(schema, 20000, 8, /*seed=*/5);
-  for (size_t i = 0; i < table.size(); ++i) {
-    ASSERT_TRUE(rs.Add(table.row(i)).ok());
-  }
-  ASSERT_TRUE(rs.Finish().ok());
-  // row_comparisons counts: 1 per input row (run assignment) + fallbacks +
-  // re-derivations. Allow 1.5x as the amortized ceiling.
-  EXPECT_LE(counters.row_comparisons, 20000u * 3 / 2);
 }
 
 struct SegmentedParam {

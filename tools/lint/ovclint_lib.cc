@@ -193,7 +193,7 @@ std::vector<Finding> LintTree(const std::string& root) {
   std::vector<SourceFile> files;
 
   // --- collect and preprocess files ---------------------------------------
-  for (const char* sub : {"src", "tools", "tests"}) {
+  for (const char* sub : {"src", "tools", "tests", "bench/ablation"}) {
     const fs::path base = fs::path(root) / sub;
     if (!fs::is_directory(base)) continue;
     for (const auto& entry : fs::recursive_directory_iterator(base)) {

@@ -1,9 +1,9 @@
 // ovclint: repo-specific invariant checks a compiler cannot express.
 //
-// A self-contained lexical checker (no libclang) over src/, tools/, and
-// tests/. It strips comments with a small tokenizer, then enforces the
-// contracts that previous PRs established by convention -- and that each
-// cost at least one real bug before being written down:
+// A self-contained lexical checker (no libclang) over src/, tools/, tests/
+// and bench/ablation/. It strips comments with a small tokenizer, then
+// enforces the contracts that previous PRs established by convention --
+// and that each cost at least one real bug before being written down:
 //
 //   OVC-L001  layer acyclicity from the include graph
 //             (common -> row -> core -> pq -> sort -> exec -> storage ->
@@ -51,10 +51,10 @@ struct Finding {
 };
 
 /// Runs every rule over a repo checkout at `root` (expects src/, tools/,
-/// tests/, and docs/ROBUSTNESS.md below it; missing directories are
-/// skipped). Paths containing "lint_fixtures" are excluded so the
-/// checker's own test fixtures never fail the live tree. Findings come
-/// back sorted by (file, line, rule).
+/// tests/, bench/ablation/ and docs/ROBUSTNESS.md below it; missing
+/// directories are skipped). Paths containing "lint_fixtures" are excluded
+/// so the checker's own test fixtures never fail the live tree. Findings
+/// come back sorted by (file, line, rule).
 std::vector<Finding> LintTree(const std::string& root);
 
 /// Replaces // and /* */ comment bodies with spaces (newlines preserved,
