@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <utility>
 
-#include "pq/loser_tree.h"
+#include "bench/ablation/plain_loser_tree.h"
 
 namespace ovc::ablation {
 namespace {
@@ -66,16 +66,14 @@ void AblationSort::SortBuffer(RunSink* sink) {
   std::vector<const uint64_t*> rows;
   rows.reserve(buffer_.size());
   for (size_t i = 0; i < buffer_.size(); ++i) rows.push_back(buffer_.row(i));
+  // Offset-0 codes claim nothing about the predecessor; naive codes take
+  // one adjacent comparison per row, column by column.
   const uint64_t* prev = nullptr;
   auto emit = [&](const uint64_t* row) {
-    Ovc code = codec_.MakeFromRow(row, 0);
-    if (config_.naive_codes) {
-      code = prev == nullptr ? codec_.MakeInitial(row)
-                             : codec_.MakeFromRow(
-                                   row, comparator_.FirstDifference(prev, row,
-                                                                    0));
-    }
-    sink->Accept(row, code);
+    const uint32_t offset = config_.naive_codes && prev != nullptr
+                                ? comparator_.FirstDifference(prev, row, 0)
+                                : 0;
+    sink->Accept(row, codec_.MakeFromRow(row, offset));
     prev = row;
   };
   if (config_.run_gen == RunGen::kStdSort) {
@@ -112,17 +110,16 @@ Status AblationSort::Finish() {
     runs_ = rs_->TakeRuns();
     spilled_runs_ = runs_.size();
     if (runs_.empty()) return Status::Ok();  // empty input
-    return Merge(std::move(runs_));
-  }
-  if (runs_.empty()) {
+  } else if (runs_.empty()) {
     // Input fits in memory: sort and serve without spilling.
     memory_run_ = std::make_unique<InMemoryRun>(schema_->total_columns());
     MemoryRunSink sink(memory_run_.get());
     SortBuffer(&sink);
     output_ = std::make_unique<InMemoryRunSource>(memory_run_.get());
     return Status::Ok();
+  } else if (!buffer_.empty()) {
+    OVC_RETURN_IF_ERROR(SpillBuffer());
   }
-  if (!buffer_.empty()) OVC_RETURN_IF_ERROR(SpillBuffer());
   return Merge(std::move(runs_));
 }
 

@@ -20,11 +20,11 @@
 #include <memory>
 #include <vector>
 
-#include "bench/ablation/plain_loser_tree.h"
 #include "bench/ablation/replacement_selection.h"
 #include "common/counters.h"
 #include "common/temp_file.h"
 #include "core/row_ref.h"
+#include "pq/loser_tree.h"
 #include "row/row_buffer.h"
 #include "sort/run.h"
 #include "sort/run_file.h"

@@ -252,8 +252,9 @@ TEST(BatchSorter, MiniRunsMatchSingleTournamentRowForRowAndCodeForCode) {
   // have lossy ones: values at and above 2^48 - 1 share one saturated
   // 48-bit image, and a descending column normalizes v to ~v, which puts
   // its small values above the saturation point. Codes that tie on a
-  // saturated image re-compare the column at their offset, in either run
-  // generation mode, so those inputs check the match only.
+  // saturated image re-compare the column at their offset, in the single
+  // tournament and in mini-runs alike, so those inputs check the match
+  // only.
   const uint64_t kSaturated = OvcCodec::kValueMask;
   const uint64_t kExact[] = {0, 1, 7, 1000, kSaturated - 2, kSaturated - 1};
   const uint64_t kLossy[] = {0,          7,           kSaturated - 1,
