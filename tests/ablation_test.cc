@@ -40,6 +40,46 @@ constexpr uint64_t kRows = 5000;
 constexpr uint64_t kMemoryRows = 512;
 constexpr uint32_t kFanIn = 4;
 
+/// What a sort did, besides its output.
+struct SortStats {
+  QueryCounters counters;
+  uint64_t spilled_runs = 0;
+  uint32_t merge_levels = 0;
+};
+
+constexpr uint32_t kKeyColumns = 4;
+
+/// Sorts `rows` seeded rows of kKeyColumns keys and 1 payload column with a
+/// `Sort` (ExternalSort or AblationSort) configured by `config`. Checks the
+/// rows against the reference sort and, when `coded`, the codes (offset-0
+/// codes claim nothing, so code-free output is not checked).
+template <typename Sort, typename Config>
+SortStats SortChecked(const Config& config, uint64_t rows, bool coded) {
+  Schema schema(kKeyColumns, 1);
+  const RowBuffer table = MakeTable(schema, rows, 4, /*seed=*/rows);
+  SortStats stats;
+  TempFileManager temp;
+  Sort sort(&schema, &stats.counters, &temp, config);
+  for (size_t i = 0; i < table.size(); ++i) sort.Add(table.row(i));
+  EXPECT_TRUE(sort.Finish().ok());
+  OvcStreamChecker checker(&schema);
+  RowVec out;
+  RowRef ref;
+  while (sort.Next(&ref)) {
+    out.emplace_back(ref.cols, ref.cols + schema.total_columns());
+    if (coded && checker.ok()) {  // one failure, no error spam
+      EXPECT_TRUE(checker.Observe(ref.cols, ref.ovc)) << checker.error();
+    }
+  }
+  RowVec expected = ReferenceSort(schema, table);
+  Canonicalize(&out);
+  Canonicalize(&expected);
+  EXPECT_EQ(out, expected);
+  stats.spilled_runs = sort.spilled_runs();
+  stats.merge_levels = sort.intermediate_merge_levels();
+  return stats;
+}
+
 struct PinnedCounts {
   uint64_t code_comparisons;
   uint64_t column_comparisons;
@@ -55,34 +95,13 @@ void ExpectCounts(const QueryCounters& got, uint64_t spilled_runs,
   EXPECT_EQ(spilled_runs, pinned.spilled_runs);
 }
 
-/// Sorts the seeded input with a `Sort` (ExternalSort or AblationSort)
-/// configured by `config`, checks the rows against the reference sort (and
-/// the codes, when `coded`), and checks the counts.
+/// Sorts the seeded input with `config`, checks it and the counts.
 template <typename Sort, typename Config>
 void SortPinned(Config config, bool coded, const PinnedCounts& pinned) {
-  Schema schema(4, 1);
-  const RowBuffer table = MakeTable(schema, kRows, 4, /*seed=*/kRows);
-  QueryCounters counters;
-  TempFileManager temp;
   config.memory_rows = kMemoryRows;
   config.fan_in = kFanIn;
-  Sort sort(&schema, &counters, &temp, config);
-  for (size_t i = 0; i < table.size(); ++i) sort.Add(table.row(i));
-  ASSERT_TRUE(sort.Finish().ok());
-  OvcStreamChecker checker(&schema);
-  RowVec out;
-  RowRef ref;
-  while (sort.Next(&ref)) {
-    out.emplace_back(ref.cols, ref.cols + schema.total_columns());
-    if (coded) {
-      ASSERT_TRUE(checker.Observe(ref.cols, ref.ovc)) << checker.error();
-    }
-  }
-  RowVec expected = ReferenceSort(schema, table);
-  Canonicalize(&out);
-  Canonicalize(&expected);
-  EXPECT_EQ(out, expected);
-  ExpectCounts(counters, sort.spilled_runs(), pinned);
+  const SortStats stats = SortChecked<Sort>(config, kRows, coded);
+  ExpectCounts(stats.counters, stats.spilled_runs, pinned);
 }
 
 TEST(PinnedCounts, PlainTournamentSort) {
@@ -157,52 +176,28 @@ class AblationSortTest : public ::testing::TestWithParam<AblationSortParam> {
 
 TEST_P(AblationSortTest, SortsCorrectly) {
   const auto p = GetParam();
-  Schema schema(4, 1);
-  QueryCounters counters;
-  TempFileManager temp;
-  RowBuffer table = MakeTable(schema, p.rows, 4, /*seed=*/p.rows);
-
   AblationSortConfig config;
   config.memory_rows = p.memory_rows;
   config.fan_in = p.fan_in;
   config.run_gen = p.run_gen;
   config.naive_codes = p.naive_codes;
   const bool rs = p.run_gen == RunGen::kReplacementSelection;
-
-  AblationSort sort(&schema, &counters, &temp, config);
-  for (size_t i = 0; i < table.size(); ++i) {
-    sort.Add(table.row(i));
-  }
-  ASSERT_TRUE(sort.Finish().ok());
-
-  // Offset-0 codes claim nothing, so only coded output is checked.
-  OvcStreamChecker checker(&schema);
-  RowVec out;
-  RowRef ref;
-  while (sort.Next(&ref)) {
-    out.emplace_back(ref.cols, ref.cols + schema.total_columns());
-    if (p.naive_codes || rs) {
-      ASSERT_TRUE(checker.Observe(ref.cols, ref.ovc)) << checker.error();
-    }
-  }
-  RowVec expected = ReferenceSort(schema, table);
-  Canonicalize(&out);
-  Canonicalize(&expected);
-  EXPECT_EQ(out, expected);
+  const SortStats stats =
+      SortChecked<AblationSort>(config, p.rows, p.naive_codes || rs);
 
   if (rs) {
     // Column comparisons across run generation and all merge levels stay
     // within N x K per processed level; with at most 2 extra levels this is
     // a loose but meaningful ceiling. (The code-free sorts are the
     // baselines that deliberately break this bound.)
-    const uint64_t levels = 2 + sort.intermediate_merge_levels();
-    EXPECT_LE(counters.column_comparisons,
-              p.rows * schema.key_arity() * levels);
+    const uint64_t levels = 2 + stats.merge_levels;
+    EXPECT_LE(stats.counters.column_comparisons,
+              p.rows * kKeyColumns * levels);
   }
   if (p.rows > p.memory_rows) {
-    EXPECT_GT(sort.spilled_runs(), 0u);
+    EXPECT_GT(stats.spilled_runs, 0u);
   } else if (!rs) {
-    EXPECT_EQ(sort.spilled_runs(), 0u);
+    EXPECT_EQ(stats.spilled_runs, 0u);
   }
 }
 
