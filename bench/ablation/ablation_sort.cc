@@ -28,6 +28,18 @@ class OwnedMerger final : public MergeSource {
   Merger merger_;
 };
 
+/// RunSink appending to an in-memory run.
+class MemoryRunSink final : public RunSink {
+ public:
+  explicit MemoryRunSink(InMemoryRun* run) : run_(run) {}
+  void Accept(const uint64_t* row, Ovc code) override {
+    run_->Append(row, code);
+  }
+
+ private:
+  InMemoryRun* run_;
+};
+
 }  // namespace
 
 AblationSort::AblationSort(const Schema* schema, QueryCounters* counters,

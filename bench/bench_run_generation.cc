@@ -2,9 +2,10 @@
 // tournament, the ablation baseline), cache-sized mini-runs (the default),
 // replacement selection (longer runs, one extra comparison per row), and the
 // std::sort baseline with naive codes. Reports run counts, code and column
-// comparisons per row and merge-bypass rows next to time: replacement
-// selection halves the run count, and mini-runs trade a few code
-// comparisons for a tournament that stays in cache. The last two are
+// comparisons per row, merge-bypass rows and minor page faults per
+// iteration (`minflt_per_iter`, the first-touched pages) next to time:
+// replacement selection halves the run count, and mini-runs trade a few
+// code comparisons for a tournament that stays in cache. The last two are
 // AblationSorts (bench/ablation/ablation_sort.h).
 //
 // Shapes ({rows, key columns, distinct values per column, payload columns,
@@ -79,6 +80,7 @@ void RunGen(benchmark::State& state, Config config) {
   QueryCounters counters;
   uint64_t runs = 0;
   config.memory_rows = shape.memory_rows;
+  const uint64_t faults_before = bench::MinorFaults();
   for (auto _ : state) {
     TempFileManager temp;
     Sort sort(&schema, &counters, &temp, config);
@@ -90,6 +92,7 @@ void RunGen(benchmark::State& state, Config config) {
     benchmark::DoNotOptimize(n);
     runs = sort.spilled_runs();
   }
+  const uint64_t faults = bench::MinorFaults() - faults_before;
   const double rows =
       static_cast<double>(state.iterations()) * static_cast<double>(shape.rows);
   state.SetItemsProcessed(state.iterations() * shape.rows);
@@ -101,6 +104,8 @@ void RunGen(benchmark::State& state, Config config) {
   state.counters["merge_bypass_rows"] =
       static_cast<double>(counters.merge_bypass_rows) /
       static_cast<double>(state.iterations());
+  state.counters["minflt_per_iter"] =
+      static_cast<double>(faults) / static_cast<double>(state.iterations());
 }
 
 void SingleRowRuns(benchmark::State& state) {

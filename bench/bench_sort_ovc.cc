@@ -4,7 +4,9 @@
 // and key-column counts. OvcSort and PlainTreeSort generate runs with one
 // tournament over each memory batch; OvcMiniRunSort is the engine's
 // default, cache-sized mini-runs. PlainTreeSort and StdSortBaseline are
-// the code-free AblationSort (bench/ablation/ablation_sort.h).
+// the code-free AblationSort (bench/ablation/ablation_sort.h). Each entry
+// reports column comparisons per row and minor page faults per iteration
+// (`minflt_per_iter`) next to time.
 
 #include <algorithm>
 #include <map>
@@ -52,6 +54,7 @@ void RunSort(benchmark::State& state, Config config) {
   const RowBuffer& table = GetTable(rows, arity);
   QueryCounters counters;
   config.memory_rows = std::max<uint64_t>(2, rows / 10);
+  const uint64_t faults_before = bench::MinorFaults();
   for (auto _ : state) {
     TempFileManager temp;
     Sort sort(&schema, &counters, &temp, config);
@@ -62,10 +65,13 @@ void RunSort(benchmark::State& state, Config config) {
     while (sort.Next(&ref)) ++n;
     benchmark::DoNotOptimize(n);
   }
+  const uint64_t faults = bench::MinorFaults() - faults_before;
   state.SetItemsProcessed(state.iterations() * rows);
   state.counters["column_cmp_per_row"] =
       static_cast<double>(counters.column_comparisons) /
       (static_cast<double>(state.iterations()) * rows);
+  state.counters["minflt_per_iter"] =
+      static_cast<double>(faults) / static_cast<double>(state.iterations());
 }
 
 void OvcSort(benchmark::State& state) {

@@ -10,6 +10,7 @@
 #define OVC_BENCH_BENCH_UTIL_H_
 
 #include <sched.h>
+#include <sys/resource.h>
 
 #include <cstdint>
 
@@ -27,6 +28,15 @@ inline int UsableCpus() {
   cpu_set_t set;
   if (sched_getaffinity(0, sizeof(set), &set) != 0) return 1;
   return CPU_COUNT(&set);
+}
+
+/// Minor page faults this process has taken so far. The difference across
+/// a timed loop, per iteration, shows an allocation regression as a count:
+/// every page a sort touches for the first time is one fault.
+inline uint64_t MinorFaults() {
+  rusage usage{};
+  getrusage(RUSAGE_SELF, &usage);
+  return static_cast<uint64_t>(usage.ru_minflt);
 }
 
 /// Random table in the paper's shape.

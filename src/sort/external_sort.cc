@@ -1,6 +1,8 @@
 #include "sort/external_sort.h"
 
 #include <algorithm>
+#include <filesystem>
+#include <system_error>
 
 #include "common/metrics.h"
 #include "common/trace.h"
@@ -15,7 +17,7 @@ ExternalSort::ExternalSort(const Schema* schema, QueryCounters* counters,
       counters_(counters),
       temp_(temp),
       config_(config),
-      buffer_(schema->total_columns()) {
+      batch_(schema, counters, config.mini_run_rows) {
   OVC_CHECK(config_.memory_rows >= 2);
   OVC_CHECK(config_.fan_in >= 2);
 }
@@ -30,14 +32,14 @@ ExternalSort::ExternalSort(const Schema* schema,
   collapse_fns_ = std::move(collapse_fns);
 }
 
-ExternalSort::~ExternalSort() = default;
+ExternalSort::~ExternalSort() { RemoveRunFiles(); }
 
 void ExternalSort::Add(const uint64_t* row) {
   OVC_CHECK(!finished_);
   if (!deferred_error_.ok()) return;  // intake degraded; Finish() reports
-  buffer_.AppendRow(row);
-  if (buffer_.size() >= config_.memory_rows) {
-    DeferError(SpillBuffer());
+  batch_.Add(row);
+  if (batch_.size() >= config_.memory_rows) {
+    DeferError(SpillBatch());
   }
 }
 
@@ -46,13 +48,13 @@ void ExternalSort::AddBlock(const RowBlock& block) {
   if (!deferred_error_.ok()) return;
   uint32_t taken = 0;
   while (taken < block.size()) {
-    const uint64_t room = config_.memory_rows - buffer_.size();
+    const uint64_t room = config_.memory_rows - batch_.size();
     const uint32_t n = static_cast<uint32_t>(
         std::min<uint64_t>(room, block.size() - taken));
-    buffer_.AppendRows(block.row(taken), n);
+    batch_.AddRows(block.row(taken), n);
     taken += n;
-    if (buffer_.size() >= config_.memory_rows) {
-      DeferError(SpillBuffer());
+    if (batch_.size() >= config_.memory_rows) {
+      DeferError(SpillBatch());
       if (!deferred_error_.ok()) return;
     }
   }
@@ -63,7 +65,7 @@ void ExternalSort::DeferError(const Status& status) {
   // First spill error wins; stop buffering (later Adds are dropped, which
   // is fine -- the query is already failed and Finish() will say so).
   deferred_error_ = status;
-  buffer_.Clear();
+  batch_.Clear();
 }
 
 template <typename Feed>
@@ -77,20 +79,37 @@ void ExternalSort::FeedRun(RunSink* sink, Feed feed) {
   collapser.Flush();
 }
 
-void ExternalSort::SortBuffer(RunSink* sink) {
-  OVC_TRACE_SPAN("sort.run_generation");
-  BatchSorter sorter(schema_, counters_, config_.mini_run_rows);
-  FeedRun(sink, [&](RunSink* s) { sorter.Sort(buffer_, s); });
+template <typename Rows>
+void ExternalSort::CollapseOutput(Rows* rows) {
+  merger_source_ = std::make_unique<RowRefSource<Rows>>(rows);
+  collapsed_output_ = std::make_unique<CollapsingSource>(
+      schema_, collapse_fns_, merger_source_.get());
 }
 
-Status ExternalSort::SpillBuffer() {
-  if (buffer_.empty()) return Status::Ok();
+std::string ExternalSort::NewRunPath(const std::string& tag) {
+  files_.push_back(temp_->NewPath(tag));
+  return files_.back();
+}
+
+void ExternalSort::RemoveRunFiles() {
+  for (const std::string& path : files_) {
+    std::error_code ec;
+    std::filesystem::remove(path, ec);  // best effort, like the manager's
+  }
+  files_.clear();
+}
+
+Status ExternalSort::SpillBatch() {
+  if (batch_.empty()) return Status::Ok();
   OVC_TRACE_SPAN("sort.spill_run");
   RunFileWriter writer(schema_, counters_);
-  const std::string path = temp_->NewPath("run");
+  const std::string path = NewRunPath("run");
   OVC_RETURN_IF_ERROR(writer.Open(path));
   FileRunSink sink(&writer);
-  SortBuffer(&sink);
+  {
+    OVC_TRACE_SPAN("sort.run_generation");
+    FeedRun(&sink, [&](RunSink* s) { batch_.WriteRun(s); });
+  }
   OVC_RETURN_IF_ERROR(sink.status());
   OVC_RETURN_IF_ERROR(writer.Close());
   runs_.push_back(SpilledRun{path, writer.rows()});
@@ -98,7 +117,6 @@ Status ExternalSort::SpillBuffer() {
   OVC_METRIC_COUNTER("sort.runs_spilled",
                      "Sorted runs written to temporary storage")
       .Increment();
-  buffer_.Clear();
   return Status::Ok();
 }
 
@@ -106,21 +124,23 @@ Status ExternalSort::Finish() {
   OVC_CHECK(!finished_);
   finished_ = true;
   // A spill error during intake fails the whole sort; Next()/NextBlock()
-  // then serve nothing (no merger is prepared).
-  if (!deferred_error_.ok()) return deferred_error_;
+  // then serve nothing (no output is prepared).
+  const Status status =
+      deferred_error_.ok() ? PrepareOutput() : deferred_error_;
+  if (!status.ok()) RemoveRunFiles();
+  return status;
+}
 
+Status ExternalSort::PrepareOutput() {
   if (runs_.empty()) {
-    // Input fits in memory: sort and serve without spilling.
-    memory_run_ = std::make_unique<InMemoryRun>(schema_->total_columns());
-    memory_run_->Reserve(buffer_.size());
-    MemoryRunSink sink(memory_run_.get());
-    SortBuffer(&sink);
-    memory_source_ =
-        std::make_unique<InMemoryRunSource>(memory_run_.get());
+    // Input fits in memory: serve the merge over the mini-runs, unspilled.
+    OVC_TRACE_SPAN("sort.run_generation");
+    batch_.Finish();
+    in_memory_ = true;
+    if (collapse_) CollapseOutput(&batch_);
     return Status::Ok();
   }
-
-  OVC_RETURN_IF_ERROR(SpillBuffer());
+  OVC_RETURN_IF_ERROR(SpillBatch());
   return PrepareMerge(std::move(runs_));
 }
 
@@ -148,7 +168,7 @@ Status ExternalSort::PrepareMerge(std::vector<SpilledRun> runs) {
         sources.push_back(readers.back().get());
       }
       RunFileWriter writer(schema_, counters_);
-      const std::string path = temp_->NewPath("merge");
+      const std::string path = NewRunPath("merge");
       OVC_RETURN_IF_ERROR(writer.Open(path));
       FileRunSink sink(&writer);
       OvcMergerT<RunFileReader> merger(&codec_, &comparator_, sources);
@@ -174,52 +194,29 @@ Status ExternalSort::PrepareMerge(std::vector<SpilledRun> runs) {
   }
   merger_ = std::make_unique<OvcMergerT<RunFileReader>>(&codec_, &comparator_,
                                                        sources);
-  if (collapse_) {
-    merger_source_ =
-        std::make_unique<RowRefSource<OvcMergerT<RunFileReader>>>(
-            merger_.get());
-    collapsed_output_ = std::make_unique<CollapsingSource>(
-        schema_, collapse_fns_, merger_source_.get());
-  }
+  if (collapse_) CollapseOutput(merger_.get());
   return Status::Ok();
 }
 
 bool ExternalSort::Next(RowRef* out) {
   OVC_CHECK(finished_);
-  if (memory_source_ != nullptr) {
-    const uint64_t* row = nullptr;
-    Ovc code = 0;
-    if (!memory_source_->Next(&row, &code)) return false;
-    out->cols = row;
-    out->ovc = code;
-    return true;
-  }
   if (collapsed_output_ != nullptr) {
-    const uint64_t* row = nullptr;
-    Ovc code = 0;
-    if (!collapsed_output_->Next(&row, &code)) return false;
-    out->cols = row;
-    out->ovc = code;
-    return true;
+    return collapsed_output_->Next(&out->cols, &out->ovc);
   }
-  if (merger_ != nullptr) {
-    return merger_->Next(out);
-  }
-  return false;  // empty input
+  if (in_memory_) return batch_.Next(out);
+  if (merger_ != nullptr) return merger_->Next(out);
+  return false;  // failed sort
 }
 
 uint32_t ExternalSort::NextBlock(RowBlock* out) {
   OVC_CHECK(finished_);
-  out->Clear();
-  if (memory_source_ != nullptr) {
-    // In-memory result: the run is stable until the sort is destroyed.
-    return memory_source_->NextBlock(out);
-  }
   if (collapsed_output_ != nullptr) return FillBlock(this, out);
-  if (merger_ != nullptr) {
-    return merger_->NextBlock(out);
-  }
-  return 0;  // empty input
+  // In memory, a single mini-run is served zero-copy: it is stable until
+  // the sort is destroyed.
+  if (in_memory_) return batch_.NextBlock(out);
+  if (merger_ != nullptr) return merger_->NextBlock(out);
+  out->Clear();
+  return 0;  // failed sort
 }
 
 }  // namespace ovc

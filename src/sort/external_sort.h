@@ -1,10 +1,13 @@
 // External merge sort with offset-value coding (Sections 3 and 5).
 //
-// Pipeline: consume unsorted rows -> generate sorted runs from cache-sized
-// mini-runs (in memory when the input fits, spilled to prefix-truncated run
-// files otherwise) -> merge with a tree-of-losers priority queue and the
-// duplicate bypass, cascading in multiple levels when the run count exceeds
-// the merge fan-in. Offset-value codes are produced during run generation,
+// Pipeline: consume unsorted rows, sorting each cache-sized mini-run as
+// soon as its rows have arrived (sort/run_generation.h) -> when the memory
+// batch is full, merge its mini-runs into a prefix-truncated run file ->
+// merge the runs with a tree-of-losers priority queue and the duplicate
+// bypass, cascading in multiple levels when the run count exceeds the merge
+// fan-in. When the input fits in memory nothing is spilled or copied: the
+// output streams from the merge over the mini-runs (or from the one
+// mini-run itself). Offset-value codes are produced during run generation,
 // stored in the run format (as truncated prefixes), exploited during
 // merging, and delivered with every output row. This is the one path; the
 // code-free sorts the paper compares against are in bench/ablation/.
@@ -21,6 +24,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "common/counters.h"
@@ -29,9 +33,7 @@
 #include "core/row_ref.h"
 #include "pq/loser_tree.h"
 #include "row/row_block.h"
-#include "row/row_buffer.h"
 #include "sort/group_collapse.h"
-#include "sort/run.h"
 #include "sort/run_file.h"
 #include "sort/run_generation.h"
 
@@ -40,7 +42,8 @@ namespace ovc {
 /// Tuning knobs for ExternalSort.
 struct SortConfig {
   /// Rows buffered in memory before a run is spilled (the paper's
-  /// "operator's memory holds ... rows").
+  /// "operator's memory holds ... rows"), counting the rows of the sorted
+  /// mini-runs and of the one being filled.
   uint64_t memory_rows = uint64_t{1} << 20;
   /// Maximum merge fan-in; more runs cascade into intermediate merges.
   uint32_t fan_in = 128;
@@ -62,6 +65,7 @@ class ExternalSort {
   ExternalSort(const Schema* schema, std::vector<StateMergeFn> collapse_fns,
                QueryCounters* counters, TempFileManager* temp,
                SortConfig config);
+  /// Removes the sort's run files.
   ~ExternalSort();
 
   /// Adds one input row (copied). Spill I/O errors during intake do not
@@ -70,12 +74,13 @@ class ExternalSort {
   /// fallbacks rely on).
   void Add(const uint64_t* row);
 
-  /// Adds a whole block of input rows: one amortized-growth bulk copy per
-  /// memory-buffer stretch instead of a per-row append, splitting at the
-  /// memory_rows spill boundary exactly like row-at-a-time Add().
+  /// Adds a whole block of input rows: one bulk copy per mini-run stretch
+  /// instead of a per-row append, splitting at the memory_rows spill
+  /// boundary exactly like row-at-a-time Add().
   void AddBlock(const RowBlock& block);
 
-  /// Ends the input; sorts/spills what remains and prepares the output.
+  /// Ends the input; sorts/spills what remains and prepares the output. On
+  /// an error the sort serves no row and its run files are removed.
   Status Finish();
 
   /// Produces the next output row in sort order with its code. Valid only
@@ -95,14 +100,22 @@ class ExternalSort {
   uint32_t intermediate_merge_levels() const { return merge_levels_; }
 
  private:
-  /// Sorts the buffered rows into `sink` as one run.
-  void SortBuffer(RunSink* sink);
   /// Lets `feed` write one run into `sink`, through a CollapsingSink when
   /// the sort collapses.
   template <typename Feed>
   void FeedRun(RunSink* sink, Feed feed);
-  Status SpillBuffer();
+  /// Ends intake: serves the batch in memory or spills it and merges.
+  Status PrepareOutput();
+  /// Merges the batch's mini-runs into a new run file.
+  Status SpillBatch();
   Status PrepareMerge(std::vector<SpilledRun> runs);
+  /// Serves the output through a CollapsingSource over `rows`.
+  template <typename Rows>
+  void CollapseOutput(Rows* rows);
+  /// A fresh path for a run file, removed with the sort.
+  std::string NewRunPath(const std::string& tag);
+  /// Removes every run file the sort created.
+  void RemoveRunFiles();
   /// Records the first intake error and degrades (see Add).
   void DeferError(const Status& status);
 
@@ -115,19 +128,19 @@ class ExternalSort {
   bool collapse_ = false;
   std::vector<StateMergeFn> collapse_fns_;
 
-  RowBuffer buffer_;
+  BatchSorter batch_;
   std::vector<SpilledRun> runs_;
+  std::vector<std::string> files_;  // every run file the sort created
   uint64_t spilled_runs_ = 0;
   uint32_t merge_levels_ = 0;
   bool finished_ = false;
   Status deferred_error_ = Status::Ok();
 
-  // Output plumbing: the memory run, the collapsed final merge or the final
-  // merge serves Next(). The final merge runs over concrete RunFileReader
-  // sources so the tournament's refill calls devirtualize (see
-  // pq/loser_tree.h).
-  std::unique_ptr<InMemoryRun> memory_run_;
-  std::unique_ptr<InMemoryRunSource> memory_source_;
+  // Output plumbing: the in-memory batch or the final merge serves Next(),
+  // through a CollapsingSource when the sort collapses. The final merge runs
+  // over concrete RunFileReader sources so the tournament's refill calls
+  // devirtualize (see pq/loser_tree.h).
+  bool in_memory_ = false;
   std::vector<std::unique_ptr<RunFileReader>> readers_;
   std::unique_ptr<OvcMergerT<RunFileReader>> merger_;
   std::unique_ptr<MergeSource> merger_source_;

@@ -2,7 +2,6 @@
 
 #include "core/ovc.h"
 #include "pq/loser_tree.h"
-#include "sort/run_generation.h"
 
 namespace ovc {
 
@@ -85,7 +84,7 @@ LsmForest::LsmForest(const Schema* schema, QueryCounters* counters,
       counters_(counters),
       temp_(temp),
       options_(options),
-      memtable_(schema->total_columns()) {
+      memtable_(schema, counters, /*mini_run_rows=*/1024) {
   OVC_CHECK(options_.memtable_rows >= 1);
   if (options_.collapse) {
     OVC_CHECK(options_.collapse_fns.size() == schema->payload_columns());
@@ -93,7 +92,7 @@ LsmForest::LsmForest(const Schema* schema, QueryCounters* counters,
 }
 
 void LsmForest::Insert(const uint64_t* row) {
-  memtable_.AppendRow(row);
+  memtable_.Add(row);
   ++rows_;
   if (memtable_.size() >= options_.memtable_rows) {
     Flush();
@@ -106,7 +105,6 @@ void LsmForest::Insert(const uint64_t* row) {
 
 void LsmForest::Flush() {
   if (memtable_.empty()) return;
-  BatchSorter sorter(schema_, counters_, /*mini_run_rows=*/1024);
   RunFileWriter writer(schema_, counters_);
   const std::string path = temp_->NewPath("lsm-run");
   OVC_CHECK_OK(writer.Open(path));
@@ -114,15 +112,14 @@ void LsmForest::Flush() {
   if (options_.collapse) {
     // Aggregating maintenance: key-duplicates collapse already at flush.
     CollapsingSink collapser(schema_, options_.collapse_fns, &sink);
-    sorter.Sort(memtable_, &collapser);
+    memtable_.WriteRun(&collapser);
     collapser.Flush();
   } else {
-    sorter.Sort(memtable_, &sink);
+    memtable_.WriteRun(&sink);
   }
   OVC_CHECK_OK(sink.status());
   OVC_CHECK_OK(writer.Close());
   runs_.push_back(SpilledRun{path, writer.rows()});
-  memtable_.Clear();
 }
 
 void LsmForest::CompactAll() {

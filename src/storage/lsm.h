@@ -3,8 +3,9 @@
 // query processing in log-structured merge-forests rely heavily on sorting
 // and merging").
 //
-// Rows accumulate in a memtable; a flush sorts them (tree-of-losers, codes
-// as a byproduct) into a prefix-truncated run file. Queries merge all runs
+// Rows accumulate in a memtable that sorts them in cache-sized mini-runs as
+// they arrive (sort/run_generation.h, codes as a byproduct); a flush merges
+// those into a prefix-truncated run file. Queries merge all runs
 // plus the memtable with an OVC tree-of-losers merge and deliver a single
 // sorted, coded stream. Compaction merges runs into one, again exploiting
 // and reproducing codes.
@@ -19,9 +20,9 @@
 #include "common/counters.h"
 #include "common/temp_file.h"
 #include "exec/operator.h"
-#include "row/row_buffer.h"
 #include "sort/group_collapse.h"
 #include "sort/run_file.h"
+#include "sort/run_generation.h"
 
 namespace ovc {
 
@@ -79,7 +80,7 @@ class LsmForest {
   TempFileManager* temp_;
   Options options_;
 
-  RowBuffer memtable_;
+  BatchSorter memtable_;
   std::vector<SpilledRun> runs_;
   uint64_t rows_ = 0;
   uint64_t compactions_ = 0;

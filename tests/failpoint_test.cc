@@ -1,19 +1,25 @@
 // Deterministic fault injection: the failpoint facility itself, bounded
 // retry of transient temp-file write failures, clean SqlError reporting
-// when retries exhaust, and forced mid-query hash->sort fallbacks.
+// when retries exhaust, a failed spill that leaves no run file behind, and
+// forced mid-query hash->sort fallbacks.
 //
 // Failpoints compile to a literal `false` in optimized builds unless
 // OVC_ENABLE_FAILPOINTS is defined (the CMake option CI's TSan job sets);
 // every test here skips itself when the facility is compiled out.
 
+#include <filesystem>
 #include <string>
 
 #include <gtest/gtest.h>
 
 #include "common/counters.h"
 #include "common/failpoint.h"
+#include "common/rng.h"
 #include "common/temp_file.h"
 #include "plan/plan_executor.h"
+#include "row/row_block.h"
+#include "row/row_buffer.h"
+#include "sort/external_sort.h"
 #include "sql/catalog.h"
 #include "sql/session.h"
 #include "test_util.h"
@@ -154,6 +160,53 @@ TEST_F(FailpointTest, ExhaustedWriteRetriesReportCleanSqlError) {
   sql::SqlResult<sql::QueryResult> retry = session.Run(query);
   ASSERT_TRUE(retry.ok()) << retry.error().ToString();
   EXPECT_EQ(retry.value().result.row_count(), 10000u);
+}
+
+TEST_F(FailpointTest, FailedSecondSpillServesNothingAndLeavesNoFiles) {
+  SKIP_WITHOUT_FAILPOINTS();
+  // 1,000 rows of memory in 256-row mini-runs: the first run spills during
+  // intake, and the second, at Finish, from an input that ends 44 rows into
+  // a mini-run. A pass over the first batch alone counts one run's block
+  // flushes; every flush after those fails, so the second run's writes
+  // exhaust their retries.
+  Schema schema(2, 1);
+  SortConfig config;
+  config.memory_rows = 1000;
+  config.mini_run_rows = 256;
+  Rng rng(/*seed=*/29);
+  RowBuffer input(schema.total_columns());
+  for (uint64_t i = 0; i < 1300; ++i) {
+    const uint64_t row[3] = {rng.Uniform(50), rng.Uniform(50), i};
+    input.AppendRow(row);
+  }
+
+  failpoint::Arm("tempfile.write", /*skip_first=*/0, /*fail_times=*/0);
+  {
+    TempFileManager temp;
+    ExternalSort first_run(&schema, nullptr, &temp, config);
+    for (size_t i = 0; i < config.memory_rows; ++i) {
+      first_run.Add(input.row(i));
+    }
+    ASSERT_TRUE(first_run.Finish().ok());
+    ASSERT_EQ(first_run.spilled_runs(), 1u);
+  }
+  const uint64_t flushes = failpoint::Hits("tempfile.write");
+  ASSERT_GT(flushes, 0u);
+
+  failpoint::Arm("tempfile.write", /*skip_first=*/flushes);
+  TempFileManager temp;
+  ExternalSort sort(&schema, nullptr, &temp, config);
+  for (size_t i = 0; i < input.size(); ++i) sort.Add(input.row(i));
+  const Status status = sort.Finish();
+  ASSERT_FALSE(status.ok());
+  EXPECT_NE(status.message().find("injected"), std::string::npos)
+      << status.message();
+  EXPECT_EQ(sort.spilled_runs(), 1u);
+  RowRef ref;
+  EXPECT_FALSE(sort.Next(&ref));
+  RowBlock block(schema.total_columns());
+  EXPECT_EQ(sort.NextBlock(&block), 0u);
+  EXPECT_TRUE(std::filesystem::is_empty(temp.dir()));
 }
 
 TEST_F(FailpointTest, ExhaustedOpenRetriesReportCleanSqlError) {

@@ -1,6 +1,7 @@
 // External merge sort: run files, mini-run generation, spilling and merge
 // cascading, segmented sort.
 
+#include <algorithm>
 #include <filesystem>
 #include <fstream>
 #include <iterator>
@@ -13,7 +14,9 @@
 #include "common/rng.h"
 #include "core/ovc_checker.h"
 #include "pq/loser_tree.h"
+#include "row/row_block.h"
 #include "sort/external_sort.h"
+#include "sort/group_collapse.h"
 #include "sort/run_file.h"
 #include "sort/run_generation.h"
 #include "sort/segmented_sort.h"
@@ -308,22 +311,30 @@ TEST(BatchSorter, MiniRunsMatchSingleTournamentRowForRowAndCodeForCode) {
 
     // 2 is the smallest mini-run, 1000 leaves a short last one, and 4096
     // holds the whole batch (no merge).
+    // The second batch of each sorter reuses its recycled mini-run blocks.
     for (const uint32_t mini : {2u, 64u, 1000u, 4096u}) {
       SCOPED_TRACE(mini);
       QueryCounters counters;
       BatchSorter sorter(&schema, &counters, mini);
-      CollectSink got(schema.total_columns());
-      sorter.Sort(input, &got);
-      ASSERT_EQ(got.run.size(), kRows);
-      for (size_t i = 0; i < kRows; ++i) {
-        for (uint32_t c = 0; c < schema.total_columns(); ++c) {
-          ASSERT_EQ(got.run.row(i)[c], expected.run.row(i)[c])
-              << i << "," << c;
+      for (int batch = 0; batch < 2; ++batch) {
+        SCOPED_TRACE(batch);
+        counters.Reset();
+        CollectSink got(schema.total_columns());
+        sorter.AddRows(input.row(0), kRows);
+        EXPECT_EQ(sorter.size(), kRows);
+        sorter.WriteRun(&got);
+        EXPECT_TRUE(sorter.empty());
+        ASSERT_EQ(got.run.size(), kRows);
+        for (size_t i = 0; i < kRows; ++i) {
+          for (uint32_t c = 0; c < schema.total_columns(); ++c) {
+            ASSERT_EQ(got.run.row(i)[c], expected.run.row(i)[c])
+                << i << "," << c;
+          }
+          ASSERT_EQ(got.run.code(i), expected.run.code(i)) << i;
         }
-        ASSERT_EQ(got.run.code(i), expected.run.code(i)) << i;
-      }
-      if (in.exact) {
-        EXPECT_LE(counters.column_comparisons, bound);
+        if (in.exact) {
+          EXPECT_LE(counters.column_comparisons, bound);
+        }
       }
     }
   }
@@ -356,6 +367,130 @@ TEST(ExternalSort, PresortedInputHasMinimalComparisons) {
   while (sort.Next(&ref)) ++n;
   EXPECT_EQ(n, 4000u);
   EXPECT_LE(counters.column_comparisons, 2 * 4000u * schema.key_arity());
+}
+
+/// How the boundary tests feed and drain an ExternalSort.
+struct Feed {
+  const char* name;
+  uint32_t block_rows;  // 0: row by row with Add() and Next()
+};
+
+/// Sorts `input` with a plain or a collapsing (kSum over the payload)
+/// ExternalSort, fed and drained as `feed` says, and checks the rows
+/// against std::stable_sort, the codes with OvcStreamChecker, the N x K
+/// column-comparison bound and the spilled-run count.
+void CheckBoundary(const Schema& schema, const RowBuffer& input,
+                   const SortConfig& config, const Feed& feed, bool collapse) {
+  const uint32_t arity = schema.key_arity();
+  const uint32_t width = schema.total_columns();
+  QueryCounters counters;
+  TempFileManager temp;
+  std::unique_ptr<ExternalSort> sort =
+      collapse ? std::make_unique<ExternalSort>(
+                     &schema, std::vector<StateMergeFn>{StateMergeFn::kSum},
+                     &counters, &temp, config)
+               : std::make_unique<ExternalSort>(&schema, &counters, &temp,
+                                                config);
+  if (feed.block_rows == 0) {
+    for (size_t i = 0; i < input.size(); ++i) sort->Add(input.row(i));
+  } else {
+    RowBlock block(width, feed.block_rows);
+    for (size_t i = 0; i < input.size(); ++i) {
+      block.Append(input.row(i), 0);
+      if (block.full() || i + 1 == input.size()) {
+        sort->AddBlock(block);
+        block.Clear();
+      }
+    }
+  }
+  ASSERT_TRUE(sort->Finish().ok());
+
+  OvcStreamChecker checker(&schema);
+  RowVec got;
+  auto observe = [&](const uint64_t* row, Ovc code) {
+    got.emplace_back(row, row + width);
+    return checker.Observe(row, code);
+  };
+  if (feed.block_rows == 0) {
+    RowRef ref;
+    while (sort->Next(&ref)) {
+      ASSERT_TRUE(observe(ref.cols, ref.ovc)) << checker.error();
+    }
+  } else {
+    RowBlock out(width, feed.block_rows);
+    while (sort->NextBlock(&out) > 0) {
+      for (uint32_t i = 0; i < out.size(); ++i) {
+        ASSERT_TRUE(observe(out.row(i), out.code(i))) << checker.error();
+      }
+    }
+  }
+
+  RowVec expected = ToRowVec(input);
+  std::stable_sort(expected.begin(), expected.end(),
+                   [arity](const std::vector<uint64_t>& a,
+                           const std::vector<uint64_t>& b) {
+                     return std::lexicographical_compare(
+                         a.begin(), a.begin() + arity, b.begin(),
+                         b.begin() + arity);
+                   });
+  if (collapse) {
+    RowVec groups;
+    for (const std::vector<uint64_t>& row : expected) {
+      if (!groups.empty() && std::equal(row.begin(), row.begin() + arity,
+                                        groups.back().begin())) {
+        groups.back()[arity] += row[arity];
+      } else {
+        groups.push_back(row);
+      }
+    }
+    expected = std::move(groups);
+  }
+  EXPECT_EQ(got, expected);
+  EXPECT_LE(counters.column_comparisons, input.size() * arity);
+  const uint64_t rows = input.size();
+  const uint64_t runs =
+      rows < config.memory_rows
+          ? 0
+          : (rows + config.memory_rows - 1) / config.memory_rows;
+  EXPECT_EQ(sort->spilled_runs(), runs);
+}
+
+TEST(ExternalSort, IntakeBoundaries) {
+  // Mini-runs fill at mini_run_rows and a batch spills at memory_rows; the
+  // row counts sit on each side of both. 1,000 rows of memory is not a
+  // multiple of 256-row mini-runs, so each batch ends in a short mini-run;
+  // 512 is. A block of 97 rows straddles every boundary, and one of 1,024
+  // rows holds a whole batch and a spill.
+  Schema schema(2, 1);
+  const Feed kFeeds[] = {{"add", 0}, {"block97", 97}, {"block1024", 1024}};
+  for (const uint64_t memory_rows : {1000u, 512u}) {
+    SCOPED_TRACE(memory_rows);
+    SortConfig config;
+    config.memory_rows = memory_rows;
+    config.mini_run_rows = 256;
+    config.fan_in = 2;  // three batches cascade
+    for (const uint64_t rows :
+         {uint64_t{0}, uint64_t{1}, uint64_t{255}, uint64_t{256},
+          uint64_t{257}, memory_rows - 1, memory_rows, memory_rows + 1,
+          2 * memory_rows + 257}) {
+      SCOPED_TRACE(rows);
+      // Few distinct keys, so duplicates collapse; the payload is the input
+      // position, so the plain sort's match also checks stability.
+      Rng rng(/*seed=*/rows + memory_rows);
+      RowBuffer input(schema.total_columns());
+      for (uint64_t i = 0; i < rows; ++i) {
+        const uint64_t row[3] = {rng.Uniform(8), rng.Uniform(16), i};
+        input.AppendRow(row);
+      }
+      for (const Feed& feed : kFeeds) {
+        SCOPED_TRACE(feed.name);
+        for (const bool collapse : {false, true}) {
+          SCOPED_TRACE(collapse ? "collapse" : "plain");
+          CheckBoundary(schema, input, config, feed, collapse);
+        }
+      }
+    }
+  }
 }
 
 struct SegmentedParam {
