@@ -16,7 +16,8 @@ BatchSorter::BatchSorter(const Schema* schema, QueryCounters* counters,
 
 void BatchSorter::AddRows(const uint64_t* rows, uint64_t count) {
   while (count > 0) {
-    const uint64_t n = std::min<uint64_t>(count, mini_run_rows_ - chunk_.size());
+    const uint64_t n =
+        std::min<uint64_t>(count, mini_run_rows_ - chunk_.size());
     chunk_.AppendRows(rows, n);
     rows += n * chunk_.width();
     count -= n;
