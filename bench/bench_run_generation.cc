@@ -6,7 +6,11 @@
 // iteration (`minflt_per_iter`, the first-touched pages) next to time:
 // replacement selection halves the run count, and mini-runs trade a few
 // code comparisons for a tournament that stays in cache. The last two are
-// AblationSorts (bench/ablation/ablation_sort.h).
+// AblationSorts (bench/ablation/ablation_sort.h). Every entry drains the
+// sort with Next, which hands out row pointers and never reads the rows;
+// MiniRunsToBlocks drains the default sort into 1,024-row blocks instead,
+// copying every row as SortOperator does, so the merge's cache misses on
+// the rows it serves show there.
 //
 // Shapes ({rows, key columns, distinct values per column, payload columns,
 // memory rows, presorted}):
@@ -71,8 +75,9 @@ const RowBuffer& GetTable(const Shape& shape) {
 }
 
 /// Sorts with a `Sort` (ExternalSort or AblationSort) configured by
-/// `config` and the shape's memory.
-template <typename Sort, typename Config>
+/// `config` and the shape's memory, and drains it with Next, or with
+/// NextBlock into a RowBlock when `kToBlocks`.
+template <typename Sort, bool kToBlocks = false, typename Config>
 void RunGen(benchmark::State& state, Config config) {
   const Shape shape = Shape::From(state);
   Schema schema(shape.arity, shape.payload);
@@ -80,15 +85,20 @@ void RunGen(benchmark::State& state, Config config) {
   QueryCounters counters;
   uint64_t runs = 0;
   config.memory_rows = shape.memory_rows;
+  RowBlock block(schema.total_columns());
   const uint64_t faults_before = bench::MinorFaults();
   for (auto _ : state) {
     TempFileManager temp;
     Sort sort(&schema, &counters, &temp, config);
     for (size_t i = 0; i < table.size(); ++i) sort.Add(table.row(i));
     OVC_CHECK_OK(sort.Finish());
-    RowRef ref;
     uint64_t n = 0;
-    while (sort.Next(&ref)) ++n;
+    if constexpr (kToBlocks) {
+      while (sort.NextBlock(&block) > 0) n += block.size();
+    } else {
+      RowRef ref;
+      while (sort.Next(&ref)) ++n;
+    }
     benchmark::DoNotOptimize(n);
     runs = sort.spilled_runs();
   }
@@ -117,6 +127,9 @@ void SingleRowRuns(benchmark::State& state) {
 void MiniRuns(benchmark::State& state) {
   RunGen<ExternalSort>(state, SortConfig());
 }
+void MiniRunsToBlocks(benchmark::State& state) {
+  RunGen<ExternalSort, /*kToBlocks=*/true>(state, SortConfig());
+}
 void StdSortRuns(benchmark::State& state) {
   ablation::AblationSortConfig config;
   config.run_gen = ablation::RunGen::kStdSort;
@@ -138,6 +151,7 @@ void ReplacementSelectionRuns(benchmark::State& state) {
 
 BENCHMARK(SingleRowRuns) RUN_GEN_SHAPES;
 BENCHMARK(MiniRuns) RUN_GEN_SHAPES;
+BENCHMARK(MiniRunsToBlocks) RUN_GEN_SHAPES;
 BENCHMARK(StdSortRuns) RUN_GEN_SHAPES;
 BENCHMARK(ReplacementSelectionRuns) RUN_GEN_SHAPES;
 

@@ -3,6 +3,7 @@
 #include <fcntl.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cerrno>
 #include <chrono>
@@ -79,6 +80,27 @@ TempFileManager::~TempFileManager() {
 std::string TempFileManager::NewPath(const std::string& tag) {
   return dir_ + "/" + tag + "-" +
          std::to_string(next_id_.fetch_add(1, std::memory_order_relaxed));
+}
+
+std::string TempFileSet::NewPath(const std::string& tag) {
+  paths_.push_back(temp_->NewPath(tag));
+  return paths_.back();
+}
+
+void TempFileSet::Remove(const std::string& path) {
+  auto it = std::find(paths_.begin(), paths_.end(), path);
+  if (it == paths_.end()) return;
+  std::error_code ec;
+  fs::remove(*it, ec);  // best effort, like the manager's
+  paths_.erase(it);
+}
+
+void TempFileSet::RemoveAll() {
+  for (const std::string& path : paths_) {
+    std::error_code ec;
+    fs::remove(path, ec);
+  }
+  paths_.clear();
 }
 
 void TempFileManager::RecordError(const Status& status) {

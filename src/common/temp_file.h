@@ -13,6 +13,7 @@
 #include <cstring>
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "common/check.h"
 #include "common/mutex.h"
@@ -77,6 +78,33 @@ class TempFileManager {
   std::atomic<uint64_t> next_id_{0};
   mutable Mutex error_mu_;
   Status first_error_ OVC_GUARDED_BY(error_mu_) = Status::Ok();
+};
+
+/// The temporary files of one spilling operator: paths from a
+/// TempFileManager that the operator removes as soon as it is done with
+/// them -- one file once it has been read back, all of them on failure and
+/// on destruction -- instead of leaving them until the manager's directory
+/// goes away with the session. One operator's state; not thread-safe.
+class TempFileSet {
+ public:
+  /// `temp` must outlive every NewPath call.
+  explicit TempFileSet(TempFileManager* temp) : temp_(temp) {}
+  ~TempFileSet() { RemoveAll(); }
+
+  TempFileSet(const TempFileSet&) = delete;
+  TempFileSet& operator=(const TempFileSet&) = delete;
+
+  /// A fresh path from the manager (see TempFileManager::NewPath), removed
+  /// with the set.
+  std::string NewPath(const std::string& tag);
+  /// Removes one file of the set.
+  void Remove(const std::string& path);
+  /// Removes every file of the set.
+  void RemoveAll();
+
+ private:
+  TempFileManager* temp_;
+  std::vector<std::string> paths_;
 };
 
 /// Bytes of the one buffer each open FileWriter/FileReader owns. Rows are

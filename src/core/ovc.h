@@ -22,6 +22,8 @@
 // A single unsigned integer comparison therefore orders early fences before
 // all valid codes before all late fences -- the comparison of offset-value
 // codes is folded into the validity test, making it "practically free".
+// A late fence's low 62 bits may carry a tournament slot (LateFence(slot)),
+// so that no two slots' fences tie; only the kind bits are ever tested.
 //
 // The 48-bit value field stores min(v, 2^48 - 1) of the *normalized* column
 // value. This saturating map is monotone, which is all the OVC algebra
@@ -99,8 +101,12 @@ class OvcCodec {
 
   /// The early fence (-inf): smaller than every valid code.
   static constexpr Ovc EarlyFence() { return 0; }
-  /// The late fence (+inf): larger than every valid code.
-  static constexpr Ovc LateFence() { return ~uint64_t{0}; }
+  /// The late fence (+inf): larger than every valid code. A tournament
+  /// gives each slot its own fence, ~0 - slot, so that two fences never
+  /// tie and the codes alone decide every match between them.
+  static constexpr Ovc LateFence(uint32_t slot = 0) {
+    return ~uint64_t{0} - slot;
+  }
 
   /// True for valid (non-fence) codes.
   static bool IsValid(Ovc code) { return (code >> 62) == 1; }

@@ -8,8 +8,10 @@ int CompareEqualCodes(const OvcCodec& codec, const KeyComparator& comparator,
   const Ovc code = *left_code;
   OVC_DCHECK(code == *right_code);
   if (!OvcCodec::IsValid(code)) {
-    // Two equal fences; no key data to compare. Callers treat this as a tie
-    // broken by input index (it only happens between exhausted inputs).
+    // Two equal fences; no key data to compare, so a tie. Only a
+    // CompareWithOvc caller can pass them: the tree-of-losers tournaments
+    // give each slot its own fence, and merge join and set operations stop
+    // before comparing two exhausted inputs.
     return 0;
   }
 

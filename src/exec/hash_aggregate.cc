@@ -27,6 +27,7 @@ HashAggregate::HashAggregate(Operator* child, uint32_t group_prefix,
           child->schema(), group_prefix, aggregates_.size())),
       counters_(counters),
       temp_(temp),
+      files_(temp),
       group_states_(group_prefix + std::max<uint32_t>(
                                        1, static_cast<uint32_t>(
                                               aggregates_.size()))),
@@ -161,6 +162,7 @@ void HashAggregate::AddInputRowToFallback(const uint64_t* row) {
 
 void HashAggregate::Degrade(const Status& status) {
   failed_ = true;
+  files_.RemoveAll();
   if (temp_ != nullptr) temp_->RecordError(status);
 }
 
@@ -168,6 +170,7 @@ void HashAggregate::Open() {
   output_queue_.Clear();
   queue_pos_ = 0;
   pending_partitions_.clear();
+  files_.RemoveAll();
   group_states_.Clear();
   table_.clear();
   fell_back_ = false;
@@ -198,7 +201,7 @@ void HashAggregate::Open() {
       paths.resize(partitions_);
       for (uint32_t p = 0; p < partitions_; ++p) {
         writers[p] = std::make_unique<RunFileWriter>(&in, counters_);
-        paths[p] = temp_->NewPath("hagg-part");
+        paths[p] = files_.NewPath("hagg-part");
         Status st = writers[p]->Open(paths[p]);
         if (!st.ok()) {
           child_->Close();
@@ -258,7 +261,7 @@ bool HashAggregate::ProcessNextPartition() {
         paths.resize(partitions_);
         for (uint32_t p = 0; p < partitions_ && st.ok(); ++p) {
           writers[p] = std::make_unique<RunFileWriter>(&in, counters_);
-          paths[p] = temp_->NewPath("hagg-part");
+          paths[p] = files_.NewPath("hagg-part");
           st = writers[p]->Open(paths[p]);
         }
         if (!st.ok()) break;
@@ -266,6 +269,7 @@ bool HashAggregate::ProcessNextPartition() {
       const uint32_t p = PartitionOf(row, pending.level);
       st = writers[p]->Append(row, codec.MakeFromRow(row, 0));
     }
+    files_.Remove(pending.path);  // read back
     for (uint32_t p = 0; p < writers.size() && st.ok(); ++p) {
       st = writers[p]->Close();
       pending_partitions_.push_back(
@@ -299,6 +303,8 @@ uint32_t HashAggregate::NextBatch(RowBlock* out) {
 }
 
 void HashAggregate::Close() {
+  pending_partitions_.clear();
+  files_.RemoveAll();
   output_queue_.Clear();
   group_states_.Clear();
   table_.clear();

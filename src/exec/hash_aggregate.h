@@ -74,7 +74,8 @@ class HashAggregate : public Operator {
   void BeginSortMergeFallback();
   /// Transforms one input row into a state row and adds it to the sort.
   void AddInputRowToFallback(const uint64_t* row);
-  /// Records `status` in the temp manager's error slot and stops output.
+  /// Records `status` in the temp manager's error slot, stops output and
+  /// removes the partition files.
   void Degrade(const Status& status);
 
   Operator* child_;
@@ -87,6 +88,7 @@ class HashAggregate : public Operator {
   Schema output_schema_;
   QueryCounters* counters_;
   TempFileManager* temp_;
+  TempFileSet files_;  // the partition files not yet read back
 
   // Resident table: group key hash -> index into group_states_ (rows of
   // group key columns followed by aggregate accumulators).

@@ -237,6 +237,7 @@ GraceHashJoin::GraceHashJoin(Operator* probe, Operator* build,
       output_schema_(MakeOutputSchema()),
       counters_(counters),
       temp_(temp),
+      files_(temp),
       resident_build_(build->schema().total_columns()),
       output_queue_(output_schema_.total_columns()) {
   OVC_CHECK(type == JoinTypeHash::kInner || type == JoinTypeHash::kLeftSemi);
@@ -332,6 +333,7 @@ void GraceHashJoin::FinishSortMergeFallback() {
 
 void GraceHashJoin::Degrade(const Status& status) {
   failed_ = true;
+  files_.RemoveAll();
   if (temp_ != nullptr) temp_->RecordError(status);
 }
 
@@ -339,6 +341,7 @@ void GraceHashJoin::Open() {
   output_queue_.Clear();
   queue_pos_ = 0;
   pending_.clear();
+  files_.RemoveAll();
   resident_build_.Clear();
   table_.clear();
   fell_back_ = false;
@@ -373,7 +376,7 @@ void GraceHashJoin::Open() {
         for (uint32_t p = 0; p < partitions_; ++p) {
           build_writers[p] =
               std::make_unique<RunFileWriter>(&build_->schema(), counters_);
-          build_paths[p] = temp_->NewPath("ghj-build");
+          build_paths[p] = files_.NewPath("ghj-build");
           Status st = build_writers[p]->Open(build_paths[p]);
           if (!st.ok()) {
             build_->Close();
@@ -438,7 +441,7 @@ void GraceHashJoin::Open() {
   for (uint32_t p = 0; p < partitions_; ++p) {
     probe_writers[p] =
         std::make_unique<RunFileWriter>(&probe_->schema(), counters_);
-    probe_paths[p] = temp_->NewPath("ghj-probe");
+    probe_paths[p] = files_.NewPath("ghj-probe");
     Status st = probe_writers[p]->Open(probe_paths[p]);
     if (!st.ok()) {
       probe_->Close();
@@ -484,8 +487,8 @@ void GraceHashJoin::Repartition(const PartitionPair& pair) {
   Status st = Status::Ok();
   for (uint32_t p = 0; p < partitions_ && st.ok(); ++p) {
     subs[p].level = pair.level + 1;
-    subs[p].build_path = temp_->NewPath("ghj-build");
-    subs[p].probe_path = temp_->NewPath("ghj-probe");
+    subs[p].build_path = files_.NewPath("ghj-build");
+    subs[p].probe_path = files_.NewPath("ghj-probe");
     bw[p] = std::make_unique<RunFileWriter>(&bs, counters_);
     pw[p] = std::make_unique<RunFileWriter>(&ps, counters_);
     st = bw[p]->Open(subs[p].build_path);
@@ -548,6 +551,7 @@ bool GraceHashJoin::ProcessNextPartition() {
     }
     if (overflow) {
       Repartition(pair);
+      RemovePair(pair);
       continue;
     }
 
@@ -562,6 +566,7 @@ bool GraceHashJoin::ProcessNextPartition() {
     while (probe_reader.Next(&row, &code)) {
       JoinResident(resident_build_, row);
     }
+    RemovePair(pair);
     if (output_queue_.size() > 0) return true;
   }
   return false;
@@ -603,7 +608,14 @@ uint32_t GraceHashJoin::NextBatch(RowBlock* out) {
   return output_queue_.ServeBlock(&queue_pos_, out);
 }
 
+void GraceHashJoin::RemovePair(const PartitionPair& pair) {
+  files_.Remove(pair.build_path);
+  files_.Remove(pair.probe_path);
+}
+
 void GraceHashJoin::Close() {
+  pending_.clear();
+  files_.RemoveAll();
   output_queue_.Clear();
   resident_build_.Clear();
   table_.clear();

@@ -133,6 +133,8 @@ class GraceHashJoin : public Operator {
   uint32_t PartitionOf(const uint64_t* row, uint32_t level);
   /// Splits a partition pair into `partitions_` sub-pairs at level+1.
   void Repartition(const PartitionPair& pair);
+  /// Removes a pair's files once they have been read back.
+  void RemovePair(const PartitionPair& pair);
 
   /// kSortMerge overflow path: moves the resident build rows into an
   /// ExternalSort keyed on the bind columns (the rest of the build stream
@@ -142,7 +144,8 @@ class GraceHashJoin : public Operator {
   void FinishSortMergeFallback();
   /// Fills `out` with continuation rows, remapped to this operator's layout.
   uint32_t NextFallback(RowBlock* out);
-  /// Records `status` in the temp manager's error slot and stops output.
+  /// Records `status` in the temp manager's error slot, stops output and
+  /// removes the partition files.
   void Degrade(const Status& status);
 
   Operator* probe_;
@@ -156,6 +159,7 @@ class GraceHashJoin : public Operator {
   Schema output_schema_;
   QueryCounters* counters_;
   TempFileManager* temp_;
+  TempFileSet files_;  // the partition files not yet read back
 
   // In-memory fast path or partition queue.
   std::vector<PartitionPair> pending_;

@@ -32,13 +32,10 @@ inline PqSorter::Entry PqSorter::PlayMatch(uint32_t node, Entry a,
 __attribute__((noinline)) PqSorter::Entry PqSorter::PlayTie(uint32_t node,
                                                             Entry a,
                                                             Entry b) {
-  // The rows are read only when the codes tie on a valid key; padding slots
-  // past count_ hold fences, so their row pointers are never loaded.
-  int cmp = 0;
-  if (OvcCodec::IsValid(a.code)) {
-    cmp = CompareEqualCodes(*codec_, *comparator_, rows_[a.slot], &a.code,
-                            rows_[b.slot], &b.code);
-  }
+  // Fences never tie, so both codes are valid and both rows exist.
+  OVC_DCHECK(OvcCodec::IsValid(a.code));
+  const int cmp = CompareEqualCodes(*codec_, *comparator_, rows_[a.slot],
+                                    &a.code, rows_[b.slot], &b.code);
   Entry winner, loser;
   if (cmp < 0 || (cmp == 0 && a.slot < b.slot)) {
     winner = a;
@@ -47,7 +44,7 @@ __attribute__((noinline)) PqSorter::Entry PqSorter::PlayTie(uint32_t node,
     winner = b;
     loser = a;
   }
-  if (cmp == 0 && OvcCodec::IsValid(loser.code)) {
+  if (cmp == 0) {
     loser.code = codec_->DuplicateCode();
   }
   nodes_[node] = loser;
@@ -58,7 +55,7 @@ PqSorter::Entry PqSorter::BuildWinner(uint32_t node) {
   if (node >= capacity_) {
     const uint32_t slot = node - capacity_;
     if (slot >= count_) {
-      return Entry{OvcCodec::LateFence(), slot};
+      return Entry{OvcCodec::LateFence(slot), slot};
     }
     // Each row is a single-row run: its code is relative to minus infinity.
     return Entry{codec_->MakeInitial(rows_[slot]), slot};
@@ -79,9 +76,9 @@ bool PqSorter::Next(RowRef* out) {
       CountCodeComparisons(*comparator_, capacity_ - 1);
     }
   } else {
-    // The winner's run is a single row, so its successor is a late fence;
-    // replaying the path is pure tear-down.
-    Entry cand{OvcCodec::LateFence(), winner_.slot};
+    // The winner's run is a single row, so its successor is its slot's
+    // late fence; replaying the path is pure tear-down.
+    Entry cand{OvcCodec::LateFence(winner_.slot), winner_.slot};
     uint32_t node = (capacity_ + winner_.slot) >> 1;
     while (node >= 1) {
       cand = PlayMatch(node, cand, nodes_[node]);

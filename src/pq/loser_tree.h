@@ -22,10 +22,13 @@
 // Exhausted inputs fold into the code word as late fences, so the test for
 // a valid key and the comparison of codes are one unsigned integer
 // comparison ("the comparison of offset-value codes is practically free",
-// Section 5). A match whose codes differ is also free of branches: the
-// winner is selected with mask arithmetic, because on unsorted input the
-// outcome is a coin toss a branch predictor misses half the time. Equal
-// codes (duplicates, fences, saturated value images) take an out-of-line
+// Section 5). Each slot has a fence of its own (OvcCodec::LateFence(slot)),
+// so fences never tie: every match between two of them, like every match
+// between a fence and a key, is decided by the codes. A match whose codes
+// differ is also free of branches: the winner is selected with mask
+// arithmetic, because on unsorted input the outcome is a coin toss a branch
+// predictor misses half the time. Equal codes -- two valid keys, equal up
+// to the code (duplicates, saturated value images) -- take an out-of-line
 // tie path that reads the rows.
 
 #ifndef OVC_PQ_LOSER_TREE_H_
@@ -187,7 +190,7 @@ class OvcMergerT {
   Entry LeafEntry(uint32_t slot) {
     if (slot >= sources_.size()) {
       // Padding slot beyond the real fan-in: permanently exhausted.
-      return Entry{OvcCodec::LateFence(), slot};
+      return Entry{OvcCodec::LateFence(slot), slot};
     }
     return FetchSuccessor(slot);
   }
@@ -197,7 +200,7 @@ class OvcMergerT {
     Ovc code = 0;
     if (!sources_[slot]->Next(&row, &code)) {
       rows_[slot] = nullptr;
-      return Entry{OvcCodec::LateFence(), slot};
+      return Entry{OvcCodec::LateFence(slot), slot};
     }
     OVC_DCHECK(OvcCodec::IsValid(code));
     rows_[slot] = row;
@@ -245,10 +248,11 @@ class OvcMergerT {
     return PlayTie(node, a, b);
   }
 
-  /// PlayMatch for equal codes: the rows decide (no row is read when both
-  /// codes are fences), then the lower slot, and an equal loser gets the
+  /// PlayMatch for equal codes, which are valid (fences never tie): the
+  /// rows decide, then the lower slot, and an equal loser gets the
   /// duplicate code.
   __attribute__((noinline)) Entry PlayTie(uint32_t node, Entry a, Entry b) {
+    OVC_DCHECK(OvcCodec::IsValid(a.code));
     const int cmp = CompareEqualCodes(*codec_, *comparator_, rows_[a.slot],
                                       &a.code, rows_[b.slot], &b.code);
     Entry winner, loser;
@@ -259,7 +263,7 @@ class OvcMergerT {
       winner = b;
       loser = a;
     }
-    if (cmp == 0 && OvcCodec::IsValid(loser.code)) {
+    if (cmp == 0) {
       // Equal keys: the loser is a full-key duplicate of the winner.
       loser.code = codec_->DuplicateCode();
     }

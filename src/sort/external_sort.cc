@@ -1,8 +1,6 @@
 #include "sort/external_sort.h"
 
 #include <algorithm>
-#include <filesystem>
-#include <system_error>
 
 #include "common/metrics.h"
 #include "common/trace.h"
@@ -17,7 +15,8 @@ ExternalSort::ExternalSort(const Schema* schema, QueryCounters* counters,
       counters_(counters),
       temp_(temp),
       config_(config),
-      batch_(schema, counters, config.mini_run_rows) {
+      batch_(schema, counters, config.mini_run_rows),
+      files_(temp) {
   OVC_CHECK(config_.memory_rows >= 2);
   OVC_CHECK(config_.fan_in >= 2);
 }
@@ -31,8 +30,6 @@ ExternalSort::ExternalSort(const Schema* schema,
   collapse_ = true;
   collapse_fns_ = std::move(collapse_fns);
 }
-
-ExternalSort::~ExternalSort() { RemoveRunFiles(); }
 
 void ExternalSort::Add(const uint64_t* row) {
   OVC_CHECK(!finished_);
@@ -86,24 +83,11 @@ void ExternalSort::CollapseOutput(Rows* rows) {
       schema_, collapse_fns_, merger_source_.get());
 }
 
-std::string ExternalSort::NewRunPath(const std::string& tag) {
-  files_.push_back(temp_->NewPath(tag));
-  return files_.back();
-}
-
-void ExternalSort::RemoveRunFiles() {
-  for (const std::string& path : files_) {
-    std::error_code ec;
-    std::filesystem::remove(path, ec);  // best effort, like the manager's
-  }
-  files_.clear();
-}
-
 Status ExternalSort::SpillBatch() {
   if (batch_.empty()) return Status::Ok();
   OVC_TRACE_SPAN("sort.spill_run");
   RunFileWriter writer(schema_, counters_);
-  const std::string path = NewRunPath("run");
+  const std::string path = files_.NewPath("run");
   OVC_RETURN_IF_ERROR(writer.Open(path));
   FileRunSink sink(&writer);
   {
@@ -127,7 +111,7 @@ Status ExternalSort::Finish() {
   // then serve nothing (no output is prepared).
   const Status status =
       deferred_error_.ok() ? PrepareOutput() : deferred_error_;
-  if (!status.ok()) RemoveRunFiles();
+  if (!status.ok()) files_.RemoveAll();
   return status;
 }
 
@@ -168,7 +152,7 @@ Status ExternalSort::PrepareMerge(std::vector<SpilledRun> runs) {
         sources.push_back(readers.back().get());
       }
       RunFileWriter writer(schema_, counters_);
-      const std::string path = NewRunPath("merge");
+      const std::string path = files_.NewPath("merge");
       OVC_RETURN_IF_ERROR(writer.Open(path));
       FileRunSink sink(&writer);
       OvcMergerT<RunFileReader> merger(&codec_, &comparator_, sources);

@@ -65,9 +65,6 @@ class ExternalSort {
   ExternalSort(const Schema* schema, std::vector<StateMergeFn> collapse_fns,
                QueryCounters* counters, TempFileManager* temp,
                SortConfig config);
-  /// Removes the sort's run files.
-  ~ExternalSort();
-
   /// Adds one input row (copied). Spill I/O errors during intake do not
   /// abort: the sort records the first error, drops further input, and
   /// Finish() reports it (the graceful-degradation contract the mid-query
@@ -112,10 +109,6 @@ class ExternalSort {
   /// Serves the output through a CollapsingSource over `rows`.
   template <typename Rows>
   void CollapseOutput(Rows* rows);
-  /// A fresh path for a run file, removed with the sort.
-  std::string NewRunPath(const std::string& tag);
-  /// Removes every run file the sort created.
-  void RemoveRunFiles();
   /// Records the first intake error and degrades (see Add).
   void DeferError(const Status& status);
 
@@ -130,7 +123,7 @@ class ExternalSort {
 
   BatchSorter batch_;
   std::vector<SpilledRun> runs_;
-  std::vector<std::string> files_;  // every run file the sort created
+  TempFileSet files_;  // every run file the sort created
   uint64_t spilled_runs_ = 0;
   uint32_t merge_levels_ = 0;
   bool finished_ = false;

@@ -1,13 +1,14 @@
 // Deterministic fault injection: the failpoint facility itself, bounded
 // retry of transient temp-file write failures, clean SqlError reporting
-// when retries exhaust, a failed spill that leaves no run file behind, and
-// forced mid-query hash->sort fallbacks.
+// when retries exhaust, failed spills that leave no run or partition file
+// behind, and forced mid-query hash->sort fallbacks.
 //
 // Failpoints compile to a literal `false` in optimized builds unless
 // OVC_ENABLE_FAILPOINTS is defined (the CMake option CI's TSan job sets);
 // every test here skips itself when the facility is compiled out.
 
 #include <filesystem>
+#include <initializer_list>
 #include <string>
 
 #include <gtest/gtest.h>
@@ -16,6 +17,9 @@
 #include "common/failpoint.h"
 #include "common/rng.h"
 #include "common/temp_file.h"
+#include "exec/hash_aggregate.h"
+#include "exec/hash_join.h"
+#include "exec/scan.h"
 #include "plan/plan_executor.h"
 #include "row/row_block.h"
 #include "row/row_buffer.h"
@@ -286,6 +290,36 @@ TEST_F(FailpointTest, ForcedAggregateOverflowFallsBackDeterministically) {
   Canonicalize(&rows);
   EXPECT_EQ(rows, want);
   EXPECT_EQ(session.counters()->hash_agg_fallbacks, 1u);
+}
+
+TEST_F(FailpointTest, FailedPartitionSpillLeavesNoFiles) {
+  SKIP_WITHOUT_FAILPOINTS();
+  // Every temp-file write fails, so the grace join's and the hash
+  // aggregate's partition spills exhaust their retries. Each operator
+  // degrades to no output, records the error and removes the partition
+  // files it had opened.
+  const Schema schema(1, 1);
+  const RowBuffer table = ::ovc::testing::MakeTable(schema, 4000, 1000, 31);
+  failpoint::Arm("tempfile.write");
+  TempFileManager temp;
+  QueryCounters counters;
+  BufferScan probe(&schema, &table), build(&schema, &table);
+  GraceHashJoin join(&probe, &build, /*bind_columns=*/1, JoinTypeHash::kInner,
+                     /*memory_rows=*/64, &counters, &temp, /*partitions=*/4,
+                     FallbackPolicy::kPartition);
+  BufferScan input(&schema, &table);
+  HashAggregate aggregate(&input, /*group_prefix=*/1, {{AggFn::kCount, 0}},
+                          /*memory_groups=*/16, &counters, &temp,
+                          /*partitions=*/4, FallbackPolicy::kPartition);
+  for (Operator* op : std::initializer_list<Operator*>{&join, &aggregate}) {
+    temp.ClearError();
+    op->Open();
+    RowBlock block(op->schema().total_columns());
+    EXPECT_EQ(op->NextBatch(&block), 0u);
+    EXPECT_FALSE(temp.first_error().ok());
+    EXPECT_TRUE(std::filesystem::is_empty(temp.dir()));
+    op->Close();
+  }
 }
 
 }  // namespace

@@ -323,10 +323,14 @@ void ExpectNaiveStream(const Schema& schema, const RowBuffer& input,
   NaiveSortedStream(schema, input, &expected_rows, &expected_codes);
   RowVec got_rows;
   std::vector<Ovc> got_codes;
+  OvcStreamChecker checker(&schema);
   RowRef ref;
   while (rows->Next(&ref)) {
     got_rows.emplace_back(ref.cols, ref.cols + schema.total_columns());
     got_codes.push_back(ref.ovc);
+    if (checker.ok()) {
+      EXPECT_TRUE(checker.Observe(ref.cols, ref.ovc)) << checker.error();
+    }
   }
   EXPECT_EQ(got_rows, expected_rows);
   EXPECT_EQ(got_codes, expected_codes);
@@ -430,6 +434,85 @@ TEST(PinnedCounts, MergerOverUnevenRunsWithDuplicateBypass) {
   OvcMergerT<InMemoryRunSource> merger(&codec, &comparator, sources);
   ExpectNaiveStream(schema, all, &merger);
   ExpectCounts(counters, {292, 15, 700});
+}
+
+// ---------------------------------------------------------------------------
+// Slot fences. Every tournament slot has a late fence of its own, so two
+// fences never tie and no match between them takes the tie path. Tear-down
+// and padding play such matches at every size; the sweeps below cover each
+// padding of the sorter's tree up to 1,100 rows and each fan-in of the
+// merger up to 300 sources.
+
+TEST(SlotFences, AreInvalidDistinctAndAboveEveryValidCode) {
+  const Schema schema(3);
+  const OvcCodec codec(&schema);
+  // The largest valid code of any codec: kind 01, every other bit set.
+  const Ovc largest_valid = OvcCodec::kKindValid | (OvcCodec::kKindValid - 1);
+  ASSERT_TRUE(OvcCodec::IsValid(largest_valid));
+  ASSERT_LT(codec.Make(0, ~uint64_t{0}), largest_valid);
+  std::vector<Ovc> fences;
+  for (uint32_t slot = 0; slot < 2048; ++slot) {
+    fences.push_back(OvcCodec::LateFence(slot));
+  }
+  fences.push_back(OvcCodec::LateFence(uint32_t{1} << 31));
+  fences.push_back(OvcCodec::LateFence(~uint32_t{0}));
+  EXPECT_EQ(OvcCodec::LateFence(0), OvcCodec::LateFence());
+  for (const Ovc fence : fences) {
+    EXPECT_FALSE(OvcCodec::IsValid(fence));
+    EXPECT_GT(fence, largest_valid);
+    EXPECT_EQ(codec.ToString(fence), "+inf");
+  }
+  std::sort(fences.begin(), fences.end());
+  EXPECT_EQ(std::adjacent_find(fences.begin(), fences.end()), fences.end());
+}
+
+TEST(SlotFences, PqSorterSortsEveryCountUpTo1100) {
+  // Eight keys per column make duplicates at every size; the payload holds
+  // the input position, so the stable order is checked too.
+  Schema schema(2, 1);
+  for (uint32_t n = 1; n <= 1100; ++n) {
+    SCOPED_TRACE("rows " + std::to_string(n));
+    RowBuffer table = MakeTable(schema, n, 8, /*seed=*/n);
+    for (size_t i = 0; i < table.size(); ++i) table.mutable_row(i)[2] = i;
+    const QueryCounters counters = SortPinned(schema, table);
+    EXPECT_LE(counters.column_comparisons, uint64_t{n} * schema.key_arity());
+    if (::testing::Test::HasFailure()) return;
+  }
+}
+
+TEST(SlotFences, MergerMergesUpTo300UnevenSources) {
+  // Lengths from 0 to 40 rows; every seventh source is empty, so empty
+  // sources sit between non-empty ones at every fan-in above three.
+  Schema schema(2, 1);
+  OvcCodec codec(&schema);
+  Rng rng(30);
+  for (uint32_t fan_in = 1; fan_in <= 300; ++fan_in) {
+    SCOPED_TRACE("fan-in " + std::to_string(fan_in));
+    std::vector<InMemoryRun> runs;
+    RowBuffer all(schema.total_columns());
+    for (uint32_t r = 0; r < fan_in; ++r) {
+      const uint64_t length = r % 7 == 3 ? 0 : rng.Uniform(41);
+      RowBuffer t = MakeTable(schema, length, 12, /*seed=*/fan_in * 1000 + r,
+                              /*sorted=*/true);
+      for (size_t i = 0; i < t.size(); ++i) {
+        t.mutable_row(i)[2] = uint64_t{r} * 10000 + i;  // run and row
+        all.AppendRow(t.row(i));
+      }
+      runs.push_back(RunFromSorted(schema, t));
+    }
+    std::vector<InMemoryRunSource> source_storage;
+    for (const InMemoryRun& run : runs) source_storage.emplace_back(&run);
+    std::vector<MergeSource*> sources;
+    for (InMemoryRunSource& s : source_storage) sources.push_back(&s);
+
+    QueryCounters counters;
+    KeyComparator comparator(&schema, &counters);
+    OvcMerger merger(&codec, &comparator, sources);
+    ExpectNaiveStream(schema, all, &merger);
+    EXPECT_LE(counters.column_comparisons,
+              uint64_t{all.size()} * schema.key_arity());
+    if (::testing::Test::HasFailure()) return;
+  }
 }
 
 }  // namespace

@@ -6,6 +6,8 @@
 // fallback), never *what* it returns -- and the spill/fallback counters
 // must show the degradation actually happened.
 
+#include <filesystem>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -13,6 +15,9 @@
 
 #include "common/counters.h"
 #include "exec/fallback_policy.h"
+#include "exec/hash_aggregate.h"
+#include "exec/hash_join.h"
+#include "exec/scan.h"
 #include "plan/plan_executor.h"
 #include "sql/catalog.h"
 #include "sql/session.h"
@@ -23,6 +28,7 @@ namespace {
 
 using ::ovc::testing::Canonicalize;
 using ::ovc::testing::ClaimTinyInputs;
+using ::ovc::testing::MakeTable;
 using ::ovc::testing::RowVec;
 using ::ovc::testing::ToRowVec;
 
@@ -201,6 +207,90 @@ TEST_F(SpillStressTest, FallbackSortInheritsSortBudgetAndStillAgrees) {
   EXPECT_EQ(rows, oracle);
   EXPECT_GT(counters.hash_agg_fallbacks, 0u);
   EXPECT_GT(counters.bytes_spilled, 0u);
+}
+
+/// Opens `op` and drains it without closing it.
+RowVec DrainOpen(Operator* op) {
+  const uint32_t width = op->schema().total_columns();
+  op->Open();
+  RowVec out;
+  RowBlock block(width);
+  while (op->NextBatch(&block) > 0) {
+    for (uint32_t i = 0; i < block.size(); ++i) {
+      out.emplace_back(block.row(i), block.row(i) + width);
+    }
+  }
+  Canonicalize(&out);
+  return out;
+}
+
+TEST_F(SpillStressTest, PartitionFilesGoAwayWithTheirQuery) {
+  // Grace partitioning under a budget so small that partitions split again
+  // and again. Each partition file is removed once it has been read back,
+  // so a drained operator leaves the temp directory empty before it is
+  // closed, and one destroyed mid-stream leaves nothing behind either.
+  const Schema schema(1, 1);
+  const RowBuffer fact = MakeTable(schema, kFactRows, kDistinctKeys, 7);
+  const RowBuffer dim = MakeTable(schema, kDimRows, kDistinctKeys, 8);
+  TempFileManager temp;
+  const auto join = [&](BufferScan* probe, BufferScan* build,
+                        uint64_t memory_rows, QueryCounters* counters) {
+    return std::make_unique<GraceHashJoin>(
+        probe, build, /*bind_columns=*/1, JoinTypeHash::kInner, memory_rows,
+        counters, &temp, /*partitions=*/4, FallbackPolicy::kPartition);
+  };
+  const auto aggregate = [&](BufferScan* input, uint64_t memory_groups,
+                             QueryCounters* counters) {
+    return std::make_unique<HashAggregate>(
+        input, /*group_prefix=*/1,
+        std::vector<AggregateSpec>{{AggFn::kCount, 0}, {AggFn::kSum, 1}},
+        memory_groups, counters, &temp, /*partitions=*/4,
+        FallbackPolicy::kPartition);
+  };
+
+  BufferScan probe(&schema, &fact), build(&schema, &dim);
+  QueryCounters counters;
+  const RowVec joined =
+      DrainOpen(join(&probe, &build, 1 << 20, &counters).get());
+  ASSERT_EQ(counters.bytes_spilled, 0u);
+  {
+    auto op = join(&probe, &build, /*memory_rows=*/64, &counters);
+    EXPECT_EQ(DrainOpen(op.get()), joined);
+    EXPECT_GT(counters.bytes_spilled, 0u);
+    EXPECT_TRUE(std::filesystem::is_empty(temp.dir()));
+    op->Close();
+  }
+
+  BufferScan input(&schema, &fact);
+  counters = QueryCounters();
+  const RowVec grouped =
+      DrainOpen(aggregate(&input, 1 << 20, &counters).get());
+  ASSERT_EQ(counters.bytes_spilled, 0u);
+  {
+    auto op = aggregate(&input, /*memory_groups=*/16, &counters);
+    EXPECT_EQ(DrainOpen(op.get()), grouped);
+    EXPECT_GT(counters.bytes_spilled, 0u);
+    EXPECT_TRUE(std::filesystem::is_empty(temp.dir()));
+    op->Close();
+  }
+
+  // Abandoned after one block: the destructor removes what is left.
+  {
+    auto op = join(&probe, &build, /*memory_rows=*/64, &counters);
+    op->Open();
+    RowBlock block(op->schema().total_columns());
+    ASSERT_GT(op->NextBatch(&block), 0u);
+    EXPECT_FALSE(std::filesystem::is_empty(temp.dir()));
+  }
+  EXPECT_TRUE(std::filesystem::is_empty(temp.dir()));
+  {
+    auto op = aggregate(&input, /*memory_groups=*/16, &counters);
+    op->Open();
+    RowBlock block(op->schema().total_columns());
+    ASSERT_GT(op->NextBatch(&block), 0u);
+    EXPECT_FALSE(std::filesystem::is_empty(temp.dir()));
+  }
+  EXPECT_TRUE(std::filesystem::is_empty(temp.dir()));
 }
 
 }  // namespace
