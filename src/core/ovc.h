@@ -23,7 +23,8 @@
 // all valid codes before all late fences -- the comparison of offset-value
 // codes is folded into the validity test, making it "practically free".
 // A late fence's low 62 bits may carry a tournament slot (LateFence(slot)),
-// so that no two slots' fences tie; only the kind bits are ever tested.
+// so that no two slots' fences tie; the validity test reads only the kind
+// bits.
 //
 // The 48-bit value field stores min(v, 2^48 - 1) of the *normalized* column
 // value. This saturating map is monotone, which is all the OVC algebra
